@@ -1,6 +1,7 @@
 // Google-benchmark micro suite for the hashing substrate: raw hash
-// functions, Bloom operations, sparse-signature algebra, LSH backends and
-// the cuckoo tables (standard vs flat vs fingerprint-compressed). The find
+// functions, Bloom operations, sparse-signature algebra (pairwise Jaccard
+// and the per-query bitmap scorer), LSH backends and the cuckoo tables
+// (standard vs flat vs fingerprint-compressed). The find
 // benches publish roofline counters — bytes_per_lookup and
 // slots_per_lookup from the ProbeProfile instrumentation — so the probe
 // working-set gap between backends is visible next to the timings.
@@ -91,6 +92,21 @@ void BM_SparseJaccard(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparseJaccard)->Arg(256)->Arg(2048);
+
+// The ranking kernel on the same pairs: the query bitmap is built once,
+// outside the timing loop, as FastIndex/TieredIndex build it once per query.
+void BM_JaccardScorer(benchmark::State& state) {
+  const auto a = make_signature(static_cast<std::size_t>(state.range(0)), 1);
+  const auto b = make_signature(static_cast<std::size_t>(state.range(0)), 2);
+  const std::uint32_t bit_count = std::max(a.bit_count(), b.bit_count());
+  const hash::SparseSignature query(a.set_bits(), bit_count);
+  const hash::SparseSignature candidate(b.set_bits(), bit_count);
+  const hash::JaccardScorer scorer(query);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scorer.score(candidate));
+  }
+}
+BENCHMARK(BM_JaccardScorer)->Arg(256)->Arg(2048);
 
 void BM_SparseEncode(benchmark::State& state) {
   const auto sig = make_signature(2048, 3);

@@ -56,6 +56,7 @@ void FastIndex::init_metrics() {
   m_.sa_insert_hash_ops = &r.counter("sa.insert_hash_ops");
   m_.sa_keys_wall_s = &r.latency_histogram("sa.keys_wall_s");
   m_.sa_probe_keys = &r.count_histogram("sa.probe_keys_per_query");
+  m_.rank_wall_s = &r.latency_histogram("rank.wall_s");
   m_.chs_group_hits = &r.counter("chs.group_hits");
   m_.chs_group_creates = &r.counter("chs.group_creates");
   m_.chs_rehash_events = &r.counter("chs.rehash_events");
@@ -825,16 +826,17 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
     m_.chs_fingerprint_false_hits->add(probe_profile.fingerprint_false_hits);
   }
 
-  // Rank candidates by signature similarity (sparse-domain Jaccard).
+  // Rank candidates by Jaccard similarity against the query's bitmap.
   result.candidates = candidate_ids.size();
+  util::WallTimer rank_timer;
   {
     util::TraceSpan rank_span("rank");
+    const hash::JaccardScorer scorer(signature);
     result.hits.reserve(candidate_ids.size());
     for (const std::uint64_t id : candidate_ids) {
       const auto it = signatures_.find(id);
       FAST_CHECK(it != signatures_.end());
-      result.hits.push_back(
-          ScoredId{id, hash::SparseSignature::jaccard(signature, it->second)});
+      result.hits.push_back(ScoredId{id, scorer.score(it->second)});
     }
     // Ranking cost: one sparse-overlap merge per candidate. Each merge is an
     // independent unit of parallel work (Fig. 7).
@@ -855,6 +857,8 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
     rank_span.attr("candidates", static_cast<double>(result.candidates));
     rank_span.attr("hits", static_cast<double>(result.hits.size()));
   }
+  const double rank_s = rank_timer.elapsed_seconds();
+  m_.rank_wall_s->observe(rank_s);
   m_.queries->add();
   m_.chs_bucket_probes->observe(static_cast<double>(result.bucket_probes));
   m_.chs_candidates->observe(static_cast<double>(result.candidates));
@@ -871,7 +875,8 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
     profile.start_s = profile_start_s;
     profile.wall_s = wall_timer.elapsed_seconds();
     profile.sa_keys_s = keys_s;
-    profile.probe_rank_s = profile.wall_s - keys_s;
+    profile.rank_s = rank_s;
+    profile.probe_s = profile.wall_s - keys_s - rank_s;
     profile.k = k;
     profile.hits = result.hits.size();
     profile.candidates = result.candidates;

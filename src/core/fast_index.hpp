@@ -245,6 +245,9 @@ class FastIndex {
     // histogram tracks what the real (sparse) kernel actually costs.
     util::Histogram* sa_keys_wall_s = nullptr;
     util::Histogram* sa_probe_keys = nullptr;
+    // Native wall time of candidate scoring + top-k selection per query
+    // (same name and meaning in TieredIndex).
+    util::Histogram* rank_wall_s = nullptr;
     util::Counter* chs_group_hits = nullptr;
     util::Counter* chs_group_creates = nullptr;
     util::Counter* chs_rehash_events = nullptr;

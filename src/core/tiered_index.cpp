@@ -73,6 +73,7 @@ void TieredIndex::init_metrics() {
   m_.sa_insert_hash_ops = &r.counter("sa.insert_hash_ops");
   m_.sa_keys_wall_s = &r.latency_histogram("sa.keys_wall_s");
   m_.sa_probe_keys = &r.count_histogram("sa.probe_keys_per_query");
+  m_.rank_wall_s = &r.latency_histogram("rank.wall_s");
   m_.chs_slot_reads = &r.counter("chs.slot_reads");
   m_.chs_bucket_probes = &r.count_histogram("chs.bucket_probes_per_query");
   m_.chs_candidates = &r.count_histogram("chs.candidates_per_query");
@@ -699,6 +700,12 @@ QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
           ? config_.cost.flop_s * static_cast<double>(per_table_ops)
           : config_.cost.mix_op_s * static_cast<double>(per_table_ops);
 
+  // Built once, before any lane lock is taken: every candidate of every
+  // layer is scored against the query's bitmap.
+  util::WallTimer scorer_timer;
+  const hash::JaccardScorer scorer(signature);
+  double rank_s = scorer_timer.elapsed_seconds();
+
   std::vector<std::size_t> table_slot_reads(keys.size(), 0);
   std::vector<ScoredId> scored;
   std::size_t slot_reads_total = 0;
@@ -767,11 +774,12 @@ QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
             lane.mem->collect(t, pk, mem_ids, &table_slot_reads[t]);
           }
         }
+        util::WallTimer mem_rank_timer;
         for (const std::uint64_t id : mem_ids) {
-          scored.push_back(ScoredId{
-              id, hash::SparseSignature::jaccard(
-                      signature, *lane.mem->signature_of(id))});
+          scored.push_back(
+              ScoredId{id, scorer.score(*lane.mem->signature_of(id))});
         }
+        rank_s += mem_rank_timer.elapsed_seconds();
         for (const auto& ids : per_seg) {
           for (const std::uint64_t id : ids) {
             if (mem_shadowed.find(id) == mem_shadowed.end()) {
@@ -784,6 +792,7 @@ QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
       // 3) Segment candidates, scored lock-free off the pinned immutable
       //    list: the newest unshadowed mention owns the id (drops
       //    tombstoned ids and stale duplicates in one rule).
+      util::WallTimer seg_rank_timer;
       for (std::size_t si = 0; si < per_seg.size(); ++si) {
         for (const std::uint64_t id : per_seg[si]) {
           if (mem_shadowed[id]) continue;
@@ -792,11 +801,11 @@ QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
             shadowed = (*list)[sj]->shadows(id);
           }
           if (shadowed) continue;
-          scored.push_back(ScoredId{
-              id, hash::SparseSignature::jaccard(
-                      signature, *(*list)[si]->signature_of(id))});
+          scored.push_back(
+              ScoredId{id, scorer.score(*(*list)[si]->signature_of(id))});
         }
       }
+      rank_s += seg_rank_timer.elapsed_seconds();
     }
 
     // Per-table cost + Fig. 7 task shape, identical to the flat index
@@ -822,6 +831,7 @@ QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
   m_.tier_segment_skips->add(segments_skipped);
 
   result.candidates = scored.size();
+  util::WallTimer topk_timer;
   {
     util::TraceSpan rank_span("rank");
     result.hits = std::move(scored);
@@ -841,6 +851,8 @@ QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
     rank_span.attr("candidates", static_cast<double>(result.candidates));
     rank_span.attr("hits", static_cast<double>(result.hits.size()));
   }
+  rank_s += topk_timer.elapsed_seconds();
+  m_.rank_wall_s->observe(rank_s);
   m_.queries->add();
   m_.chs_bucket_probes->observe(static_cast<double>(result.bucket_probes));
   m_.chs_candidates->observe(static_cast<double>(result.candidates));
@@ -858,7 +870,8 @@ QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
     profile.start_s = profile_start_s;
     profile.wall_s = wall_timer.elapsed_seconds();
     profile.sa_keys_s = keys_s;
-    profile.probe_rank_s = profile.wall_s - keys_s;
+    profile.rank_s = rank_s;
+    profile.probe_s = profile.wall_s - keys_s - rank_s;
     profile.k = k;
     profile.hits = result.hits.size();
     profile.candidates = result.candidates;

@@ -3,13 +3,14 @@
 //
 // Layout: ids are hash-partitioned across a few independent LANES. Each
 // lane holds one small mutable MemtableIndex guarded by its own
-// shared_mutex, plus a lock-free, newest-first list of ImmutableSegments
-// published through an atomic shared_ptr. Inserts derive bucket keys
+// shared_mutex, plus a newest-first list of ImmutableSegments published
+// as one shared_ptr that is swapped whole. Inserts derive bucket keys
 // OUTSIDE any lock, then take only their lane's mutex for the bounded
 // placement work; once a memtable reaches tier.seal_threshold mentions it
 // is sealed — an O(1) move into a frozen segment — off the hot path.
 // Queries take each lane's mutex in shared mode only for the memtable
-// probe; segments are read with no lock at all, and a per-segment bloom
+// probe; segments are read off a pinned copy of the list pointer (taken
+// under a mutex held only for that copy), and a per-segment bloom
 // summary skips segments that cannot contain any probe key. A background
 // thread finalizes segment blooms and merges adjacent segment runs under a
 // size-tiered policy (tier.compact_fanin / compact_trigger) without ever
@@ -159,12 +160,36 @@ class TieredIndex {
   void wait_idle() const;
 
  private:
+  /// A lane's published segment list. load() pins the current list; the
+  /// mutex covers only the pointer copy or swap, never a reader's use of
+  /// the list. (libstdc++ 12's std::atomic<std::shared_ptr> is also a lock,
+  /// but its load() releases it with relaxed order, so the pointer read
+  /// races the next store under the C++ memory model and TSan reports it.)
+  class SegmentListCell {
+   public:
+    std::shared_ptr<const SegmentList> load() const {
+      std::lock_guard<std::mutex> lk(mutex_);
+      return list_;
+    }
+    void store(std::shared_ptr<const SegmentList> list) {
+      {
+        std::lock_guard<std::mutex> lk(mutex_);
+        list_.swap(list);
+      }
+      // `list` now holds the old list; it is released outside the lock.
+    }
+
+   private:
+    mutable std::mutex mutex_;
+    std::shared_ptr<const SegmentList> list_;
+  };
+
   struct Lane {
     mutable std::shared_mutex mem_mutex;
     std::unique_ptr<MemtableIndex> mem;
-    /// Lock-free reads; replaced under publish_mutex (seal prepend, bloom
-    /// upgrade, compaction splice).
-    std::atomic<std::shared_ptr<const SegmentList>> segments;
+    /// Replaced under publish_mutex (seal prepend, bloom upgrade,
+    /// compaction splice).
+    SegmentListCell segments;
     std::mutex publish_mutex;
   };
 
@@ -181,6 +206,9 @@ class TieredIndex {
     util::Counter* sa_insert_hash_ops = nullptr;
     util::Histogram* sa_keys_wall_s = nullptr;
     util::Histogram* sa_probe_keys = nullptr;
+    // Scoring wall time per query, memtable and segment candidates summed,
+    // plus top-k selection (same name and meaning in FastIndex).
+    util::Histogram* rank_wall_s = nullptr;
     util::Counter* chs_slot_reads = nullptr;
     util::Histogram* chs_bucket_probes = nullptr;
     util::Histogram* chs_candidates = nullptr;

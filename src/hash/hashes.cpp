@@ -114,10 +114,4 @@ std::uint64_t fnv1a_64(const void* data, std::size_t len) noexcept {
   return h;
 }
 
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 }  // namespace fast::hash

@@ -33,8 +33,14 @@ inline Hash128 murmur3_128(std::span<const float> v,
 std::uint64_t fnv1a_64(const void* data, std::size_t len) noexcept;
 
 /// Finalization mix of SplitMix64: a strong 64 -> 64 bit scrambler for
-/// integer keys (bucket ids, image ids).
-std::uint64_t mix64(std::uint64_t x) noexcept;
+/// integer keys (bucket ids, image ids). Inline: SA key derivation calls
+/// it once per (set bit, salt) pair, and band keys, cuckoo candidates and
+/// bucket hashing sit on the same hot paths.
+inline std::uint64_t mix64(std::uint64_t x) noexcept {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// The i-th derived hash g_i = lo + i * hi (Kirsch–Mitzenmacher): k
 /// independent-enough probe values from a single 128-bit hash.

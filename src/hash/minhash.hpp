@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hash/sparse_signature.hpp"
@@ -44,6 +45,16 @@ class MinHasher {
   /// sentinel (all-ones) values, which still band deterministically.
   std::vector<MinPair> minhashes(const SparseSignature& signature) const;
 
+  /// The kernel behind minhashes(): out[i] becomes the (min, second) of
+  /// mix64(salts[i] ^ (bit + 1)) over `bits`, starting from the all-ones
+  /// sentinel. `bits` need not be sorted or unique: a repeated bit is a
+  /// tie (h == min or h == second), folded exactly as the two-branch
+  /// update folds it. Vectorized with runtime ISA dispatch; out.size()
+  /// must equal salts.size().
+  static void fold(std::span<const std::uint64_t> salts,
+                   std::span<const std::uint32_t> bits,
+                   std::span<MinPair> out);
+
   /// Band key `band` from precomputed minhashes (uses the .min values).
   std::uint64_t band_key(std::size_t band,
                          const std::vector<MinPair>& mh) const;
@@ -59,8 +70,6 @@ class MinHasher {
                                       std::size_t band_size);
 
  private:
-  std::uint64_t hash_bit(std::size_t i, std::uint32_t bit) const noexcept;
-
   MinHashConfig config_;
   std::vector<std::uint64_t> salts_;
 };

@@ -63,6 +63,33 @@ double SparseSignature::jaccard(const SparseSignature& a,
   return static_cast<double>(common) / static_cast<double>(uni);
 }
 
+JaccardScorer::JaccardScorer(const SparseSignature& query)
+    : bit_count_(query.bit_count()),
+      popcount_(query.popcount()),
+      words_((static_cast<std::size_t>(query.bit_count()) + 63) / 64, 0) {
+  for (const std::uint32_t b : query.set_bits()) {
+    words_[b >> 6] |= std::uint64_t{1} << (b & 63);
+  }
+}
+
+std::size_t JaccardScorer::overlap(
+    const SparseSignature& candidate) const noexcept {
+  FAST_CHECK(candidate.bit_count() == bit_count_);
+  const std::uint64_t* words = words_.data();
+  std::size_t n = 0;
+  for (const std::uint32_t b : candidate.set_bits()) {
+    n += static_cast<std::size_t>((words[b >> 6] >> (b & 63)) & 1);
+  }
+  return n;
+}
+
+double JaccardScorer::score(const SparseSignature& candidate) const noexcept {
+  const std::size_t common = overlap(candidate);
+  const std::size_t uni = popcount_ + candidate.popcount() - common;
+  if (uni == 0) return 1.0;
+  return static_cast<double>(common) / static_cast<double>(uni);
+}
+
 namespace {
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint32_t v) {

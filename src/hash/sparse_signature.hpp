@@ -63,4 +63,28 @@ class SparseSignature {
   std::vector<std::uint32_t> bits_;  // sorted ascending, unique
 };
 
+/// Query-side Jaccard scorer for ranking many candidates against one query
+/// (the bitmap-slicing idea: materialize the query once as a dense bitmap,
+/// then test each candidate's set bits against it). Built once per query;
+/// score() is bit-identical to SparseSignature::jaccard — same integer
+/// overlap, same double division — so rankings and tie-breaks match the
+/// pairwise merge exactly. Candidates must have the query's bit_count().
+class JaccardScorer {
+ public:
+  explicit JaccardScorer(const SparseSignature& query);
+
+  std::uint32_t bit_count() const noexcept { return bit_count_; }
+
+  /// |Q ∩ C|: one branch-free bit test per set bit of the candidate.
+  std::size_t overlap(const SparseSignature& candidate) const noexcept;
+
+  /// |Q ∩ C| / |Q ∪ C| (1.0 when both are empty).
+  double score(const SparseSignature& candidate) const noexcept;
+
+ private:
+  std::uint32_t bit_count_ = 0;
+  std::size_t popcount_ = 0;
+  std::vector<std::uint64_t> words_;  // the query as a dense bitmap
+};
+
 }  // namespace fast::hash

@@ -69,7 +69,8 @@ std::string QueryProfile::to_json() const {
   out += ", \"start_s\": " + fmt_double(start_s);
   out += ", \"wall_s\": " + fmt_double(wall_s);
   out += ", \"sa_keys_s\": " + fmt_double(sa_keys_s);
-  out += ", \"probe_rank_s\": " + fmt_double(probe_rank_s);
+  out += ", \"probe_s\": " + fmt_double(probe_s);
+  out += ", \"rank_s\": " + fmt_double(rank_s);
   out += ", \"k\": " + std::to_string(k);
   out += ", \"hits\": " + std::to_string(hits);
   out += ", \"candidates\": " + std::to_string(candidates);

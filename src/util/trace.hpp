@@ -89,7 +89,8 @@ struct QueryProfile {
   double start_s = 0;            ///< seconds since the tracer epoch
   double wall_s = 0;             ///< native wall time of the whole query
   double sa_keys_s = 0;          ///< SA key-derivation wall time
-  double probe_rank_s = 0;       ///< CHS probe + candidate ranking wall time
+  double probe_s = 0;            ///< the rest: CHS probe, candidate collection
+  double rank_s = 0;             ///< candidate scoring + top-k wall time
   std::uint64_t k = 0;
   std::uint64_t hits = 0;
   std::uint64_t candidates = 0;

@@ -1004,6 +1004,186 @@ TEST(MinHash, CollisionProbabilityFormula) {
   EXPECT_GT(p1, p2);
 }
 
+// The pre-vectorization minhash loop, kept verbatim as the reference the
+// dispatched kernel must reproduce bit for bit.
+std::vector<MinHasher::MinPair> branchy_minhashes(
+    const std::vector<std::uint64_t>& salts,
+    const std::vector<std::uint32_t>& bits) {
+  std::vector<MinHasher::MinPair> out(salts.size());
+  for (std::uint32_t bit : bits) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const std::uint64_t h =
+          mix64(salts[i] ^ (static_cast<std::uint64_t>(bit) + 1));
+      MinHasher::MinPair& p = out[i];
+      if (h < p.min) {
+        p.second = p.min;
+        p.min = h;
+      } else if (h < p.second) {
+        p.second = h;
+      }
+    }
+  }
+  return out;
+}
+
+void expect_same_pairs(const std::vector<MinHasher::MinPair>& got,
+                       const std::vector<MinHasher::MinPair>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].min, want[i].min) << what << " lane " << i;
+    ASSERT_EQ(got[i].second, want[i].second) << what << " lane " << i;
+  }
+}
+
+// Salt counts cover one lane, partial blocks and several full blocks, so
+// the zero-padded tail block is exercised as well as the default 144.
+TEST(MinHash, FoldMatchesBranchyReference) {
+  util::Rng rng(0x51f7);
+  for (const std::size_t salt_count :
+       {std::size_t{1}, std::size_t{15}, std::size_t{16}, std::size_t{17},
+        std::size_t{100}, std::size_t{144}, std::size_t{145}}) {
+    for (const std::size_t nnz : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{64}, std::size_t{2048}}) {
+      std::vector<std::uint64_t> salts(salt_count);
+      for (auto& salt : salts) salt = rng.next_u64();
+      const auto bits =
+          random_sorted_bits(16384, nnz, rng.next_u64() ^ salt_count);
+      std::vector<MinHasher::MinPair> got(salt_count);
+      MinHasher::fold(salts, bits, got);
+      expect_same_pairs(got, branchy_minhashes(salts, bits),
+                        "salts " + std::to_string(salt_count) + " nnz " +
+                            std::to_string(nnz));
+    }
+  }
+}
+
+// minhashes() is the fold over the hasher's own salts, which the
+// constructor draws from util::Rng(seed) in order.
+TEST(MinHash, MinhashesMatchBranchyReference) {
+  for (const MinHashConfig cfg :
+       {MinHashConfig{}, MinHashConfig{.bands = 7, .band_size = 3, .seed = 9},
+        MinHashConfig{.bands = 20, .band_size = 5, .seed = 0xabc}}) {
+    const MinHasher mh(cfg);
+    util::Rng salt_rng(cfg.seed);
+    std::vector<std::uint64_t> salts(mh.hash_count());
+    for (auto& salt : salts) salt = salt_rng.next_u64();
+    for (const std::size_t nnz : {std::size_t{0}, std::size_t{3},
+                                  std::size_t{512}, std::size_t{1920}}) {
+      const auto bits = random_sorted_bits(16384, nnz, 0x77 + nnz);
+      expect_same_pairs(mh.minhashes(SparseSignature(bits, 16384)),
+                        branchy_minhashes(salts, bits),
+                        "bands " + std::to_string(cfg.bands) + " nnz " +
+                            std::to_string(nnz));
+    }
+  }
+  // The empty signature keeps the all-ones sentinel in every lane.
+  for (const auto& p : MinHasher(MinHashConfig{}).minhashes(
+           SparseSignature({}, 16384))) {
+    EXPECT_EQ(p.min, ~0ULL);
+    EXPECT_EQ(p.second, ~0ULL);
+  }
+}
+
+// Ties: duplicate salts make lanes compute identical hashes, and a repeated
+// bit makes h equal the current min (and, repeated again, the runner-up) —
+// the cases where the branch-free min/max form must agree with the
+// strict-< branches of the reference.
+TEST(MinHash, FoldMatchesBranchyReferenceOnTies) {
+  util::Rng rng(0x7135);
+  std::vector<std::uint64_t> salts(40);
+  for (std::size_t i = 0; i < salts.size(); i += 2) {
+    salts[i] = rng.next_u64();
+    salts[i + 1] = salts[i];
+  }
+  for (const std::vector<std::uint32_t>& bits :
+       {std::vector<std::uint32_t>{5, 5}, std::vector<std::uint32_t>{9, 5, 5},
+        std::vector<std::uint32_t>{5, 9, 9, 5, 5, 9},
+        std::vector<std::uint32_t>{0, 0, 0}}) {
+    std::vector<MinHasher::MinPair> got(salts.size());
+    MinHasher::fold(salts, bits, got);
+    const auto want = branchy_minhashes(salts, bits);
+    expect_same_pairs(got, want, "bits " + std::to_string(bits.size()));
+    for (std::size_t i = 0; i + 1 < got.size(); i += 2) {
+      EXPECT_EQ(got[i].min, got[i + 1].min);
+      EXPECT_EQ(got[i].second, got[i + 1].second);
+    }
+  }
+  // {5, 5}: the repeat ties with the min and becomes the runner-up.
+  std::vector<MinHasher::MinPair> twice(salts.size());
+  MinHasher::fold(salts, std::vector<std::uint32_t>{5, 5}, twice);
+  for (const auto& p : twice) EXPECT_EQ(p.min, p.second);
+}
+
+// ---------- JaccardScorer ----------
+
+// The scorer is the ranking kernel; SparseSignature::jaccard is the
+// reference merge. Scores must be identical doubles, not merely close, so
+// top-k order and tie-breaks cannot move.
+TEST(JaccardScorer, MatchesPairwiseJaccardOnRandomPairs) {
+  constexpr std::uint32_t kBits = 16384;
+  const std::size_t popcounts[] = {0, 1, 64, 2048};
+  std::size_t pairs = 0;
+  for (const std::size_t na : popcounts) {
+    for (const std::size_t nb : popcounts) {
+      for (std::uint64_t seed = 0; seed < 64; ++seed) {
+        const auto a_bits = random_sorted_bits(kBits, na, seed * 131 + na);
+        // Seed half of b from a so overlaps span the whole range rather
+        // than clustering at the random expectation.
+        std::set<std::uint32_t> b_set;
+        for (std::size_t i = 0; i < a_bits.size() && b_set.size() < nb / 2;
+             i += 2) {
+          b_set.insert(a_bits[i]);
+        }
+        util::Rng rng(seed * 7919 + nb);
+        while (b_set.size() < nb) {
+          b_set.insert(static_cast<std::uint32_t>(rng.uniform_u64(kBits)));
+        }
+        const SparseSignature a(a_bits, kBits);
+        const SparseSignature b({b_set.begin(), b_set.end()}, kBits);
+        const JaccardScorer scorer(a);
+        ASSERT_EQ(scorer.overlap(b), SparseSignature::overlap(a, b));
+        ASSERT_EQ(scorer.score(b), SparseSignature::jaccard(a, b))
+            << "na " << na << " nb " << nb << " seed " << seed;
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_GE(pairs, 1000u);
+}
+
+TEST(JaccardScorer, EdgeCases) {
+  // Both empty: 1.0, as in the pairwise reference.
+  const SparseSignature empty({}, 16384);
+  EXPECT_EQ(JaccardScorer(empty).score(empty), 1.0);
+  EXPECT_EQ(JaccardScorer(empty).score(SparseSignature({7}, 16384)), 0.0);
+
+  // The first and last bit positions.
+  const SparseSignature ends({0, 16383}, 16384);
+  const SparseSignature last({16383}, 16384);
+  EXPECT_EQ(JaccardScorer(ends).overlap(last), 1u);
+  EXPECT_EQ(JaccardScorer(ends).score(last),
+            SparseSignature::jaccard(ends, last));
+  EXPECT_EQ(JaccardScorer(last).score(ends), 0.5);
+
+  // A bit_count that is not a multiple of 64: the bitmap's last word is
+  // partial.
+  const SparseSignature odd_a({0, 63, 64, 98, 99}, 100);
+  const SparseSignature odd_b({1, 63, 99}, 100);
+  EXPECT_EQ(JaccardScorer(odd_a).overlap(odd_b), 2u);
+  EXPECT_EQ(JaccardScorer(odd_a).score(odd_b),
+            SparseSignature::jaccard(odd_a, odd_b));
+  EXPECT_EQ(JaccardScorer(odd_b).score(odd_a),
+            SparseSignature::jaccard(odd_b, odd_a));
+
+  // Identical and disjoint pairs.
+  const SparseSignature many(random_sorted_bits(16384, 2048, 0x1d), 16384);
+  EXPECT_EQ(JaccardScorer(many).score(many), 1.0);
+  const SparseSignature lo({1, 2, 3}, 64), hi({10, 20}, 64);
+  EXPECT_EQ(JaccardScorer(lo).score(hi), 0.0);
+  EXPECT_EQ(JaccardScorer(lo).overlap(hi), 0u);
+}
+
 // ---------- Locality-Sensitive Bloom Filter ----------
 
 TEST(Lsbf, InsertedVectorIsNear) {

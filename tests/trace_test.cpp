@@ -299,6 +299,50 @@ TEST_F(TraceTest, UnsampledQueriesStillFeedTheSlowRing) {
   EXPECT_FALSE(Tracer::global().slow_queries().front().sampled);
 }
 
+// Both backends charge candidate scoring + top-k to the ranking layer under
+// one name: a rank.wall_s sample per query, and a QueryProfile whose
+// sa_keys/probe/rank parts partition the query's wall time.
+TEST_F(TraceTest, FlatAndTieredChargeRankTimeToRank) {
+  configure(1.0, /*slow_s=*/0.0, /*ring=*/4, /*max_profiles=*/64);
+  core::FastConfig tiered_cfg = small_config();
+  tiered_cfg.tier.enabled = true;
+  tiered_cfg.tier.seal_threshold = 8;
+  tiered_cfg.tier.lanes = 2;
+  tiered_cfg.tier.background = false;
+  core::FastIndex flat(small_config(), test::fake_pca());
+  core::TieredIndex tiered(tiered_cfg, test::fake_pca());
+  const std::size_t bits = flat.config().bloom_bits;
+  for (std::uint64_t id = 0; id < 24; ++id) {
+    flat.insert_signature(id, synthetic_signature(id, bits));
+    tiered.insert_signature(id, synthetic_signature(id, bits));
+  }
+  ASSERT_GE(tiered.segment_count(), 1u);  // segment scoring is exercised
+  Tracer::global().reset();
+  constexpr std::uint64_t kQueries = 3;
+  for (std::uint64_t q = 0; q < kQueries; ++q) {
+    (void)flat.query_signature(synthetic_signature(q, bits), 5);
+    (void)tiered.query_signature(synthetic_signature(q, bits), 5);
+  }
+  for (const util::MetricsRegistry* r : {&flat.metrics(), &tiered.metrics()}) {
+    const util::MetricsSnapshot snap = r->snapshot();
+    ASSERT_EQ(snap.histograms.count("rank.wall_s"), 1u);
+    EXPECT_EQ(snap.histograms.at("rank.wall_s").count, kQueries);
+    EXPECT_GT(snap.histograms.at("rank.wall_s").sum, 0.0);
+  }
+  const std::vector<QueryProfile> profiles =
+      Tracer::global().sampled_profiles();
+  ASSERT_EQ(profiles.size(), 2 * kQueries);
+  for (const QueryProfile& p : profiles) {
+    EXPECT_GT(p.rank_s, 0.0);
+    EXPECT_GE(p.probe_s, 0.0);
+    EXPECT_DOUBLE_EQ(p.sa_keys_s + p.probe_s + p.rank_s, p.wall_s);
+    const std::string json = p.to_json();
+    EXPECT_NE(json.find("\"probe_s\": "), std::string::npos);
+    EXPECT_NE(json.find("\"rank_s\": "), std::string::npos);
+    EXPECT_EQ(json.find("probe_rank_s"), std::string::npos);
+  }
+}
+
 // Churn-aware slow-ring behavior: a tiered index whose seals, tombstones
 // and inline compactions run BETWEEN traced queries must still feed every
 // query into the threshold-0 ring, cap it at capacity, keep the newest
