@@ -32,10 +32,27 @@ struct PcaModel {
 /// Eigendecomposition of a symmetric matrix (row-major, n x n) by cyclic
 /// Jacobi. Returns eigenvalues (descending) and matching unit eigenvectors
 /// (rows of `eigenvectors`). `max_sweeps` bounds the iteration count.
+/// Large matrices are solved on up to four threads; the result is
+/// bit-identical to the single-threaded cyclic loop.
 void jacobi_eigen_symmetric(std::vector<double> matrix, std::size_t n,
                             std::vector<double>& eigenvalues,
                             std::vector<std::vector<double>>& eigenvectors,
                             int max_sweeps = 64);
+
+namespace detail {
+/// jacobi_eigen_symmetric on exactly `workers` (>= 1) threads. The public
+/// overload picks the count; this one lets the parity tests pin that the
+/// count never changes a bit of the result.
+void jacobi_eigen_symmetric(std::vector<double> matrix, std::size_t n,
+                            std::vector<double>& eigenvalues,
+                            std::vector<std::vector<double>>& eigenvectors,
+                            int max_sweeps, unsigned workers);
+}  // namespace detail
+
+/// Sample covariance (divisor n - 1) of `samples` about `mean`, as a
+/// row-major d x d matrix; the input train_pca hands to the eigensolver.
+std::vector<double> covariance_matrix(
+    std::span<const std::vector<float>> samples, std::span<const float> mean);
 
 /// Trains a PCA model on `samples` (each of equal dimension), keeping the
 /// top `output_dim` components. Requires at least two samples.

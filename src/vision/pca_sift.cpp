@@ -47,8 +47,9 @@ std::vector<float> gradient_patch(const img::Image& image, const Keypoint& kp,
   return patch;
 }
 
-PcaModel train_pca_sift(std::span<const img::Image> images,
-                        const PcaSiftConfig& config, std::size_t max_patches) {
+std::vector<std::vector<float>> training_patches(
+    std::span<const img::Image> images, const PcaSiftConfig& config,
+    std::size_t max_patches) {
   std::vector<std::vector<float>> patches;
   DogConfig dog;
   dog.max_keypoints = 64;
@@ -59,6 +60,12 @@ PcaModel train_pca_sift(std::span<const img::Image> images,
     }
     if (patches.size() >= max_patches) break;
   }
+  return patches;
+}
+
+PcaModel train_pca_sift(std::span<const img::Image> images,
+                        const PcaSiftConfig& config, std::size_t max_patches) {
+  const auto patches = training_patches(images, config, max_patches);
   FAST_CHECK_MSG(patches.size() >= 2,
                  "too few training patches for PCA-SIFT eigenspace");
   const std::size_t out_dim =

@@ -27,6 +27,12 @@ struct PcaSiftConfig {
 std::vector<float> gradient_patch(const img::Image& image, const Keypoint& kp,
                                   const PcaSiftConfig& config = {});
 
+/// The gradient patches train_pca_sift trains on: up to `max_patches`, from
+/// the keypoints detected across `images`, in image order.
+std::vector<std::vector<float>> training_patches(
+    std::span<const img::Image> images, const PcaSiftConfig& config,
+    std::size_t max_patches);
+
 /// Trains the PCA eigenspace from keypoints detected across `images`.
 /// Deterministic given the image list.
 PcaModel train_pca_sift(std::span<const img::Image> images,

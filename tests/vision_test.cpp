@@ -1,7 +1,11 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "hash/hashes.hpp"
 #include "img/draw.hpp"
 #include "img/transform.hpp"
 #include "util/rng.hpp"
@@ -13,6 +17,7 @@
 #include "vision/pca_sift.hpp"
 #include "vision/pyramid.hpp"
 #include "vision/sift_descriptor.hpp"
+#include "workload/scene_generator.hpp"
 
 namespace fast::vision {
 namespace {
@@ -347,6 +352,188 @@ TEST(Pca, ProjectionReducesDimension) {
   const PcaModel model = train_pca(samples, 3);
   EXPECT_EQ(model.output_dim(), 3u);
   EXPECT_EQ(model.project(samples[0]).size(), 3u);
+}
+
+// The cyclic Jacobi loop as it was before the column rotations were
+// deferred, kept verbatim as the reference the solver must match bit for bit.
+void reference_jacobi(std::vector<double> a, std::size_t n,
+                      std::vector<double>& eigenvalues,
+                      std::vector<std::vector<double>>& eigenvectors,
+                      int max_sweeps) {
+  std::vector<double> v(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) v[i * n + i] = 1.0;
+
+  auto A = [&](std::size_t r, std::size_t c) -> double& { return a[r * n + c]; };
+  auto V = [&](std::size_t r, std::size_t c) -> double& { return v[r * n + c]; };
+
+  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+    double off = 0.0;
+    for (std::size_t p = 0; p < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) off += A(p, q) * A(p, q);
+    }
+    if (off < 1e-20) break;
+
+    for (std::size_t p = 0; p < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) {
+        const double apq = A(p, q);
+        if (std::fabs(apq) < 1e-30) continue;
+        const double app = A(p, p);
+        const double aqq = A(q, q);
+        const double theta = (aqq - app) / (2.0 * apq);
+        const double t = (theta >= 0 ? 1.0 : -1.0) /
+                         (std::fabs(theta) + std::sqrt(theta * theta + 1.0));
+        const double c = 1.0 / std::sqrt(t * t + 1.0);
+        const double s = t * c;
+
+        for (std::size_t i = 0; i < n; ++i) {
+          const double aip = A(i, p);
+          const double aiq = A(i, q);
+          A(i, p) = c * aip - s * aiq;
+          A(i, q) = s * aip + c * aiq;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          const double api = A(p, i);
+          const double aqi = A(q, i);
+          A(p, i) = c * api - s * aqi;
+          A(q, i) = s * api + c * aqi;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          const double vip = V(i, p);
+          const double viq = V(i, q);
+          V(i, p) = c * vip - s * viq;
+          V(i, q) = s * vip + c * viq;
+        }
+      }
+    }
+  }
+
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
+    return a[i * n + i] > a[j * n + j];
+  });
+  eigenvalues.resize(n);
+  eigenvectors.assign(n, std::vector<double>(n));
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t col = order[k];
+    eigenvalues[k] = a[col * n + col];
+    for (std::size_t i = 0; i < n; ++i) {
+      eigenvectors[k][i] = v[i * n + col];
+    }
+  }
+}
+
+std::vector<double> random_symmetric(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> m(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      m[i * n + j] = m[j * n + i] = rng.gaussian();
+    }
+  }
+  return m;
+}
+
+// Solves `m` with the reference loop and with the solver on 1, 2 and 4
+// workers; eigenvalues and eigenvectors must be equal bytes.
+void expect_bit_identical(const std::vector<double>& m, std::size_t n,
+                          int max_sweeps) {
+  std::vector<double> ref_vals;
+  std::vector<std::vector<double>> ref_vecs;
+  reference_jacobi(m, n, ref_vals, ref_vecs, max_sweeps);
+  for (unsigned workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " sweeps=" << max_sweeps
+                                      << " workers=" << workers);
+    std::vector<double> vals;
+    std::vector<std::vector<double>> vecs;
+    detail::jacobi_eigen_symmetric(m, n, vals, vecs, max_sweeps, workers);
+    ASSERT_EQ(vals.size(), n);
+    ASSERT_EQ(vecs.size(), n);
+    EXPECT_EQ(std::memcmp(vals.data(), ref_vals.data(), n * sizeof(double)),
+              0);
+    for (std::size_t k = 0; k < n; ++k) {
+      ASSERT_EQ(vecs[k].size(), n);
+      EXPECT_EQ(std::memcmp(vecs[k].data(), ref_vecs[k].data(),
+                            n * sizeof(double)),
+                0)
+          << "eigenvector " << k;
+    }
+  }
+}
+
+TEST(Pca, JacobiMatchesReferenceOnRandomMatrices) {
+  for (std::size_t n : {1, 2, 3, 5, 17, 64, 131}) {
+    expect_bit_identical(random_symmetric(n, 700 + n), n, 64);
+  }
+}
+
+// Exact-zero couplings between diagonal blocks: every rotation across
+// blocks is skipped (|apq| < 1e-30), so some pivot rows log nothing.
+TEST(Pca, JacobiMatchesReferenceOnBlockDiagonalMatrices) {
+  for (std::size_t n : {9, 40, 137}) {
+    std::vector<double> m = random_symmetric(n, 800 + n);
+    std::size_t start = 0;
+    for (std::size_t width = 1; start < n; start += width, width = width % 7 + 1) {
+      const std::size_t end = std::min(n, start + width);
+      for (std::size_t i = start; i < end; ++i) {
+        for (std::size_t j = end; j < n; ++j) m[i * n + j] = m[j * n + i] = 0.0;
+      }
+    }
+    expect_bit_identical(m, n, 64);
+  }
+}
+
+TEST(Pca, JacobiMatchesReferenceOnDiagonalMatrix) {
+  const std::size_t n = 33;
+  std::vector<double> m(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) m[i * n + i] = std::cos(double(i));
+  expect_bit_identical(m, n, 64);
+}
+
+TEST(Pca, JacobiMatchesReferenceWhenSweepCapIsHit) {
+  for (std::size_t n : {17, 131}) {
+    for (int sweeps : {1, 2}) {
+      expect_bit_identical(random_symmetric(n, 900 + n), n, sweeps);
+    }
+  }
+}
+
+// The first 16 Wuhan photos, which servebench trains its eigenspace on,
+// with PCA-SIFT patches reduced to 9 x 9 (d = 162) to keep the test cheap.
+std::vector<img::Image> wuhan_sample() {
+  const auto dataset =
+      workload::SceneGenerator(workload::DatasetSpec::wuhan(16)).generate();
+  std::vector<img::Image> sample;
+  for (const auto& photo : dataset.photos) sample.push_back(photo.image);
+  return sample;
+}
+
+PcaSiftConfig small_patches() {
+  PcaSiftConfig cfg;
+  cfg.patch_size = 9;
+  return cfg;
+}
+
+TEST(Pca, JacobiMatchesReferenceOnPatchCovariance) {
+  const auto patches = training_patches(wuhan_sample(), small_patches(), 1500);
+  const auto cov = covariance_matrix(patches, util::mean_vector(patches));
+  expect_bit_identical(cov, patches.front().size(), 64);
+}
+
+// Pins the bytes of the trained model. The digest was recorded with the
+// cyclic loop, before the solver deferred its column rotations.
+TEST(Pca, TrainedModelDigestIsPinned) {
+  const PcaModel model = train_pca_sift(wuhan_sample(), small_patches(), 1500);
+  ASSERT_EQ(model.input_dim(), 162u);
+  std::vector<unsigned char> bytes;
+  auto append = [&](const std::vector<float>& v) {
+    const auto* b = reinterpret_cast<const unsigned char*>(v.data());
+    bytes.insert(bytes.end(), b, b + v.size() * sizeof(float));
+  };
+  append(model.mean);
+  for (const auto& c : model.components) append(c);
+  append(model.eigenvalues);
+  EXPECT_EQ(hash::fnv1a_64(bytes.data(), bytes.size()), 0xaa7691af5b5368d2ULL);
 }
 
 // ---------- PCA-SIFT ----------
