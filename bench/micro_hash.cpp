@@ -1,13 +1,17 @@
 // Google-benchmark micro suite for the hashing substrate: raw hash
-// functions, Bloom operations, sparse-signature algebra (pairwise Jaccard
-// and the per-query bitmap scorer), LSH backends and the cuckoo tables
-// (standard vs flat vs fingerprint-compressed). The find
+// functions, Bloom operations, sparse-signature algebra (pairwise Jaccard,
+// the per-query bitmap scorer over list and packed candidates), LSH
+// backends and the cuckoo tables (standard vs flat vs
+// fingerprint-compressed). The find
 // benches publish roofline counters — bytes_per_lookup and
 // slots_per_lookup from the ProbeProfile instrumentation — so the probe
 // working-set gap between backends is visible next to the timings.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "hash/bloom_filter.hpp"
 #include "hash/compact_flat_cuckoo_table.hpp"
@@ -107,6 +111,68 @@ void BM_JaccardScorer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JaccardScorer)->Arg(256)->Arg(2048);
+
+// Ranking on the servebench shape: 16,384-bit summaries with about 1,900
+// bits set (dense, stored as a bitmap) and 64-bit-popcount client
+// signatures (stored as a list). Arg 0 is the popcount; Arg 1 picks the
+// candidate form: 0 scores the SparseSignature list with today's bit test,
+// 1 + k the PackedSignature through PopcountKernel k. The label names the
+// kernel and marks the one JaccardScorer dispatches to on this host. Any
+// score that differs from SparseSignature::jaccard aborts the run.
+void BM_JaccardScorerPacked(benchmark::State& state) {
+  constexpr std::uint32_t kBits = 16384;
+  const auto popcount = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(popcount);
+  std::vector<std::uint32_t> a_bits, b_bits;
+  while (a_bits.size() < popcount || b_bits.size() < popcount) {
+    const auto bit = static_cast<std::uint32_t>(rng.uniform_u64(kBits));
+    // About half of b's bits are shared with a, as for near duplicates.
+    const bool shared = rng.uniform_u64(2) == 0;
+    if (a_bits.size() < popcount) a_bits.push_back(bit);
+    if (b_bits.size() < popcount && (shared || a_bits.size() == popcount)) {
+      b_bits.push_back(shared ? bit : bit ^ 1);
+    }
+  }
+  for (auto* bits : {&a_bits, &b_bits}) {
+    std::sort(bits->begin(), bits->end());
+    bits->erase(std::unique(bits->begin(), bits->end()), bits->end());
+  }
+  const hash::SparseSignature query(std::move(a_bits), kBits);
+  const hash::SparseSignature candidate(std::move(b_bits), kBits);
+  const hash::PackedSignature packed(candidate);
+  const double want = hash::SparseSignature::jaccard(query, candidate);
+  const auto expect_reference = [&](double got, const std::string& form) {
+    if (got == want) return;
+    std::fprintf(stderr, "%s score differs from jaccard\n", form.c_str());
+    std::abort();
+  };
+
+  if (state.range(1) == 0) {
+    const hash::JaccardScorer scorer(query);
+    expect_reference(scorer.score(candidate), "list");
+    state.SetLabel("list");
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(scorer.score(candidate));
+    }
+    return;
+  }
+  const auto kernel = static_cast<hash::PopcountKernel>(state.range(1) - 1);
+  const std::string name = hash::popcount_kernel_name(kernel);
+  if (!hash::popcount_kernel_supported(kernel)) {
+    state.SkipWithError((name + " not supported on this CPU").c_str());
+    return;
+  }
+  const hash::JaccardScorer scorer(query, kernel);
+  expect_reference(scorer.score(packed), "packed " + name);
+  state.SetLabel(std::string(packed.dense() ? "bitmap " : "list ") + name +
+                 (kernel == hash::best_popcount_kernel() ? " (dispatched)"
+                                                         : ""));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scorer.score(packed));
+  }
+}
+BENCHMARK(BM_JaccardScorerPacked)
+    ->ArgsProduct({{64, 1900}, {0, 1, 2, 3}});
 
 void BM_SparseEncode(benchmark::State& state) {
   const auto sig = make_signature(2048, 3);

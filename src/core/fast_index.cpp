@@ -6,7 +6,6 @@
 #include <fstream>
 #include <limits>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "core/pipeline/factory.hpp"
 #include "util/check.hpp"
@@ -243,7 +242,7 @@ InsertResult FastIndex::apply_insert(
       m_.chs_fingerprint_false_hits->add(probe_profile.fingerprint_false_hits);
     }
   }
-  signatures_.emplace(id, signature);
+  signatures_.emplace(id, hash::PackedSignature(signature));
   m_.inserts->add();
   m_.insert_sim_s->observe(result.cost.elapsed_s());
   publish_storage_gauges();
@@ -303,7 +302,7 @@ bool FastIndex::apply_erase(std::uint64_t id) {
   std::vector<std::uint64_t> keys;
   {
     util::TraceSpan keys_span("sa.keys");
-    keys = aggregator_->keys(it->second, nullptr);
+    keys = aggregator_->keys(it->second.unpack(), nullptr);
     keys_span.attr("keys", static_cast<double>(keys.size()));
   }
   m_.sa_keys_wall_s->observe(keys_timer.elapsed_seconds());
@@ -517,16 +516,20 @@ bool FastIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
 
   util::ByteReader sr{std::span(sigs->payload)};
   const std::uint64_t count = sr.u64();
-  std::unordered_map<std::uint64_t, hash::SparseSignature> restored_sigs;
+  // Each entry spends at least 8 (id) + 4 (blob length prefix) bytes, so
+  // bound the reserve against the bytes actually left instead of trusting
+  // a CRC-valid-but-bogus count.
+  if (!sr.ok() || count > sr.remaining() / (8 + 4)) return false;
+  std::unordered_map<std::uint64_t, hash::PackedSignature> restored_sigs;
   restored_sigs.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t id = sr.u64();
     const auto encoded = sr.blob();
     if (!sr.ok()) return false;
     try {
-      hash::SparseSignature sig = hash::SparseSignature::decode(encoded);
+      const hash::SparseSignature sig = hash::SparseSignature::decode(encoded);
       if (sig.bit_count() != config_.bloom_bits) return false;
-      restored_sigs.emplace(id, std::move(sig));
+      restored_sigs.emplace(id, hash::PackedSignature(sig));
     } catch (const std::runtime_error&) {
       return false;
     }
@@ -782,7 +785,7 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
   // Collect candidates from the home bucket plus the probe buckets of
   // every table. Each flat-addressed lookup is a fixed bounded slot read;
   // the per-table work items are independent (Fig. 7 parallelism).
-  std::unordered_set<std::uint64_t> candidate_ids;
+  std::vector<std::uint64_t> candidate_ids;
   std::size_t slot_reads_total = 0;
   hash::ProbeProfile probe_profile;
   {
@@ -801,9 +804,9 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
         std::size_t lookup_probes = 0;
         if (const auto group =
                 store_->find(t, key, &lookup_probes, &probe_profile)) {
-          for (const std::uint64_t id : groups_[*group]) {
-            candidate_ids.insert(id);
-          }
+          const auto& members = groups_[*group];
+          candidate_ids.insert(candidate_ids.end(), members.begin(),
+                               members.end());
         }
         table_slot_reads += lookup_probes;
       };
@@ -817,6 +820,12 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
       result.parallel_tasks.push_back(hash_cost + probe_cost);
       slot_reads_total += table_slot_reads;
     }
+    // Dedupe: an id reached through several buckets is scored once. The
+    // top-k below sorts by a total order, so candidate order is free.
+    std::sort(candidate_ids.begin(), candidate_ids.end());
+    candidate_ids.erase(
+        std::unique(candidate_ids.begin(), candidate_ids.end()),
+        candidate_ids.end());
     probe_span.attr("bucket_probes", static_cast<double>(result.bucket_probes));
     probe_span.attr("slot_reads", static_cast<double>(slot_reads_total));
     probe_span.attr("candidates", static_cast<double>(candidate_ids.size()));
@@ -888,9 +897,11 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
   return result;
 }
 
-const hash::SparseSignature* FastIndex::signature_of(std::uint64_t id) const {
+std::optional<hash::SparseSignature> FastIndex::signature_of(
+    std::uint64_t id) const {
   const auto it = signatures_.find(id);
-  return it == signatures_.end() ? nullptr : &it->second;
+  if (it == signatures_.end()) return std::nullopt;
+  return it->second.unpack();
 }
 
 std::size_t FastIndex::index_bytes() const {

@@ -194,15 +194,15 @@ class FastIndex {
       std::span<const img::Image* const> images, std::size_t k,
       util::ThreadPool* pool = nullptr) const;
 
-  /// The stored signature of an image (for tests / re-ranking).
-  const hash::SparseSignature* signature_of(std::uint64_t id) const;
+  /// The stored signature of an image, unpacked (for tests / re-ranking).
+  std::optional<hash::SparseSignature> signature_of(std::uint64_t id) const;
 
-  /// Visits every resident (id, signature) pair in unspecified order.
-  /// Used by the sharded facade to rebuild its routing summaries after
-  /// recovery; not a hot path.
+  /// Visits every resident (id, signature) pair in unspecified order,
+  /// unpacking each signature. Used by the sharded facade to rebuild its
+  /// routing summaries after recovery; not a hot path.
   template <typename Fn>
   void for_each_signature(Fn&& fn) const {
-    for (const auto& [id, sig] : signatures_) fn(id, sig);
+    for (const auto& [id, sig] : signatures_) fn(id, sig.unpack());
   }
 
   /// Members of correlation group `g` (diagnostics/tests; erased groups
@@ -217,7 +217,7 @@ class FastIndex {
   /// with the concurrent/sharded frontends wrapping this index.
   util::MetricsRegistry& metrics() const noexcept { return *metrics_; }
 
-  /// Total bytes of the in-memory index: sparse signatures + storage slots +
+  /// Total bytes of the index: encoded signatures + storage slots +
   /// group membership lists + aggregator parameters. This is the FAST
   /// column of Table IV.
   std::size_t index_bytes() const;
@@ -308,7 +308,7 @@ class FastIndex {
   std::unique_ptr<pipeline::SemanticAggregator> aggregator_;
   std::unique_ptr<pipeline::GroupStore> store_;
   std::vector<std::vector<std::uint64_t>> groups_;  // group id -> member ids
-  std::unordered_map<std::uint64_t, hash::SparseSignature> signatures_;
+  std::unordered_map<std::uint64_t, hash::PackedSignature> signatures_;
   std::size_t rehashes_ = 0;
   // shared_ptr keeps the registry (which holds mutexes/atomics and cannot
   // move) stable across FastIndex moves, so the cached pointers stay valid.

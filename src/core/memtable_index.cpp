@@ -11,7 +11,7 @@ MemtableIndex::MemtableIndex(const FastConfig& config, std::size_t tables)
     : store_(pipeline::make_group_store(config, tables)) {}
 
 std::size_t MemtableIndex::place(std::uint64_t id,
-                                 const hash::SparseSignature& signature,
+                                 hash::PackedSignature signature,
                                  std::span<const std::uint64_t> keys,
                                  std::size_t* slot_reads) {
   FAST_CHECK(keys.size() == store_->table_count());
@@ -29,7 +29,7 @@ std::size_t MemtableIndex::place(std::uint64_t id,
       rehashes += store_->place(t, keys[t], group_id);
     }
   }
-  signatures_.emplace(id, signature);
+  signatures_.emplace(id, std::move(signature));
   keys_.emplace(id, std::vector<std::uint64_t>(keys.begin(), keys.end()));
   tombstones_.erase(id);
   return rehashes;
@@ -114,7 +114,7 @@ bool MemtableIndex::deserialize(util::ByteReader& in, std::size_t bloom_bits) {
   // bytes actually left instead of trusting a CRC-valid-but-bogus count.
   const std::size_t min_entry_bytes = 8 + 4 + store_->table_count() * 8;
   if (!in.ok() || count > in.remaining() / min_entry_bytes) return false;
-  std::unordered_map<std::uint64_t, hash::SparseSignature> sigs;
+  std::unordered_map<std::uint64_t, hash::PackedSignature> sigs;
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> keys;
   sigs.reserve(count);
   keys.reserve(count);
@@ -123,9 +123,9 @@ bool MemtableIndex::deserialize(util::ByteReader& in, std::size_t bloom_bits) {
     const auto encoded = in.blob();
     if (!in.ok()) return false;
     try {
-      hash::SparseSignature sig = hash::SparseSignature::decode(encoded);
+      const hash::SparseSignature sig = hash::SparseSignature::decode(encoded);
       if (sig.bit_count() != bloom_bits) return false;
-      sigs.emplace(id, std::move(sig));
+      sigs.emplace(id, hash::PackedSignature(sig));
     } catch (const std::runtime_error&) {
       return false;
     }

@@ -58,7 +58,7 @@ class MemtableIndex {
     return contains(id) || tombstoned(id);
   }
 
-  const hash::SparseSignature* signature_of(std::uint64_t id) const {
+  const hash::PackedSignature* signature_of(std::uint64_t id) const {
     const auto it = signatures_.find(id);
     return it == signatures_.end() ? nullptr : &it->second;
   }
@@ -76,7 +76,7 @@ class MemtableIndex {
   /// be present — the caller erases the old version first (re-insert).
   /// Returns rehash events; adds modeled slot reads to *slot_reads when
   /// non-null.
-  std::size_t place(std::uint64_t id, const hash::SparseSignature& signature,
+  std::size_t place(std::uint64_t id, hash::PackedSignature signature,
                     std::span<const std::uint64_t> keys,
                     std::size_t* slot_reads = nullptr);
 
@@ -93,7 +93,7 @@ class MemtableIndex {
                std::unordered_set<std::uint64_t>& out,
                std::size_t* slot_reads) const;
 
-  const std::unordered_map<std::uint64_t, hash::SparseSignature>& signatures()
+  const std::unordered_map<std::uint64_t, hash::PackedSignature>& signatures()
       const noexcept {
     return signatures_;
   }
@@ -118,7 +118,7 @@ class MemtableIndex {
  private:
   std::unique_ptr<pipeline::GroupStore> store_;
   std::vector<std::vector<std::uint64_t>> groups_;  // group id -> member ids
-  std::unordered_map<std::uint64_t, hash::SparseSignature> signatures_;
+  std::unordered_map<std::uint64_t, hash::PackedSignature> signatures_;
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> keys_;
   std::unordered_set<std::uint64_t> tombstones_;
 };

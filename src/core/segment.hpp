@@ -59,7 +59,7 @@ class ImmutableSegment {
   bool contains(std::uint64_t id) const { return state_->contains(id); }
   bool tombstoned(std::uint64_t id) const { return state_->tombstoned(id); }
   bool shadows(std::uint64_t id) const { return state_->shadows(id); }
-  const hash::SparseSignature* signature_of(std::uint64_t id) const {
+  const hash::PackedSignature* signature_of(std::uint64_t id) const {
     return state_->signature_of(id);
   }
 

@@ -152,8 +152,7 @@ void ShardedFastIndex::routing_remove(std::size_t s,
 std::optional<hash::SparseSignature> ShardedFastIndex::shard_signature(
     std::size_t s, std::uint64_t id) const {
   if (is_tiered()) return tiered_shards_[s]->find_signature(id);
-  if (const auto* sig = shards_[s]->signature_of(id)) return *sig;
-  return std::nullopt;
+  return shards_[s]->signature_of(id);
 }
 
 void ShardedFastIndex::routing_replace(std::size_t s, std::uint64_t id,

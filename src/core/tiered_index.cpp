@@ -265,6 +265,7 @@ InsertResult TieredIndex::insert_internal(
   m_.sa_keys_wall_s->observe(keys_timer.elapsed_seconds());
   m_.sa_keys_derived->add(keys.size());
   m_.sa_insert_hash_ops->add(sa_ops);
+  hash::PackedSignature packed(signature);
 
   const std::size_t lane_idx = lane_of(id);
   Lane& lane = *lanes_[lane_idx];
@@ -290,8 +291,8 @@ InsertResult TieredIndex::insert_internal(
     } else {
       was_live = segments_contain_live(lane, id);
     }
-    const std::size_t events = lane.mem->place(id, signature, keys,
-                                               &slot_reads);
+    const std::size_t events =
+        lane.mem->place(id, std::move(packed), keys, &slot_reads);
     result.rehashes = events;
     if (events > 0) result.ok = false;
     result.cost.charge_ram(config_.cost.ram_access_s, slot_reads);
@@ -888,12 +889,12 @@ std::optional<hash::SparseSignature> TieredIndex::find_signature(
   const Lane& lane = *lanes_[lane_of(id)];
   {
     std::shared_lock<std::shared_mutex> lk(lane.mem_mutex);
-    if (const auto* sig = lane.mem->signature_of(id)) return *sig;
+    if (const auto* sig = lane.mem->signature_of(id)) return sig->unpack();
     if (lane.mem->tombstoned(id)) return std::nullopt;
   }
   const auto list = lane.segments.load();
   for (const auto& seg : *list) {
-    if (const auto* sig = seg->signature_of(id)) return *sig;
+    if (const auto* sig = seg->signature_of(id)) return sig->unpack();
     if (seg->tombstoned(id)) return std::nullopt;
   }
   return std::nullopt;
@@ -914,14 +915,14 @@ void TieredIndex::for_each_live_signature(
       std::shared_lock<std::shared_mutex> lk(lane.mem_mutex);
       for (const auto& [id, sig] : lane.mem->signatures()) {
         seen.insert(id);
-        fn(id, sig);
+        fn(id, sig.unpack());
       }
       for (const std::uint64_t id : lane.mem->tombstones()) seen.insert(id);
       list = lane.segments.load();
     }
     for (const auto& seg : *list) {  // newest -> oldest
       for (const auto& [id, sig] : seg->state().signatures()) {
-        if (seen.insert(id).second) fn(id, sig);
+        if (seen.insert(id).second) fn(id, sig.unpack());
       }
       for (const std::uint64_t id : seg->state().tombstones()) seen.insert(id);
     }

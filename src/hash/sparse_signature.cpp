@@ -6,6 +6,11 @@
 
 #include "util/check.hpp"
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#define FAST_POPCOUNT_X86 1
+#include <immintrin.h>
+#endif
+
 namespace fast::hash {
 
 SparseSignature::SparseSignature(const BloomFilter& filter)
@@ -63,33 +68,6 @@ double SparseSignature::jaccard(const SparseSignature& a,
   return static_cast<double>(common) / static_cast<double>(uni);
 }
 
-JaccardScorer::JaccardScorer(const SparseSignature& query)
-    : bit_count_(query.bit_count()),
-      popcount_(query.popcount()),
-      words_((static_cast<std::size_t>(query.bit_count()) + 63) / 64, 0) {
-  for (const std::uint32_t b : query.set_bits()) {
-    words_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  }
-}
-
-std::size_t JaccardScorer::overlap(
-    const SparseSignature& candidate) const noexcept {
-  FAST_CHECK(candidate.bit_count() == bit_count_);
-  const std::uint64_t* words = words_.data();
-  std::size_t n = 0;
-  for (const std::uint32_t b : candidate.set_bits()) {
-    n += static_cast<std::size_t>((words[b >> 6] >> (b & 63)) & 1);
-  }
-  return n;
-}
-
-double JaccardScorer::score(const SparseSignature& candidate) const noexcept {
-  const std::size_t common = overlap(candidate);
-  const std::size_t uni = popcount_ + candidate.popcount() - common;
-  if (uni == 0) return 1.0;
-  return static_cast<double>(common) / static_cast<double>(uni);
-}
-
 namespace {
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint32_t v) {
@@ -115,19 +93,54 @@ std::uint32_t get_varint(std::span<const std::uint8_t> bytes,
   }
 }
 
+std::size_t varint_len(std::uint32_t v) noexcept {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+// The wire format is [bit_count varint][entry count varint][delta
+// varints]. Both signature forms share it: `for_each` calls its argument
+// once per set bit, in ascending order.
+template <typename ForEach>
+std::vector<std::uint8_t> encode_set_bits(std::uint32_t bit_count,
+                                          std::size_t popcount,
+                                          ForEach&& for_each) {
+  std::vector<std::uint8_t> out;
+  out.reserve(2 + popcount + 8);
+  put_varint(out, bit_count);
+  put_varint(out, static_cast<std::uint32_t>(popcount));
+  std::uint32_t prev = 0;
+  for_each([&](std::uint32_t b) {
+    put_varint(out, b - prev);  // first delta is the absolute position
+    prev = b;
+  });
+  return out;
+}
+
+// Exact encode_set_bits() size without materializing the buffer.
+template <typename ForEach>
+std::size_t encoded_size(std::uint32_t bit_count, std::size_t popcount,
+                         ForEach&& for_each) noexcept {
+  std::size_t total =
+      varint_len(bit_count) + varint_len(static_cast<std::uint32_t>(popcount));
+  std::uint32_t prev = 0;
+  for_each([&](std::uint32_t b) {
+    total += varint_len(b - prev);
+    prev = b;
+  });
+  return total;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> SparseSignature::encode() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(2 + bits_.size() + 8);
-  put_varint(out, bit_count_);
-  put_varint(out, static_cast<std::uint32_t>(bits_.size()));
-  std::uint32_t prev = 0;
-  for (std::uint32_t b : bits_) {
-    put_varint(out, b - prev);  // first delta is the absolute position
-    prev = b;
-  }
-  return out;
+  return encode_set_bits(bit_count_, bits_.size(), [&](auto&& visit) {
+    for (const std::uint32_t b : bits_) visit(b);
+  });
 }
 
 SparseSignature SparseSignature::decode(std::span<const std::uint8_t> bytes) {
@@ -161,29 +174,227 @@ SparseSignature SparseSignature::decode(std::span<const std::uint8_t> bytes) {
 }
 
 std::size_t SparseSignature::storage_bytes() const noexcept {
-  // Exact encoded size without materializing the buffer.
-  auto varint_len = [](std::uint32_t v) {
-    std::size_t n = 1;
-    while (v >= 0x80) {
-      v >>= 7;
-      ++n;
-    }
-    return n;
-  };
-  std::size_t total = varint_len(bit_count_) +
-                      varint_len(static_cast<std::uint32_t>(bits_.size()));
-  std::uint32_t prev = 0;
-  for (std::uint32_t b : bits_) {
-    total += varint_len(b - prev);
-    prev = b;
-  }
-  return total;
+  return encoded_size(bit_count_, bits_.size(), [&](auto&& visit) {
+    for (const std::uint32_t b : bits_) visit(b);
+  });
 }
 
 std::vector<float> SparseSignature::to_float_vector() const {
   std::vector<float> v(bit_count_, 0.0f);
   for (std::uint32_t b : bits_) v[b] = 1.0f;
   return v;
+}
+
+// --- PackedSignature -------------------------------------------------------
+
+PackedSignature::PackedSignature(const SparseSignature& signature)
+    : bit_count_(signature.bit_count()),
+      popcount_(static_cast<std::uint32_t>(signature.popcount())) {
+  if (stays_sparse(popcount_, bit_count_)) {
+    bits_ = signature.set_bits();
+    return;
+  }
+  words_.assign((static_cast<std::size_t>(bit_count_) + 63) / 64, 0);
+  for (const std::uint32_t b : signature.set_bits()) {
+    words_[b >> 6] |= std::uint64_t{1} << (b & 63);
+  }
+}
+
+template <typename Fn>
+void PackedSignature::for_each_set_bit(Fn&& fn) const {
+  if (!dense()) {
+    for (const std::uint32_t b : bits_) fn(b);
+    return;
+  }
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    for (std::uint64_t word = words_[w]; word != 0; word &= word - 1) {
+      fn(static_cast<std::uint32_t>(w * 64 + static_cast<std::size_t>(
+                                                 std::countr_zero(word))));
+    }
+  }
+}
+
+SparseSignature PackedSignature::unpack() const {
+  if (!dense()) return SparseSignature(bits_, bit_count_);
+  std::vector<std::uint32_t> bits;
+  bits.reserve(popcount_);
+  for_each_set_bit([&](std::uint32_t b) { bits.push_back(b); });
+  return SparseSignature(std::move(bits), bit_count_);
+}
+
+std::vector<std::uint8_t> PackedSignature::encode() const {
+  return encode_set_bits(bit_count_, popcount_, [&](auto&& visit) {
+    for_each_set_bit(visit);
+  });
+}
+
+std::size_t PackedSignature::storage_bytes() const noexcept {
+  return encoded_size(bit_count_, popcount_, [&](auto&& visit) {
+    for_each_set_bit(visit);
+  });
+}
+
+// --- popcount(Q & C) word kernels ------------------------------------------
+
+namespace {
+
+std::size_t and_popcount_portable(const std::uint64_t* a,
+                                  const std::uint64_t* b, std::size_t n) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    count += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
+  }
+  return count;
+}
+
+// The ISA kernels are selected with __builtin_cpu_supports and reached
+// through a function pointer, not with target_clones: the x86-64-v4 clone
+// level lacks VPOPCNTDQ, and an arch=<cpu> clone is chosen by CPU model,
+// which virtual machines often do not report, so it would silently fall
+// back to the default clone. A plain runtime check also stays clear of
+// the ifunc resolver that TSan builds cannot run.
+#ifdef FAST_POPCOUNT_X86
+__attribute__((target("popcnt"))) std::size_t and_popcount_popcnt(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    count += static_cast<std::size_t>(__builtin_popcountll(a[i] & b[i]));
+  }
+  return count;
+}
+
+__attribute__((target("avx512f,avx512vpopcntdq,popcnt"))) std::size_t
+and_popcount_avx512(const std::uint64_t* a, const std::uint64_t* b,
+                    std::size_t n) {
+  __m512i acc = _mm512_setzero_si512();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512i both = _mm512_and_si512(_mm512_loadu_si512(a + i),
+                                          _mm512_loadu_si512(b + i));
+    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(both));
+  }
+  // Lane sum through memory: GCC 12's _mm512_reduce_add_epi64 trips
+  // -Wuninitialized inside its own header.
+  std::uint64_t lanes[8];
+  _mm512_storeu_si512(lanes, acc);
+  std::size_t count = 0;
+  for (const std::uint64_t lane : lanes) count += lane;
+  for (; i < n; ++i) {
+    count += static_cast<std::size_t>(__builtin_popcountll(a[i] & b[i]));
+  }
+  return count;
+}
+#endif
+
+PopcountKernel detect_popcount_kernel() noexcept {
+  for (const PopcountKernel k :
+       {PopcountKernel::kAvx512, PopcountKernel::kPopcnt}) {
+    if (popcount_kernel_supported(k)) return k;
+  }
+  return PopcountKernel::kPortable;
+}
+
+}  // namespace
+
+bool popcount_kernel_supported(PopcountKernel kernel) noexcept {
+  switch (kernel) {
+    case PopcountKernel::kPortable:
+      return true;
+#ifdef FAST_POPCOUNT_X86
+    case PopcountKernel::kPopcnt:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("popcnt");
+    case PopcountKernel::kAvx512:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512vpopcntdq") &&
+             __builtin_cpu_supports("popcnt");
+#endif
+    default:
+      return false;
+  }
+}
+
+PopcountKernel best_popcount_kernel() noexcept {
+  static const PopcountKernel kernel = detect_popcount_kernel();
+  return kernel;
+}
+
+const char* popcount_kernel_name(PopcountKernel kernel) noexcept {
+  switch (kernel) {
+    case PopcountKernel::kPortable:
+      return "portable";
+    case PopcountKernel::kPopcnt:
+      return "popcnt";
+    case PopcountKernel::kAvx512:
+      return "avx512vpopcntdq";
+  }
+  return "unknown";
+}
+
+// --- JaccardScorer ---------------------------------------------------------
+
+JaccardScorer::JaccardScorer(const SparseSignature& query,
+                             PopcountKernel kernel)
+    : bit_count_(query.bit_count()),
+      popcount_(query.popcount()),
+      words_((static_cast<std::size_t>(query.bit_count()) + 63) / 64, 0) {
+  FAST_CHECK_MSG(popcount_kernel_supported(kernel),
+                 "popcount kernel not supported by this CPU");
+  switch (kernel) {
+#ifdef FAST_POPCOUNT_X86
+    case PopcountKernel::kPopcnt:
+      and_popcount_ = &and_popcount_popcnt;
+      break;
+    case PopcountKernel::kAvx512:
+      and_popcount_ = &and_popcount_avx512;
+      break;
+#endif
+    default:
+      and_popcount_ = &and_popcount_portable;
+  }
+  for (const std::uint32_t b : query.set_bits()) {
+    words_[b >> 6] |= std::uint64_t{1} << (b & 63);
+  }
+}
+
+std::size_t JaccardScorer::overlap_bits(
+    std::span<const std::uint32_t> bits) const noexcept {
+  const std::uint64_t* words = words_.data();
+  std::size_t n = 0;
+  for (const std::uint32_t b : bits) {
+    n += static_cast<std::size_t>((words[b >> 6] >> (b & 63)) & 1);
+  }
+  return n;
+}
+
+double JaccardScorer::score_overlap(
+    std::size_t common, std::size_t candidate_popcount) const noexcept {
+  const std::size_t uni = popcount_ + candidate_popcount - common;
+  if (uni == 0) return 1.0;
+  return static_cast<double>(common) / static_cast<double>(uni);
+}
+
+std::size_t JaccardScorer::overlap(
+    const SparseSignature& candidate) const noexcept {
+  FAST_CHECK(candidate.bit_count() == bit_count_);
+  return overlap_bits(candidate.set_bits());
+}
+
+std::size_t JaccardScorer::overlap(
+    const PackedSignature& candidate) const noexcept {
+  FAST_CHECK(candidate.bit_count() == bit_count_);
+  if (!candidate.dense()) return overlap_bits(candidate.set_bits());
+  return and_popcount_(words_.data(), candidate.words().data(),
+                       words_.size());
+}
+
+double JaccardScorer::score(const SparseSignature& candidate) const noexcept {
+  return score_overlap(overlap(candidate), candidate.popcount());
+}
+
+double JaccardScorer::score(const PackedSignature& candidate) const noexcept {
+  return score_overlap(overlap(candidate), candidate.popcount());
 }
 
 }  // namespace fast::hash

@@ -5,6 +5,9 @@
 // keeping just the non-zero bit positions of the per-image summary. The
 // signature supports Hamming/overlap computations directly in the sparse
 // domain, so dense vectors never need materializing on the query path.
+// That encoding is the persisted form; in memory the indexes hold each
+// summary as a PackedSignature, a list or a bitmap by density, which
+// JaccardScorer ranks against a per-query bitmap.
 #pragma once
 
 #include <cstdint>
@@ -63,27 +66,107 @@ class SparseSignature {
   std::vector<std::uint32_t> bits_;  // sorted ascending, unique
 };
 
+/// At-rest form of a summary: what the indexes store per image. It keeps
+/// the sorted set-bit list when popcount() <= bit_count() / 32 and a
+/// ceil(bit_count() / 64)-word bitmap otherwise, i.e. whichever of the two
+/// is smaller, decided by the signature's own density (Roaring's per-
+/// container rule). A real-photo summary (~1,900 of 16,384 bits set) is a
+/// 2 KB bitmap instead of a 7.5 KB list; a 64-bit client signature stays a
+/// list. encode() and storage_bytes() are those of the unpacked signature,
+/// so persisted bytes and the paper's space accounting do not depend on
+/// the in-memory form.
+class PackedSignature {
+ public:
+  PackedSignature() = default;
+  explicit PackedSignature(const SparseSignature& signature);
+
+  /// The container rule: a signature with `popcount` of `bit_count` bits
+  /// set keeps the list form.
+  static bool stays_sparse(std::size_t popcount,
+                           std::uint32_t bit_count) noexcept {
+    return popcount <= bit_count / 32;
+  }
+
+  std::uint32_t bit_count() const noexcept { return bit_count_; }
+  std::size_t popcount() const noexcept { return popcount_; }
+  bool dense() const noexcept { return !words_.empty(); }
+
+  /// The sorted set bits; empty when dense().
+  std::span<const std::uint32_t> set_bits() const noexcept { return bits_; }
+  /// The bitmap, bits past bit_count() clear; empty unless dense().
+  std::span<const std::uint64_t> words() const noexcept { return words_; }
+
+  SparseSignature unpack() const;
+
+  /// Byte-identical to unpack().encode().
+  std::vector<std::uint8_t> encode() const;
+  /// Equal to unpack().storage_bytes().
+  std::size_t storage_bytes() const noexcept;
+
+ private:
+  /// Calls fn(bit) for every set bit in ascending order.
+  template <typename Fn>
+  void for_each_set_bit(Fn&& fn) const;
+
+  std::uint32_t bit_count_ = 0;
+  std::uint32_t popcount_ = 0;
+  std::vector<std::uint32_t> bits_;   // list form: sorted ascending, unique
+  // Bitmap form. Never empty when in use: a dense signature has at least
+  // one set bit, so bit_count >= 1.
+  std::vector<std::uint64_t> words_;
+};
+
+/// Word kernels for popcount(Q & C) over two bitmaps, the dense half of
+/// JaccardScorer. All of them return the same count; they differ only in
+/// the instructions they may use.
+enum class PopcountKernel {
+  kPortable,  ///< std::popcount at the build's baseline ISA
+  kPopcnt,    ///< scalar POPCNT
+  kAvx512,    ///< AVX-512 VPOPCNTDQ, eight words per instruction
+};
+
+/// The fastest kernel this CPU supports, detected once on first use.
+PopcountKernel best_popcount_kernel() noexcept;
+bool popcount_kernel_supported(PopcountKernel kernel) noexcept;
+const char* popcount_kernel_name(PopcountKernel kernel) noexcept;
+
 /// Query-side Jaccard scorer for ranking many candidates against one query
 /// (the bitmap-slicing idea: materialize the query once as a dense bitmap,
-/// then test each candidate's set bits against it). Built once per query;
-/// score() is bit-identical to SparseSignature::jaccard — same integer
-/// overlap, same double division — so rankings and tie-breaks match the
-/// pairwise merge exactly. Candidates must have the query's bit_count().
+/// then intersect each candidate with it). Built once per query. A list
+/// candidate costs one branch-free bit test per set bit; a bitmap candidate
+/// costs popcount(Q & C) over the words. score() is bit-identical to
+/// SparseSignature::jaccard either way — same integer overlap, same double
+/// division — so rankings and tie-breaks match the pairwise merge exactly.
+/// Candidates must have the query's bit_count().
 class JaccardScorer {
  public:
-  explicit JaccardScorer(const SparseSignature& query);
+  /// `kernel` must be supported by this CPU; tests and benches pass each
+  /// one explicitly, everything else takes the default.
+  explicit JaccardScorer(const SparseSignature& query,
+                         PopcountKernel kernel = best_popcount_kernel());
 
   std::uint32_t bit_count() const noexcept { return bit_count_; }
 
-  /// |Q ∩ C|: one branch-free bit test per set bit of the candidate.
+  /// |Q ∩ C|.
   std::size_t overlap(const SparseSignature& candidate) const noexcept;
+  std::size_t overlap(const PackedSignature& candidate) const noexcept;
 
   /// |Q ∩ C| / |Q ∪ C| (1.0 when both are empty).
   double score(const SparseSignature& candidate) const noexcept;
+  double score(const PackedSignature& candidate) const noexcept;
 
  private:
+  std::size_t overlap_bits(
+      std::span<const std::uint32_t> bits) const noexcept;
+  double score_overlap(std::size_t common,
+                       std::size_t candidate_popcount) const noexcept;
+
+  using AndPopcountFn = std::size_t (*)(const std::uint64_t*,
+                                        const std::uint64_t*, std::size_t);
+
   std::uint32_t bit_count_ = 0;
   std::size_t popcount_ = 0;
+  AndPopcountFn and_popcount_ = nullptr;
   std::vector<std::uint64_t> words_;  // the query as a dense bitmap
 };
 

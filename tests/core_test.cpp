@@ -61,9 +61,9 @@ TEST_F(FastIndexTest, InsertThenSignatureRetrievable) {
   const InsertResult r = index.insert_signature(3, sig);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(index.size(), 1u);
-  ASSERT_NE(index.signature_of(3), nullptr);
+  ASSERT_TRUE(index.signature_of(3).has_value());
   EXPECT_EQ(index.signature_of(3)->set_bits(), sig.set_bits());
-  EXPECT_EQ(index.signature_of(99), nullptr);
+  EXPECT_FALSE(index.signature_of(99).has_value());
 }
 
 TEST_F(FastIndexTest, InsertedImageIsItsOwnTopHit) {
@@ -79,8 +79,8 @@ TEST_F(FastIndexTest, InsertedImageIsItsOwnTopHit) {
     // A perfect-score tie between identical signatures is legal; the top
     // hit must then carry a signature identical to the query's.
     EXPECT_DOUBLE_EQ(r.hits.front().score, 1.0);
-    const auto* top_sig = index.signature_of(r.hits.front().id);
-    ASSERT_NE(top_sig, nullptr);
+    const auto top_sig = index.signature_of(r.hits.front().id);
+    ASSERT_TRUE(top_sig.has_value());
     EXPECT_EQ(top_sig->set_bits(), sigs[i].set_bits());
   }
 }
@@ -167,8 +167,8 @@ TEST_F(FastIndexTest, CuckooGrowthKeepsAllKeys) {
     const QueryResult r = index.query_signature(sigs[i], 1);
     ASSERT_FALSE(r.hits.empty());
     EXPECT_DOUBLE_EQ(r.hits.front().score, 1.0);
-    const auto* top_sig = index.signature_of(r.hits.front().id);
-    ASSERT_NE(top_sig, nullptr);
+    const auto top_sig = index.signature_of(r.hits.front().id);
+    ASSERT_TRUE(top_sig.has_value());
     EXPECT_EQ(top_sig->set_bits(), sigs[i].set_bits());
   }
 }
@@ -192,8 +192,8 @@ TEST_F(FastIndexTest, PStableBackendAlsoRetrieves) {
   const QueryResult r = index.query_signature(sigs[7], 1);
   ASSERT_FALSE(r.hits.empty());
   EXPECT_DOUBLE_EQ(r.hits.front().score, 1.0);
-  const auto* top_sig = index.signature_of(r.hits.front().id);
-  ASSERT_NE(top_sig, nullptr);
+  const auto top_sig = index.signature_of(r.hits.front().id);
+  ASSERT_TRUE(top_sig.has_value());
   EXPECT_EQ(top_sig->set_bits(), sigs[7].set_bits());
 }
 
@@ -277,7 +277,7 @@ TEST_F(FastIndexTest, EraseRemovesFromQueryResults) {
   }
   ASSERT_TRUE(index.erase(5));
   EXPECT_EQ(index.size(), 11u);
-  EXPECT_EQ(index.signature_of(5), nullptr);
+  EXPECT_FALSE(index.signature_of(5).has_value());
   const QueryResult r = index.query_signature(sigs[5], 12);
   for (const auto& hit : r.hits) EXPECT_NE(hit.id, 5u);
   // Unknown ids (and double-erase) are rejected.
@@ -298,8 +298,8 @@ TEST_F(FastIndexTest, EraseThenReinsertSameIdRoundtrips) {
   const QueryResult r = index.query_signature(sigs[4], 1);
   ASSERT_FALSE(r.hits.empty());
   EXPECT_DOUBLE_EQ(r.hits.front().score, 1.0);
-  const auto* top_sig = index.signature_of(r.hits.front().id);
-  ASSERT_NE(top_sig, nullptr);
+  const auto top_sig = index.signature_of(r.hits.front().id);
+  ASSERT_TRUE(top_sig.has_value());
   EXPECT_EQ(top_sig->set_bits(), sigs[4].set_bits());
 }
 
@@ -315,8 +315,8 @@ TEST_F(FastIndexTest, ReinsertWithoutEraseReplacesSignature) {
   index.insert_signature(7, new_sig);  // no erase in between
 
   EXPECT_EQ(index.size(), 1u);
-  const auto* stored = index.signature_of(7);
-  ASSERT_NE(stored, nullptr);
+  const auto stored = index.signature_of(7);
+  ASSERT_TRUE(stored.has_value());
   EXPECT_EQ(stored->set_bits(), new_sig.set_bits());
 
   // Queries score against the fresh signature: its own query is an exact
@@ -369,8 +369,8 @@ TEST_F(FastIndexTest, SaveLoadAfterErasePreservesStateAndAnswers) {
 
   FastIndex loaded = FastIndex::load(path, small_config(), *pca_);
   EXPECT_EQ(loaded.size(), index.size());
-  EXPECT_EQ(loaded.signature_of(2), nullptr);
-  EXPECT_EQ(loaded.signature_of(7), nullptr);
+  EXPECT_FALSE(loaded.signature_of(2).has_value());
+  EXPECT_FALSE(loaded.signature_of(7).has_value());
   for (std::size_t i = 0; i < 12; ++i) {
     const QueryResult before = index.query_signature(sigs[i], 3);
     const QueryResult after = loaded.query_signature(sigs[i], 3);

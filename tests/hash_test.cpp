@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fast_index.hpp"
+#include "core/tiered_index.hpp"
 #include "hash/aggregators.hpp"
 #include "hash/bloom_filter.hpp"
 #include "hash/compact_flat_cuckoo_table.hpp"
@@ -22,8 +24,10 @@
 #include "hash/multi_probe.hpp"
 #include "hash/pstable_lsh.hpp"
 #include "hash/sparse_signature.hpp"
+#include "test_helpers.hpp"
 #include "util/codec.hpp"
 #include "util/rng.hpp"
+#include "workload/query_gen.hpp"
 
 namespace fast::hash {
 namespace {
@@ -1182,6 +1186,262 @@ TEST(JaccardScorer, EdgeCases) {
   const SparseSignature lo({1, 2, 3}, 64), hi({10, 20}, 64);
   EXPECT_EQ(JaccardScorer(lo).score(hi), 0.0);
   EXPECT_EQ(JaccardScorer(lo).overlap(hi), 0u);
+}
+
+// ---------- PackedSignature ----------
+
+// Random signature with exactly `popcount` set bits, or every bit when
+// popcount == bit_count.
+SparseSignature random_signature(std::uint32_t bit_count, std::size_t popcount,
+                                 std::uint64_t seed) {
+  return SparseSignature(random_sorted_bits(bit_count, popcount, seed),
+                         bit_count);
+}
+
+void expect_packs_losslessly(const SparseSignature& sig) {
+  const PackedSignature packed(sig);
+  EXPECT_EQ(packed.bit_count(), sig.bit_count());
+  EXPECT_EQ(packed.popcount(), sig.popcount());
+  EXPECT_EQ(packed.dense(),
+            !PackedSignature::stays_sparse(sig.popcount(), sig.bit_count()));
+  EXPECT_EQ(packed.unpack().set_bits(), sig.set_bits());
+  EXPECT_EQ(packed.unpack().bit_count(), sig.bit_count());
+  EXPECT_EQ(packed.encode(), sig.encode());
+  EXPECT_EQ(packed.storage_bytes(), sig.storage_bytes());
+  if (packed.dense()) {
+    EXPECT_TRUE(packed.set_bits().empty());
+    EXPECT_EQ(packed.words().size(), (sig.bit_count() + 63) / 64);
+  } else {
+    EXPECT_TRUE(packed.words().empty());
+    EXPECT_TRUE(std::equal(packed.set_bits().begin(), packed.set_bits().end(),
+                           sig.set_bits().begin(), sig.set_bits().end()));
+  }
+}
+
+TEST(PackedSignature, ContainerRuleSwitchesAtOneBitInThirtyTwo) {
+  constexpr std::uint32_t kBits = 16384;
+  constexpr std::size_t kLimit = kBits / 32;
+  EXPECT_FALSE(PackedSignature(random_signature(kBits, kLimit - 1, 1)).dense());
+  EXPECT_FALSE(PackedSignature(random_signature(kBits, kLimit, 2)).dense());
+  EXPECT_TRUE(PackedSignature(random_signature(kBits, kLimit + 1, 3)).dense());
+  // The list form is never larger than the bitmap it replaces.
+  EXPECT_LE(kLimit * sizeof(std::uint32_t), kBits / 8);
+}
+
+TEST(PackedSignature, RoundTripsAroundTheThresholdAndAtTheEdges) {
+  for (const std::uint32_t bits : {16384u, 4096u, 100u, 1000u, 64u, 65u}) {
+    const std::size_t limit = bits / 32;
+    for (const std::size_t popcount :
+         {std::size_t{0}, limit == 0 ? 0 : limit - 1, limit, limit + 1,
+          std::size_t{bits / 2}, std::size_t{bits}}) {
+      SCOPED_TRACE("bit_count " + std::to_string(bits) + " popcount " +
+                   std::to_string(popcount));
+      expect_packs_losslessly(
+          random_signature(bits, popcount, bits + popcount));
+    }
+  }
+  // Both ends of the range, in both forms.
+  expect_packs_losslessly(SparseSignature({0, 16383}, 16384));
+  expect_packs_losslessly(SparseSignature({0, 99}, 100));
+  expect_packs_losslessly(random_signature(100, 100, 5));  // all set, dense
+  expect_packs_losslessly(SparseSignature({}, 0));
+  const PackedSignature empty{};
+  EXPECT_EQ(empty.encode(), SparseSignature().encode());
+  EXPECT_EQ(empty.storage_bytes(), SparseSignature().storage_bytes());
+}
+
+TEST(PackedSignature, RealSummaryBitmapIsSmallerThanItsList) {
+  const SparseSignature sig = random_signature(16384, 1900, 0x5e);
+  const PackedSignature packed(sig);
+  ASSERT_TRUE(packed.dense());
+  EXPECT_EQ(packed.words().size_bytes(), 2048u);
+  EXPECT_LT(packed.words().size_bytes(),
+            sig.set_bits().size() * sizeof(std::uint32_t));
+}
+
+TEST(PackedSignature, DispatchedKernelIsSupported) {
+  EXPECT_TRUE(popcount_kernel_supported(PopcountKernel::kPortable));
+  EXPECT_TRUE(popcount_kernel_supported(best_popcount_kernel()));
+}
+
+// score(Packed) must equal the pairwise reference bit for bit on every word
+// kernel, over dense x dense, dense x sparse and sparse x sparse pairs.
+class PackedScorerTest : public ::testing::TestWithParam<PopcountKernel> {};
+
+TEST_P(PackedScorerTest, MatchesPairwiseJaccardOnRandomPairs) {
+  const PopcountKernel kernel = GetParam();
+  if (!popcount_kernel_supported(kernel)) {
+    GTEST_SKIP() << popcount_kernel_name(kernel) << " not supported here";
+  }
+  // 16,384 bits as in the real summaries, plus a width whose last word is
+  // partial and whose word count is not a multiple of the AVX-512 stride.
+  for (const std::uint32_t bits : {16384u, 1100u}) {
+    const std::size_t limit = bits / 32;
+    const std::size_t popcounts[] = {0,         1,         limit,
+                                     limit + 1, bits / 9, bits / 2, bits};
+    std::size_t dense_pairs = 0;
+    for (const std::size_t na : popcounts) {
+      for (const std::size_t nb : popcounts) {
+        for (std::uint64_t seed = 0; seed < 4; ++seed) {
+          const auto a_bits = random_sorted_bits(bits, na, seed * 131 + na);
+          // Seed half of b from a so overlaps span the whole range.
+          std::set<std::uint32_t> b_set;
+          for (std::size_t i = 0; i < a_bits.size() && b_set.size() < nb / 2;
+               i += 2) {
+            b_set.insert(a_bits[i]);
+          }
+          util::Rng rng(seed * 7919 + nb);
+          while (b_set.size() < nb) {
+            b_set.insert(static_cast<std::uint32_t>(rng.uniform_u64(bits)));
+          }
+          const SparseSignature a(a_bits, bits);
+          const SparseSignature b({b_set.begin(), b_set.end()}, bits);
+          const PackedSignature packed(b);
+          const JaccardScorer scorer(a, kernel);
+          ASSERT_EQ(scorer.overlap(packed), SparseSignature::overlap(a, b));
+          ASSERT_EQ(scorer.score(packed), SparseSignature::jaccard(a, b))
+              << "bits " << bits << " na " << na << " nb " << nb << " seed "
+              << seed;
+          ASSERT_EQ(scorer.score(packed), scorer.score(b));
+          dense_pairs += packed.dense() ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_GT(dense_pairs, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, PackedScorerTest,
+    ::testing::Values(PopcountKernel::kPortable, PopcountKernel::kPopcnt,
+                      PopcountKernel::kAvx512),
+    [](const ::testing::TestParamInfo<PopcountKernel>& info) {
+      switch (info.param) {
+        case PopcountKernel::kPortable:
+          return std::string("Portable");
+        case PopcountKernel::kPopcnt:
+          return std::string("Popcnt");
+        case PopcountKernel::kAvx512:
+          return std::string("Avx512");
+      }
+      return std::string("Unknown");
+    });
+
+// ---------- Packed ranking through the indexes ----------
+
+// FastIndex and TieredIndex store PackedSignature and rank with
+// JaccardScorer. With k covering every candidate, each hit must carry the
+// pairwise-reference score and the hits must be in reference order (score
+// descending, id ascending), so every top-k prefix is the reference top-k.
+class PackedRankingTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kThinnedBase = 1000;
+
+  static void SetUpTestSuite() {
+    const workload::Dataset dataset = test::small_dataset(40);
+    core::FastIndex helper(flat_config(), test::fake_pca());
+    corpus_ = new std::map<std::uint64_t, SparseSignature>();
+    queries_ = new std::vector<SparseSignature>();
+    for (std::size_t i = 0; i < dataset.photos.size(); ++i) {
+      const SparseSignature sig = helper.summarize(dataset.photos[i].image);
+      corpus_->emplace(i, sig);
+      // Every eighth bit of the same summary: a real signature thinned
+      // below the list threshold, so both stored forms meet in one
+      // candidate set.
+      std::vector<std::uint32_t> thinned;
+      for (std::size_t b = 0; b < sig.set_bits().size(); b += 8) {
+        thinned.push_back(sig.set_bits()[b]);
+      }
+      corpus_->emplace(kThinnedBase + i,
+                       SparseSignature(std::move(thinned), sig.bit_count()));
+      queries_->push_back(sig);
+    }
+    for (const auto& q : workload::make_dup_queries(dataset, 10, 0x9a)) {
+      queries_->push_back(helper.summarize(q.image));
+    }
+  }
+  static void TearDownTestSuite() {
+    delete corpus_;
+    delete queries_;
+    corpus_ = nullptr;
+    queries_ = nullptr;
+  }
+
+  static core::FastConfig flat_config() {
+    core::FastConfig cfg;
+    cfg.cuckoo.capacity = 256;
+    return cfg;
+  }
+  static core::FastConfig tiered_config() {
+    core::FastConfig cfg = flat_config();
+    cfg.tier.enabled = true;
+    cfg.tier.seal_threshold = 8;
+    cfg.tier.lanes = 2;
+    cfg.tier.compact_fanin = 2;
+    cfg.tier.compact_trigger = 2;
+    cfg.tier.background = false;
+    return cfg;
+  }
+
+  static void expect_reference_ranking(const core::QueryResult& result,
+                                       const SparseSignature& query) {
+    ASSERT_EQ(result.hits.size(), result.candidates);
+    std::vector<core::ScoredId> reference;
+    for (const auto& hit : result.hits) {
+      reference.push_back(core::ScoredId{
+          hit.id, SparseSignature::jaccard(query, corpus_->at(hit.id))});
+    }
+    std::sort(reference.begin(), reference.end(),
+              [](const core::ScoredId& a, const core::ScoredId& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.id < b.id;
+              });
+    for (std::size_t h = 0; h < reference.size(); ++h) {
+      ASSERT_EQ(result.hits[h].id, reference[h].id) << "hit " << h;
+      ASSERT_EQ(result.hits[h].score, reference[h].score) << "hit " << h;
+    }
+  }
+
+  /// Ranks every query through `index` and checks it; returns how many
+  /// dense and sparse stored signatures the hits covered.
+  template <typename Index>
+  static std::pair<std::size_t, std::size_t> check_all_queries(
+      const Index& index) {
+    std::set<std::uint64_t> dense, sparse;
+    for (const SparseSignature& query : *queries_) {
+      const core::QueryResult result =
+          index.query_signature(query, corpus_->size());
+      expect_reference_ranking(result, query);
+      for (const auto& hit : result.hits) {
+        const SparseSignature& stored = corpus_->at(hit.id);
+        (PackedSignature(stored).dense() ? dense : sparse).insert(hit.id);
+      }
+    }
+    return {dense.size(), sparse.size()};
+  }
+
+  static std::map<std::uint64_t, SparseSignature>* corpus_;
+  static std::vector<SparseSignature>* queries_;
+};
+
+std::map<std::uint64_t, SparseSignature>* PackedRankingTest::corpus_ = nullptr;
+std::vector<SparseSignature>* PackedRankingTest::queries_ = nullptr;
+
+TEST_F(PackedRankingTest, FastIndexMatchesPairwiseReference) {
+  core::FastIndex index(flat_config(), test::fake_pca());
+  for (const auto& [id, sig] : *corpus_) index.insert_signature(id, sig);
+  const auto [dense, sparse] = check_all_queries(index);
+  EXPECT_GT(dense, 0u);
+  EXPECT_GT(sparse, 0u);
+}
+
+TEST_F(PackedRankingTest, TieredIndexMatchesPairwiseReference) {
+  core::TieredIndex index(tiered_config(), test::fake_pca());
+  for (const auto& [id, sig] : *corpus_) index.insert_signature(id, sig);
+  ASSERT_GT(index.segment_count(), 0u);
+  const auto [dense, sparse] = check_all_queries(index);
+  EXPECT_GT(dense, 0u);
+  EXPECT_GT(sparse, 0u);
 }
 
 // ---------- Locality-Sensitive Bloom Filter ----------

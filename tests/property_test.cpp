@@ -286,7 +286,7 @@ TEST_P(RecoveryRoundTripTest, SnapshotRecoverIsBitExact) {
                     static_cast<std::ptrdiff_t>(victim));
     } else {
       const std::uint64_t id = rng.uniform_u64(80);
-      if (live.signature_of(id) != nullptr) {
+      if (live.signature_of(id).has_value()) {
         ASSERT_TRUE(live.erase(id));
         present.erase(std::find(present.begin(), present.end(), id));
       }
@@ -307,10 +307,10 @@ TEST_P(RecoveryRoundTripTest, SnapshotRecoverIsBitExact) {
   ASSERT_EQ(recovered.value().size(), live.size());
   ASSERT_EQ(recovered.value().group_count(), live.group_count());
   for (std::uint64_t id = 0; id < 80; ++id) {
-    const hash::SparseSignature* a = live.signature_of(id);
-    const hash::SparseSignature* b = recovered.value().signature_of(id);
-    ASSERT_EQ(a == nullptr, b == nullptr) << "id " << id;
-    if (a != nullptr) {
+    const auto a = live.signature_of(id);
+    const auto b = recovered.value().signature_of(id);
+    ASSERT_EQ(a.has_value(), b.has_value()) << "id " << id;
+    if (a.has_value()) {
       EXPECT_EQ(a->set_bits(), b->set_bits()) << "id " << id;
     }
   }

@@ -13,6 +13,7 @@
 //    mutation may additionally survive.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -29,6 +30,7 @@
 #include "storage/wal.hpp"
 #include "golden_fixture.hpp"
 #include "test_helpers.hpp"
+#include "util/codec.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -78,10 +80,10 @@ void expect_same_state(const FastIndex& got, const FastIndex& want) {
   ASSERT_EQ(got.size(), want.size());
   ASSERT_EQ(got.group_count(), want.group_count());
   for (std::uint64_t id = 0; id < 64; ++id) {
-    const hash::SparseSignature* a = got.signature_of(id);
-    const hash::SparseSignature* b = want.signature_of(id);
-    ASSERT_EQ(a == nullptr, b == nullptr) << "id " << id;
-    if (a != nullptr) {
+    const auto a = got.signature_of(id);
+    const auto b = want.signature_of(id);
+    ASSERT_EQ(a.has_value(), b.has_value()) << "id " << id;
+    if (a.has_value()) {
       EXPECT_EQ(a->set_bits(), b->set_bits()) << "id " << id;
     }
   }
@@ -227,7 +229,7 @@ TEST(RecoveryTest, ErasedIdIsNeverResurrected) {
   }
   auto recovered = FastIndex::open_or_recover(cfg, pca, opts);
   ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(recovered.value().signature_of(4), nullptr);
+  EXPECT_FALSE(recovered.value().signature_of(4).has_value());
   EXPECT_EQ(recovered.value().size(), 9u);
 }
 
@@ -248,7 +250,7 @@ TEST(RecoveryTest, ReInsertAfterEraseKeepsLatestSignature) {
   }
   auto recovered = FastIndex::open_or_recover(cfg, pca, opts);
   ASSERT_TRUE(recovered.ok());
-  ASSERT_NE(recovered.value().signature_of(9), nullptr);
+  ASSERT_TRUE(recovered.value().signature_of(9).has_value());
   EXPECT_EQ(recovered.value().signature_of(9)->set_bits(), v2.set_bits());
 }
 
@@ -319,6 +321,60 @@ TEST(RecoveryTest, CorruptNewestSnapshotFallsBackExactly) {
   expect_same_state(recovered.value(), reference);
 }
 
+// A CRC-valid newest snapshot whose signature section claims 2^40 entries
+// must count as undecodable (fall back to the previous generation), not
+// reserve for the claimed count and throw out of open_or_recover.
+TEST(RecoveryTest, BogusSignatureCountFallsBackExactly) {
+  const FastConfig cfg = small_config();
+  const vision::PcaModel pca = test::fake_pca();
+  DurabilityOptions opts;
+  opts.dir = fresh_dir("bogus_count");
+
+  FastIndex reference(cfg, pca);
+  std::uint64_t newest_seq = 0;
+  {
+    auto opened = FastIndex::open_or_recover(cfg, pca, opts);
+    ASSERT_TRUE(opened.ok());
+    FastIndex durable = std::move(opened).value();
+    for (std::uint64_t id = 0; id < 16; ++id) {
+      const auto sig = make_signature(id, cfg.bloom_bits);
+      durable.insert_signature(id, sig);
+      reference.insert_signature(id, sig);
+      if (id == 9) {
+        ASSERT_TRUE(durable.save_snapshot().ok());
+      }
+    }
+    ASSERT_TRUE(durable.save_snapshot().ok());
+    newest_seq = durable.last_seq();
+  }
+  storage::Env& env = storage::Env::posix();
+  auto snapshot = storage::read_snapshot(
+      env, opts.dir + "/" + storage::snapshot_file_name(newest_seq));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().to_string();
+  storage::SnapshotFile crafted = std::move(snapshot).value();
+  bool patched = false;
+  for (auto& section : crafted.sections) {
+    if (section.id != storage::kSectionSignatures) continue;
+    util::ByteWriter count;
+    count.u64(std::uint64_t{1} << 40);
+    const std::vector<std::uint8_t> bytes = count.take();
+    ASSERT_GE(section.payload.size(), bytes.size());
+    std::copy(bytes.begin(), bytes.end(), section.payload.begin());
+    patched = true;
+  }
+  ASSERT_TRUE(patched);
+  ASSERT_TRUE(storage::write_snapshot(env, opts.dir, crafted).ok());
+
+  RecoveryStats stats;
+  auto recovered = FastIndex::open_or_recover(cfg, pca, opts, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+  EXPECT_EQ(stats.snapshots_skipped, 1u);
+  EXPECT_TRUE(stats.loaded_snapshot);
+  EXPECT_EQ(stats.snapshot_seq, 10u);
+  EXPECT_EQ(stats.replayed_records, 6u);
+  expect_same_state(recovered.value(), reference);
+}
+
 TEST(RecoveryTest, SnapshotRetainsExactlyOnePreviousGeneration) {
   const FastConfig cfg = small_config();
   const vision::PcaModel pca = test::fake_pca();
@@ -371,8 +427,8 @@ TEST(RecoveryTest, TornWalTailIsTruncatedNotFatal) {
   EXPECT_TRUE(stats.wal_torn);
   EXPECT_EQ(recovered.value().size(), 4u);
   EXPECT_EQ(recovered.value().last_seq(), 4u);
-  EXPECT_NE(recovered.value().signature_of(3), nullptr);
-  EXPECT_EQ(recovered.value().signature_of(4), nullptr);
+  EXPECT_TRUE(recovered.value().signature_of(3).has_value());
+  EXPECT_FALSE(recovered.value().signature_of(4).has_value());
 }
 
 TEST(RecoveryTest, StrayFilesInDirectoryAreIgnored) {
@@ -1017,10 +1073,11 @@ TEST(RecoveryGoldenTest, V1FixtureRecoversExactly) {
   expect_same_state(recovered.value(), reference);
 
   for (const std::uint64_t id : test::golden_present_ids()) {
-    EXPECT_NE(recovered.value().signature_of(id), nullptr) << "id " << id;
+    EXPECT_TRUE(recovered.value().signature_of(id).has_value())
+        << "id " << id;
   }
-  EXPECT_EQ(recovered.value().signature_of(2), nullptr);
-  EXPECT_EQ(recovered.value().signature_of(5), nullptr);
+  EXPECT_FALSE(recovered.value().signature_of(2).has_value());
+  EXPECT_FALSE(recovered.value().signature_of(5).has_value());
 }
 
 TEST(RecoveryGoldenTest, CorruptedFixtureSnapshotFallsBackToFullReplay) {
@@ -1047,7 +1104,8 @@ TEST(RecoveryGoldenTest, CorruptedFixtureSnapshotFallsBackToFullReplay) {
   EXPECT_EQ(stats.replayed_records, 16u);
   EXPECT_EQ(recovered.value().last_seq(), 16u);
   for (const std::uint64_t id : test::golden_present_ids()) {
-    EXPECT_NE(recovered.value().signature_of(id), nullptr) << "id " << id;
+    EXPECT_TRUE(recovered.value().signature_of(id).has_value())
+        << "id " << id;
   }
   EXPECT_EQ(recovered.value().size(), test::golden_present_ids().size());
 }

@@ -53,7 +53,7 @@ TEST_F(ShardedTest, InsertsRouteToOwningShard) {
   // Each id lives exactly in its mapped shard.
   for (std::size_t i = 0; i < 20; ++i) {
     const std::size_t owner = index.shard_of(i);
-    EXPECT_NE(index.shard(owner).signature_of(i), nullptr);
+    EXPECT_TRUE(index.shard(owner).signature_of(i).has_value());
   }
 }
 
@@ -132,7 +132,7 @@ TEST_F(ShardedTest, EraseRemovesFromResults) {
   }
   ASSERT_TRUE(index.erase(5));
   EXPECT_EQ(index.size(), 11u);
-  EXPECT_EQ(index.signature_of(5), nullptr);
+  EXPECT_FALSE(index.signature_of(5).has_value());
   const QueryResult r = index.query_signature(sigs[5], 12);
   for (const auto& hit : r.hits) {
     EXPECT_NE(hit.id, 5u);
@@ -187,8 +187,8 @@ TEST_F(ShardedTest, SaveLoadRoundTrip) {
   FastIndex restored = FastIndex::load(path, small_config(), *pca_);
   EXPECT_EQ(restored.size(), index.size());
   for (std::size_t i = 0; i < 15; ++i) {
-    const auto* sig = restored.signature_of(i);
-    ASSERT_NE(sig, nullptr);
+    const auto sig = restored.signature_of(i);
+    ASSERT_TRUE(sig.has_value());
     EXPECT_EQ(sig->set_bits(), sigs[i].set_bits());
     const QueryResult r = restored.query_signature(sigs[i], 1);
     ASSERT_FALSE(r.hits.empty());
