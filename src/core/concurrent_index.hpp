@@ -227,13 +227,6 @@ class ConcurrentFastIndex {
     return flat_->index_bytes();
   }
 
-  void save(const std::string& path) const {
-    FAST_CHECK_MSG(!tiered_, "save() is the legacy flat-file format");
-    std::shared_lock lock(mutex_);
-    reader_locks_->add();
-    flat_->save(path);
-  }
-
   /// Snapshot + WAL rotation. Flat: under the writer lock, so the image
   /// captures a point between mutations and no append races the rotation.
   /// Tiered: TieredIndex quiesces its own lanes.

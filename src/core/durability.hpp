@@ -1,4 +1,5 @@
-// Durability contract of FastIndex: snapshot + write-ahead log.
+// Durability contract of the durable index flavors (FastIndex, TieredIndex
+// and the facades over them): snapshot + write-ahead log.
 //
 // An index opened with open_or_recover logs every mutation to the WAL
 // BEFORE applying it, fsyncing on a configurable cadence; save_snapshot
@@ -6,14 +7,19 @@
 // crash, open_or_recover loads the newest intact snapshot, replays the WAL
 // tail on top, and truncates the torn record of an in-flight append — so
 // with wal_sync_every == 1 every acknowledged mutation survives, and the
-// recovered index answers queries bit-identically to the pre-crash one
-// (DESIGN.md §3d states the invariants; tests/recovery_test.cpp sweeps
-// every failure point).
+// recovered index answers queries bit-identically to the pre-crash one.
+// Both flavors run this through one storage::DurableLog; the first failed
+// append or sync fences it, so every later mutation throws IoError until
+// the directory is reopened (DESIGN.md §3d states the invariants;
+// tests/recovery_test.cpp sweeps every failure point).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
+#include "hash/sparse_signature.hpp"
+#include "storage/durable_log.hpp"
 #include "storage/io.hpp"
 
 namespace fast::core {
@@ -35,14 +41,7 @@ struct DurabilityOptions {
 };
 
 /// What open_or_recover found and did; for observability and tests.
-struct RecoveryStats {
-  bool loaded_snapshot = false;
-  std::uint64_t snapshot_seq = 0;     ///< last_seq of the loaded snapshot
-  std::size_t snapshots_skipped = 0;  ///< corrupt snapshots passed over
-  std::size_t segments_scanned = 0;   ///< WAL segments read
-  std::size_t replayed_records = 0;   ///< WAL records applied on top
-  bool wal_torn = false;              ///< truncated a torn tail / header
-};
+using RecoveryStats = storage::RecoveryStats;
 
 /// FNV-1a over the SM/SA/CHS geometry of a config — every field that
 /// changes how persisted index state must be interpreted (Bloom width,
@@ -51,5 +50,11 @@ struct RecoveryStats {
 /// the meaning of stored ones. lsh_input_scale is excluded too — it is
 /// persisted in the snapshot's params section and restored on load.
 std::uint64_t config_fingerprint(const FastConfig& config) noexcept;
+
+/// Decodes the signature an insert record carries; kCorrupt when the
+/// payload does not decode or its width is not `bloom_bits`. Shared by the
+/// replay callbacks of both index flavors.
+storage::StatusOr<hash::SparseSignature> decode_insert_payload(
+    std::span<const std::uint8_t> payload, std::size_t bloom_bits);
 
 }  // namespace fast::core

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 
@@ -72,13 +70,7 @@ void FastIndex::init_metrics() {
   m_.chs_store_bytes = &r.gauge("chs.store_bytes");
   m_.index_size = &r.gauge("index.size");
   m_.index_groups = &r.gauge("index.groups");
-  m_.wal_appends = &r.counter("wal.appends");
-  m_.wal_bytes = &r.counter("wal.bytes");
-  m_.wal_syncs = &r.counter("wal.syncs");
-  m_.snapshot_write_s = &r.latency_histogram("snapshot.write_s");
-  m_.snapshot_bytes = &r.gauge("snapshot.bytes");
-  m_.recovery_replayed_records = &r.counter("recovery.replayed_records");
-  m_.recovery_snapshots_skipped = &r.counter("recovery.snapshots_skipped");
+  storage::DurableLog::register_metrics(r);
 }
 
 void FastIndex::publish_storage_gauges() {
@@ -167,10 +159,13 @@ InsertResult FastIndex::insert(std::uint64_t id, const img::Image& image) {
 InsertResult FastIndex::insert_signature(
     std::uint64_t id, const hash::SparseSignature& signature) {
   util::TraceSpan span("insert");
-  // Log before apply: if the record cannot be made durable (wal_log
-  // throws), the in-memory state is untouched and recovery sees a
-  // consistent prefix of acknowledged mutations.
-  if (durable()) wal_log(storage::kWalRecordInsert, id, signature.encode());
+  // Log before apply: if the record cannot be made durable (IoError), the
+  // in-memory state is untouched and recovery sees a consistent prefix of
+  // acknowledged mutations.
+  if (durable()) {
+    storage::throw_if_error(
+        log_->append(storage::kWalRecordInsert, id, signature.encode()));
+  }
   InsertResult result = apply_insert(id, signature);
   span.attr("rehash_events", static_cast<double>(result.rehashes));
   return result;
@@ -290,7 +285,9 @@ bool FastIndex::erase(std::uint64_t id) {
   util::TraceSpan span("erase");
   // An unknown id is a no-op; logging it would bloat the WAL for nothing.
   if (signatures_.find(id) == signatures_.end()) return false;
-  if (durable()) wal_log(storage::kWalRecordErase, id, {});
+  if (durable()) {
+    storage::throw_if_error(log_->append(storage::kWalRecordErase, id, {}));
+  }
   return apply_erase(id);
 }
 
@@ -322,139 +319,16 @@ bool FastIndex::apply_erase(std::uint64_t id) {
   return true;
 }
 
-namespace {
-constexpr char kMagic[8] = {'F', 'A', 'S', 'T', 'i', 'd', 'x', '1'};
-}
-
-void FastIndex::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("FastIndex::save: cannot open " + path);
-  out.write(kMagic, sizeof(kMagic));
-  const auto bloom_bits = static_cast<std::uint64_t>(config_.bloom_bits);
-  const auto count = static_cast<std::uint64_t>(signatures_.size());
-  out.write(reinterpret_cast<const char*>(&bloom_bits), sizeof(bloom_bits));
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const auto& [id, sig] : signatures_) {
-    const std::vector<std::uint8_t> encoded = sig.encode();
-    const auto len = static_cast<std::uint32_t>(encoded.size());
-    out.write(reinterpret_cast<const char*>(&id), sizeof(id));
-    out.write(reinterpret_cast<const char*>(&len), sizeof(len));
-    out.write(reinterpret_cast<const char*>(encoded.data()), len);
-  }
-  if (!out) throw std::runtime_error("FastIndex::save: write failed");
-}
-
-FastIndex FastIndex::load(const std::string& path, FastConfig config,
-                          vision::PcaModel pca) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("FastIndex::load: cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("FastIndex::load: bad magic");
-  }
-  std::uint64_t bloom_bits = 0, count = 0;
-  in.read(reinterpret_cast<char*>(&bloom_bits), sizeof(bloom_bits));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || bloom_bits != config.bloom_bits) {
-    throw std::runtime_error(
-        "FastIndex::load: bloom geometry mismatch or truncated header");
-  }
-  FastIndex index(std::move(config), std::move(pca));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t id = 0;
-    std::uint32_t len = 0;
-    in.read(reinterpret_cast<char*>(&id), sizeof(id));
-    in.read(reinterpret_cast<char*>(&len), sizeof(len));
-    std::vector<std::uint8_t> buffer(len);
-    in.read(reinterpret_cast<char*>(buffer.data()), len);
-    if (!in) throw std::runtime_error("FastIndex::load: truncated record");
-    index.insert_signature(id, hash::SparseSignature::decode(buffer));
-  }
-  return index;
-}
-
 // --- Durability: snapshot + WAL ------------------------------------------
 
-namespace {
-
-void fp_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;  // FNV-1a 64-bit prime
-  }
-}
-
-void fp_mix_f64(std::uint64_t& h, double v) {
-  fp_mix(h, std::bit_cast<std::uint64_t>(v));
-}
-
-}  // namespace
-
-std::uint64_t config_fingerprint(const FastConfig& c) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64-bit offset basis
-  fp_mix(h, c.bloom_bits);
-  fp_mix(h, c.bloom_hashes);
-  fp_mix(h, c.quantize_group_dims);
-  fp_mix_f64(h, static_cast<double>(c.quantize_cell));
-  fp_mix_f64(h, c.spatial_cell_px);
-  fp_mix(h, static_cast<std::uint64_t>(c.sa_backend));
-  fp_mix(h, c.lsh.dim);
-  fp_mix(h, c.lsh.tables);
-  fp_mix(h, c.lsh.hashes_per_table);
-  fp_mix_f64(h, c.lsh.omega);
-  fp_mix(h, c.lsh.seed);
-  fp_mix(h, c.minhash.bands);
-  fp_mix(h, c.minhash.band_size);
-  fp_mix(h, c.minhash.seed);
-  fp_mix(h, c.minhash_multiprobe ? 1 : 0);
-  fp_mix(h, static_cast<std::uint64_t>(c.probe_depth));
-  fp_mix(h, static_cast<std::uint64_t>(c.chs_backend));
-  fp_mix(h, c.cuckoo.capacity);
-  fp_mix(h, c.cuckoo.window);
-  fp_mix(h, c.cuckoo.max_kicks);
-  fp_mix(h, c.cuckoo.seed);
-  fp_mix(h, c.chained_buckets);
-  // Tiered directories carry a manifest + per-segment sections that a flat
-  // open cannot interpret (and vice versa), so the layout flavor is part of
-  // the fingerprint. Mixed only when enabled to keep every pre-tier
-  // fingerprint (golden fixtures, existing directories) unchanged.
-  if (c.tier.enabled) fp_mix(h, 0x7157);
-  return h;
-}
-
 storage::Status FastIndex::sync_wal() {
-  if (!durable() || appends_since_sync_ == 0) return storage::Status{};
-  storage::Status s = wal_->sync();
-  if (s.ok()) {
-    appends_since_sync_ = 0;
-    m_.wal_syncs->add();
-  }
-  return s;
-}
-
-void FastIndex::wal_log(std::uint8_t type, std::uint64_t id,
-                        std::span<const std::uint8_t> payload) {
-  const std::uint64_t seq = wal_->next_seq();
-  storage::Status s = wal_->append(type, id, payload);
-  if (s.ok() && ++appends_since_sync_ >= wal_sync_every_) {
-    s = wal_->sync();
-    if (s.ok()) {
-      appends_since_sync_ = 0;
-      m_.wal_syncs->add();
-    }
-  }
-  if (!s.ok()) throw storage::IoError(std::move(s));
-  m_.wal_appends->add();
-  // Frame overhead (crc + len) plus the fixed body prefix (seq, type, id).
-  m_.wal_bytes->add(4 + 4 + 8 + 1 + 8 + payload.size());
-  last_seq_ = seq;
+  return durable() ? log_->sync() : storage::Status{};
 }
 
 storage::SnapshotFile FastIndex::build_snapshot() const {
   storage::SnapshotFile snapshot;
   snapshot.config_fingerprint = config_fingerprint(config_);
-  snapshot.last_seq = last_seq_;
+  snapshot.last_seq = last_seq();
 
   util::ByteWriter params;
   params.f64(config_.lsh_input_scale);
@@ -550,9 +424,14 @@ bool FastIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
   }
   if (!gr.ok()) return false;
 
+  // A failed deserialize leaves a store unusable, so restore into a fresh
+  // one and keep the current store until everything has decoded.
+  auto restored_store =
+      pipeline::make_group_store(config_, aggregator_->table_count());
   util::ByteReader str{std::span(store->payload)};
-  if (!store_->deserialize(str)) return false;
+  if (!restored_store->deserialize(str)) return false;
 
+  store_ = std::move(restored_store);
   signatures_ = std::move(restored_sigs);
   groups_ = std::move(restored_groups);
   rehashes_ = rehashes;
@@ -567,153 +446,34 @@ storage::Status FastIndex::save_snapshot() {
     return storage::Status::error(storage::StatusCode::kIoError,
                                   "save_snapshot on a non-durable index");
   }
-  util::TraceSpan span("snapshot.save");
-  util::WallTimer timer;
-  const storage::SnapshotFile snapshot = build_snapshot();
-  auto published = storage::write_snapshot(*env_, dir_, snapshot);
-  if (!published.ok()) return published.status();
-
-  std::size_t image_bytes = 32;  // header
-  for (const auto& section : snapshot.sections) {
-    image_bytes += 12 + section.payload.size();
-  }
-  span.attr("bytes", static_cast<double>(image_bytes + 12));
-  m_.snapshot_bytes->set(static_cast<double>(image_bytes + 12));
-  m_.snapshot_write_s->observe(timer.elapsed_seconds());
-
-  // Rotate the log and retire files covered by the retained previous
-  // generation (shared with the tiered index; see rotate_wal_and_retire).
-  storage::Status rotated =
-      storage::rotate_wal_and_retire(*env_, dir_, last_seq_, &wal_);
-  if (!rotated.ok()) return rotated;
-  appends_since_sync_ = 0;
-  return storage::Status{};
+  return log_->checkpoint(build_snapshot());
 }
 
 storage::StatusOr<FastIndex> FastIndex::open_or_recover(
     FastConfig config, vision::PcaModel pca, const DurabilityOptions& opts,
-    RecoveryStats* stats_out) {
-  util::TraceSpan span("recovery.open");
-  RecoveryStats stats;
-  storage::Env& env =
-      opts.env != nullptr ? *opts.env : storage::Env::posix();
-  storage::Status s = env.make_dirs(opts.dir);
-  if (!s.ok()) return s;
-  auto names = env.list_dir(opts.dir);
-  if (!names.ok()) return names.status();
-
-  std::vector<std::uint64_t> snapshot_seqs;
-  std::vector<std::uint64_t> wal_seqs;
-  for (const std::string& name : names.value()) {
-    std::uint64_t seq = 0;
-    if (storage::parse_snapshot_file_name(name, &seq)) {
-      snapshot_seqs.push_back(seq);
-    } else if (storage::parse_wal_segment_name(name, &seq)) {
-      wal_seqs.push_back(seq);
-    }
-    // Anything else (.tmp images from interrupted writes, stray files) is
-    // ignored; a crashed snapshot write must not affect recovery.
-  }
-  std::sort(snapshot_seqs.rbegin(), snapshot_seqs.rend());  // newest first
-  std::sort(wal_seqs.begin(), wal_seqs.end());
-
-  const std::uint64_t want_fingerprint = config_fingerprint(config);
-  std::optional<FastIndex> index;
-  for (const std::uint64_t seq : snapshot_seqs) {
-    const std::string path = opts.dir + "/" + storage::snapshot_file_name(seq);
-    auto snapshot = storage::read_snapshot(env, path);
-    if (!snapshot.ok()) {
-      switch (snapshot.status().code()) {
-        case storage::StatusCode::kCorrupt:
-        case storage::StatusCode::kBadMagic:
-          // Damaged image: fall back to the previous snapshot (its WAL
-          // segments were only deleted after THIS one was fully published,
-          // so an older snapshot plus surviving segments is still exact).
-          ++stats.snapshots_skipped;
-          continue;
-        default:
-          return snapshot.status();  // kBadVersion / filesystem trouble
-      }
-    }
-    if (snapshot.value().config_fingerprint != want_fingerprint) {
-      return storage::Status::error(
-          storage::StatusCode::kConfigMismatch,
-          "snapshot " + path +
-              " was written under a different pipeline geometry");
-    }
-    FastIndex candidate(config, pca);
-    if (!candidate.restore_snapshot(snapshot.value())) {
-      ++stats.snapshots_skipped;
-      continue;
-    }
-    candidate.last_seq_ = snapshot.value().last_seq;
-    stats.loaded_snapshot = true;
-    stats.snapshot_seq = snapshot.value().last_seq;
-    index.emplace(std::move(candidate));
-    break;
-  }
-  if (!index.has_value()) index.emplace(FastIndex(config, pca));
-
-  for (const std::uint64_t seq : wal_seqs) {
-    const std::string path = opts.dir + "/" + storage::wal_segment_name(seq);
-    auto segment = storage::read_wal_segment(env, path);
-    if (!segment.ok()) return segment.status();
-    ++stats.segments_scanned;
-    if (segment.value().torn) stats.wal_torn = true;
-    for (const storage::WalRecord& record : segment.value().records) {
-      if (record.seq <= index->last_seq_) continue;  // inside the snapshot
-      if (record.seq != index->last_seq_ + 1) {
-        return storage::Status::error(
-            storage::StatusCode::kCorrupt,
-            "WAL gap: expected seq " + std::to_string(index->last_seq_ + 1) +
-                ", segment " + path + " continues at " +
-                std::to_string(record.seq));
-      }
-      switch (record.type) {
-        case storage::kWalRecordInsert: {
-          try {
-            hash::SparseSignature sig =
-                hash::SparseSignature::decode(record.payload);
-            if (sig.bit_count() != index->config_.bloom_bits) {
-              return storage::Status::error(
-                  storage::StatusCode::kCorrupt,
-                  "WAL insert payload has the wrong signature width");
-            }
-            index->apply_insert(record.id, sig);
-          } catch (const std::runtime_error& e) {
-            return storage::Status::error(
-                storage::StatusCode::kCorrupt,
-                std::string("undecodable WAL insert payload: ") + e.what());
-          }
-          break;
+    RecoveryStats* stats) {
+  FastIndex index(std::move(config), std::move(pca));
+  auto log = storage::DurableLog::open(
+      opts.env != nullptr ? *opts.env : storage::Env::posix(), opts.dir,
+      config_fingerprint(index.config_), opts.wal_sync_every, index.metrics(),
+      stats,
+      [&index](const storage::SnapshotFile& snapshot) {
+        return index.restore_snapshot(snapshot);
+      },
+      [&index](const storage::WalRecord& record) -> storage::Status {
+        if (record.type == storage::kWalRecordErase) {
+          index.apply_erase(record.id);
+          return storage::Status{};
         }
-        case storage::kWalRecordErase:
-          index->apply_erase(record.id);
-          break;
-        default:
-          return storage::Status::error(
-              storage::StatusCode::kCorrupt,
-              "unknown WAL record type " + std::to_string(record.type));
-      }
-      index->last_seq_ = record.seq;
-      ++stats.replayed_records;
-    }
-  }
-  index->m_.recovery_replayed_records->add(stats.replayed_records);
-  index->m_.recovery_snapshots_skipped->add(stats.snapshots_skipped);
-  span.attr("replayed_records", static_cast<double>(stats.replayed_records));
-  span.attr("snapshots_skipped", static_cast<double>(stats.snapshots_skipped));
-  span.attr("segments_scanned", static_cast<double>(stats.segments_scanned));
-
-  auto writer = storage::WalWriter::create(env, opts.dir,
-                                           index->last_seq_ + 1);
-  if (!writer.ok()) return writer.status();
-  index->env_ = &env;
-  index->dir_ = opts.dir;
-  index->wal_sync_every_ = std::max<std::size_t>(opts.wal_sync_every, 1);
-  index->wal_ = std::move(writer).value();
-  if (stats_out != nullptr) *stats_out = stats;
-  return std::move(*index);
+        auto sig = decode_insert_payload(record.payload,
+                                         index.config_.bloom_bits);
+        if (!sig.ok()) return sig.status();
+        index.apply_insert(record.id, sig.value());
+        return storage::Status{};
+      });
+  if (!log.ok()) return log.status();
+  index.log_ = std::move(log).value();
+  return index;
 }
 
 QueryResult FastIndex::query(const img::Image& image, std::size_t k) const {

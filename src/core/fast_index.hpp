@@ -42,8 +42,7 @@
 #include "core/result.hpp"
 #include "hash/sparse_signature.hpp"
 #include "img/image.hpp"
-#include "storage/snapshot.hpp"
-#include "storage/wal.hpp"
+#include "storage/durable_log.hpp"
 #include "vision/pca.hpp"
 
 namespace fast::util {
@@ -126,19 +125,6 @@ class FastIndex {
   /// in the cloud deployment). Returns false when the id is unknown.
   bool erase(std::uint64_t id);
 
-  // --- Persistence ---
-
-  /// Writes the index state (all signatures, varint-encoded) to `path`.
-  /// Hash-table state is not persisted — it is rebuilt deterministically
-  /// on load, which keeps the on-disk format at the paper's ~bytes/image.
-  /// Throws std::runtime_error on I/O failure.
-  void save(const std::string& path) const;
-
-  /// Restores an index saved by save() into a fresh instance. The config
-  /// must describe the same summary geometry (bloom_bits is verified).
-  static FastIndex load(const std::string& path, FastConfig config,
-                        vision::PcaModel pca);
-
   // --- Durability (snapshot + WAL; see core/durability.hpp) ---
 
   /// Opens a durable index in opts.dir: loads the newest intact snapshot,
@@ -161,7 +147,7 @@ class FastIndex {
   storage::Status save_snapshot();
 
   /// True when mutations are WAL-logged (index came from open_or_recover).
-  bool durable() const noexcept { return wal_ != nullptr; }
+  bool durable() const noexcept { return log_ != nullptr; }
 
   /// Forces an fsync of any WAL records buffered by a wal_sync_every > 1
   /// group-commit cadence, so every acknowledged mutation is durable (the
@@ -170,7 +156,9 @@ class FastIndex {
   storage::Status sync_wal();
 
   /// Sequence number of the last applied mutation (0 before any).
-  std::uint64_t last_seq() const noexcept { return last_seq_; }
+  std::uint64_t last_seq() const noexcept {
+    return log_ != nullptr ? log_->last_seq() : 0;
+  }
 
   // --- Query path ---
 
@@ -264,13 +252,6 @@ class FastIndex {
     util::Gauge* chs_store_bytes = nullptr;
     util::Gauge* index_size = nullptr;
     util::Gauge* index_groups = nullptr;
-    util::Counter* wal_appends = nullptr;
-    util::Counter* wal_bytes = nullptr;
-    util::Counter* wal_syncs = nullptr;
-    util::Histogram* snapshot_write_s = nullptr;
-    util::Gauge* snapshot_bytes = nullptr;
-    util::Counter* recovery_replayed_records = nullptr;
-    util::Counter* recovery_snapshots_skipped = nullptr;
   };
 
   /// Registers this index's instruments and caches their pointers.
@@ -290,17 +271,10 @@ class FastIndex {
                             const hash::SparseSignature& signature);
   bool apply_erase(std::uint64_t id);
 
-  /// Logs one record ahead of its application; fsyncs on the configured
-  /// cadence. Throws storage::IoError when the append or sync fails — the
-  /// mutation was NOT applied and the index must be reopened via
-  /// open_or_recover. No-op for non-durable indexes.
-  void wal_log(std::uint8_t type, std::uint64_t id,
-               std::span<const std::uint8_t> payload);
-
-  /// Serializes the full index state at last_seq_.
+  /// Serializes the full index state at last_seq().
   storage::SnapshotFile build_snapshot() const;
-  /// Restores state from a validated snapshot; false = undecodable content
-  /// (caller falls back to an older snapshot).
+  /// Restores state from a validated snapshot; false = undecodable content,
+  /// with the index left untouched (recovery falls back to an older one).
   bool restore_snapshot(const storage::SnapshotFile& snapshot);
 
   FastConfig config_;
@@ -315,13 +289,10 @@ class FastIndex {
   std::shared_ptr<util::MetricsRegistry> metrics_;
   StageMetrics m_;
 
-  // Durability state; all null/zero for a purely in-memory index.
-  storage::Env* env_ = nullptr;
-  std::string dir_;
-  std::size_t wal_sync_every_ = 1;
-  std::unique_ptr<storage::WalWriter> wal_;
-  std::uint64_t last_seq_ = 0;
-  std::size_t appends_since_sync_ = 0;
+  // Snapshot + WAL; null for a purely in-memory index. Mutations are
+  // single-writer (the facades serialize them), so appends never race a
+  // checkpoint.
+  std::unique_ptr<storage::DurableLog> log_;
 };
 
 }  // namespace fast::core

@@ -91,13 +91,7 @@ void TieredIndex::init_metrics() {
   m_.compaction_merge_entries = &r.count_histogram("compaction.merge_entries");
   m_.compaction_merged_segments =
       &r.count_histogram("compaction.merged_segments");
-  m_.wal_appends = &r.counter("wal.appends");
-  m_.wal_bytes = &r.counter("wal.bytes");
-  m_.wal_syncs = &r.counter("wal.syncs");
-  m_.snapshot_write_s = &r.latency_histogram("snapshot.write_s");
-  m_.snapshot_bytes = &r.gauge("snapshot.bytes");
-  m_.recovery_replayed_records = &r.counter("recovery.replayed_records");
-  m_.recovery_snapshots_skipped = &r.counter("recovery.snapshots_skipped");
+  storage::DurableLog::register_metrics(r);
 }
 
 std::size_t TieredIndex::segment_count() const {
@@ -134,11 +128,6 @@ std::size_t TieredIndex::index_bytes() const {
   }
   bytes += aggregator_->param_bytes();
   return bytes;
-}
-
-std::uint64_t TieredIndex::last_seq() const {
-  std::lock_guard<std::mutex> lk(wal_mutex_);
-  return last_seq_;
 }
 
 void TieredIndex::publish_tier_gauges() {
@@ -236,11 +225,6 @@ InsertResult TieredIndex::insert(std::uint64_t id, const img::Image& image) {
 
 InsertResult TieredIndex::insert_signature(
     std::uint64_t id, const hash::SparseSignature& signature) {
-  return insert_internal(id, signature, /*log=*/true);
-}
-
-InsertResult TieredIndex::insert_internal(
-    std::uint64_t id, const hash::SparseSignature& signature, bool log) {
   util::TraceSpan span("insert");
   InsertResult result;
   FAST_CHECK(signature.bit_count() == config_.bloom_bits);
@@ -274,9 +258,12 @@ InsertResult TieredIndex::insert_internal(
   {
     std::unique_lock<std::shared_mutex> lk(lane.mem_mutex);
     // Log before apply (held lane lock keeps per-lane apply order equal to
-    // sequence order); a throw leaves the memtable untouched.
-    if (log && durable()) {
-      wal_log(storage::kWalRecordInsert, id, signature.encode());
+    // sequence order); a throw leaves the memtable untouched. Recovery
+    // replays through here before the log is attached, so nothing is
+    // logged twice.
+    if (durable()) {
+      storage::throw_if_error(
+          log_->append(storage::kWalRecordInsert, id, signature.encode()));
     }
     const std::int64_t e0 = static_cast<std::int64_t>(lane.mem->entries());
     const std::int64_t t0 =
@@ -340,10 +327,6 @@ std::vector<InsertResult> TieredIndex::insert_batch(
 }
 
 bool TieredIndex::erase(std::uint64_t id) {
-  return erase_internal(id, /*log=*/true);
-}
-
-bool TieredIndex::erase_internal(std::uint64_t id, bool log) {
   util::TraceSpan span("erase");
   const std::size_t lane_idx = lane_of(id);
   Lane& lane = *lanes_[lane_idx];
@@ -354,20 +337,21 @@ bool TieredIndex::erase_internal(std::uint64_t id, bool log) {
     const std::int64_t e0 = static_cast<std::int64_t>(lane.mem->entries());
     const std::int64_t t0 =
         static_cast<std::int64_t>(lane.mem->tombstone_count());
-    if (lane.mem->contains(id)) {
-      if (log && durable()) wal_log(storage::kWalRecordErase, id, {});
+    // An id no layer owns (or already erased) is a no-op, not logged.
+    const bool in_memtable = lane.mem->contains(id);
+    erased = in_memtable ||
+             (!lane.mem->tombstoned(id) && segments_contain_live(lane, id));
+    if (erased && durable()) {
+      storage::throw_if_error(log_->append(storage::kWalRecordErase, id, {}));
+    }
+    if (in_memtable) {
       lane.mem->remove(id);
       // A stale live copy below must not resurrect after the memtable
       // seals away.
       if (segments_contain_live(lane, id)) lane.mem->add_tombstone(id);
-      erased = true;
-    } else if (!lane.mem->tombstoned(id) &&
-               segments_contain_live(lane, id)) {
-      if (log && durable()) wal_log(storage::kWalRecordErase, id, {});
+    } else if (erased) {
       lane.mem->add_tombstone(id);
-      erased = true;
     }
-    // An id no layer owns (or already erased) is a no-op, not logged.
     if (erased) {
       live_.fetch_sub(1, std::memory_order_relaxed);
       mem_entries_.fetch_add(
@@ -932,38 +916,13 @@ void TieredIndex::for_each_live_signature(
 // --- Durability -----------------------------------------------------------
 
 storage::Status TieredIndex::sync_wal() {
-  std::lock_guard<std::mutex> lk(wal_mutex_);
-  if (!durable() || appends_since_sync_ == 0) return storage::Status{};
-  storage::Status s = wal_->sync();
-  if (s.ok()) {
-    appends_since_sync_ = 0;
-    m_.wal_syncs->add();
-  }
-  return s;
-}
-
-void TieredIndex::wal_log(std::uint8_t type, std::uint64_t id,
-                          std::span<const std::uint8_t> payload) {
-  std::lock_guard<std::mutex> lk(wal_mutex_);
-  const std::uint64_t seq = wal_->next_seq();
-  storage::Status s = wal_->append(type, id, payload);
-  if (s.ok() && ++appends_since_sync_ >= wal_sync_every_) {
-    s = wal_->sync();
-    if (s.ok()) {
-      appends_since_sync_ = 0;
-      m_.wal_syncs->add();
-    }
-  }
-  if (!s.ok()) throw storage::IoError(std::move(s));
-  m_.wal_appends->add();
-  m_.wal_bytes->add(4 + 4 + 8 + 1 + 8 + payload.size());
-  last_seq_ = seq;
+  return durable() ? log_->sync() : storage::Status{};
 }
 
 storage::SnapshotFile TieredIndex::build_snapshot_locked() const {
   storage::SnapshotFile snapshot;
   snapshot.config_fingerprint = config_fingerprint(config_);
-  snapshot.last_seq = last_seq_;
+  snapshot.last_seq = last_seq();
 
   util::ByteWriter params;
   params.f64(config_.lsh_input_scale);
@@ -1009,8 +968,6 @@ storage::Status TieredIndex::save_snapshot() {
     return storage::Status::error(storage::StatusCode::kIoError,
                                   "save_snapshot on a non-durable index");
   }
-  util::TraceSpan span("snapshot.save");
-  util::WallTimer timer;
   // Quiesce maintenance first: the background worker splices segment lists
   // and allocates segment ids without ever taking a lane lock, so without
   // this a snapshot could pin a lane list containing a freshly merged
@@ -1023,29 +980,11 @@ storage::Status TieredIndex::save_snapshot() {
   // section), so the orders cannot cycle.
   std::lock_guard<std::mutex> maintenance(compaction_mutex_);
   // Quiesce writers: every lane lock, in index order. The WAL cannot
-  // advance without a lane lock held, so last_seq_ is stable below.
+  // advance without a lane lock held, so last_seq() is stable below.
   std::vector<std::unique_lock<std::shared_mutex>> locks;
   locks.reserve(lanes_.size());
   for (auto& lane : lanes_) locks.emplace_back(lane->mem_mutex);
-
-  const storage::SnapshotFile snapshot = build_snapshot_locked();
-  auto published = storage::write_snapshot(*env_, dir_, snapshot);
-  if (!published.ok()) return published.status();
-
-  std::size_t image_bytes = 32;  // header
-  for (const auto& section : snapshot.sections) {
-    image_bytes += 12 + section.payload.size();
-  }
-  span.attr("bytes", static_cast<double>(image_bytes + 12));
-  span.attr("sections", static_cast<double>(snapshot.sections.size()));
-  m_.snapshot_bytes->set(static_cast<double>(image_bytes + 12));
-  m_.snapshot_write_s->observe(timer.elapsed_seconds());
-
-  storage::Status rotated =
-      storage::rotate_wal_and_retire(*env_, dir_, snapshot.last_seq, &wal_);
-  if (!rotated.ok()) return rotated;
-  appends_since_sync_ = 0;
-  return storage::Status{};
+  return log_->checkpoint(build_snapshot_locked());
 }
 
 bool TieredIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
@@ -1163,134 +1102,41 @@ std::size_t TieredIndex::count_live() const {
 
 storage::StatusOr<std::unique_ptr<TieredIndex>> TieredIndex::open_or_recover(
     FastConfig config, vision::PcaModel pca, const DurabilityOptions& opts,
-    RecoveryStats* stats_out) {
+    RecoveryStats* stats) {
   FAST_CHECK_MSG(config.tier.enabled,
                  "TieredIndex::open_or_recover needs tier.enabled");
-  util::TraceSpan span("recovery.open");
-  RecoveryStats stats;
-  storage::Env& env = opts.env != nullptr ? *opts.env : storage::Env::posix();
-  storage::Status s = env.make_dirs(opts.dir);
-  if (!s.ok()) return s;
-  auto names = env.list_dir(opts.dir);
-  if (!names.ok()) return names.status();
-
-  std::vector<std::uint64_t> snapshot_seqs;
-  std::vector<std::uint64_t> wal_seqs;
-  for (const std::string& name : names.value()) {
-    std::uint64_t seq = 0;
-    if (storage::parse_snapshot_file_name(name, &seq)) {
-      snapshot_seqs.push_back(seq);
-    } else if (storage::parse_wal_segment_name(name, &seq)) {
-      wal_seqs.push_back(seq);
-    }
-  }
-  std::sort(snapshot_seqs.rbegin(), snapshot_seqs.rend());  // newest first
-  std::sort(wal_seqs.begin(), wal_seqs.end());
-
-  const std::uint64_t want_fingerprint = config_fingerprint(config);
-  std::unique_ptr<TieredIndex> index;
-  for (const std::uint64_t seq : snapshot_seqs) {
-    const std::string path =
-        opts.dir + "/" + storage::snapshot_file_name(seq);
-    auto snapshot = storage::read_snapshot(env, path);
-    if (!snapshot.ok()) {
-      switch (snapshot.status().code()) {
-        case storage::StatusCode::kCorrupt:
-        case storage::StatusCode::kBadMagic:
-          ++stats.snapshots_skipped;
-          continue;
-        default:
-          return snapshot.status();
-      }
-    }
-    if (snapshot.value().config_fingerprint != want_fingerprint) {
-      return storage::Status::error(
-          storage::StatusCode::kConfigMismatch,
-          "snapshot " + path +
-              " was written under a different pipeline geometry");
-    }
-    std::unique_ptr<TieredIndex> candidate(
-        new TieredIndex(config, pca, /*start_worker=*/false));
-    if (!candidate->restore_snapshot(snapshot.value())) {
-      ++stats.snapshots_skipped;
-      continue;
-    }
-    candidate->last_seq_ = snapshot.value().last_seq;
-    stats.loaded_snapshot = true;
-    stats.snapshot_seq = snapshot.value().last_seq;
-    index = std::move(candidate);
-    break;
-  }
-  if (index == nullptr) {
-    index.reset(new TieredIndex(config, pca, /*start_worker=*/false));
-  }
-
-  for (const std::uint64_t seq : wal_seqs) {
-    const std::string path = opts.dir + "/" + storage::wal_segment_name(seq);
-    auto segment = storage::read_wal_segment(env, path);
-    if (!segment.ok()) return segment.status();
-    ++stats.segments_scanned;
-    if (segment.value().torn) stats.wal_torn = true;
-    for (const storage::WalRecord& record : segment.value().records) {
-      if (record.seq <= index->last_seq_) continue;  // inside the snapshot
-      if (record.seq != index->last_seq_ + 1) {
-        return storage::Status::error(
-            storage::StatusCode::kCorrupt,
-            "WAL gap: expected seq " + std::to_string(index->last_seq_ + 1) +
-                ", segment " + path + " continues at " +
-                std::to_string(record.seq));
-      }
-      switch (record.type) {
-        case storage::kWalRecordInsert: {
-          try {
-            hash::SparseSignature sig =
-                hash::SparseSignature::decode(record.payload);
-            if (sig.bit_count() != index->config_.bloom_bits) {
-              return storage::Status::error(
-                  storage::StatusCode::kCorrupt,
-                  "WAL insert payload has the wrong signature width");
-            }
-            index->insert_internal(record.id, sig, /*log=*/false);
-          } catch (const std::runtime_error& e) {
-            return storage::Status::error(
-                storage::StatusCode::kCorrupt,
-                std::string("undecodable WAL insert payload: ") + e.what());
-          }
-          break;
+  // No worker during replay: seals re-fire at the same thresholds and their
+  // maintenance runs inline, in the original order.
+  std::unique_ptr<TieredIndex> index(
+      new TieredIndex(std::move(config), std::move(pca),
+                      /*start_worker=*/false));
+  TieredIndex& tier = *index;
+  auto log = storage::DurableLog::open(
+      opts.env != nullptr ? *opts.env : storage::Env::posix(), opts.dir,
+      config_fingerprint(tier.config_), opts.wal_sync_every, tier.metrics(),
+      stats,
+      [&tier](const storage::SnapshotFile& snapshot) {
+        return tier.restore_snapshot(snapshot);
+      },
+      [&tier](const storage::WalRecord& record) -> storage::Status {
+        if (record.type == storage::kWalRecordErase) {
+          tier.erase(record.id);
+          return storage::Status{};
         }
-        case storage::kWalRecordErase:
-          index->erase_internal(record.id, /*log=*/false);
-          break;
-        default:
-          return storage::Status::error(
-              storage::StatusCode::kCorrupt,
-              "unknown WAL record type " + std::to_string(record.type));
-      }
-      index->last_seq_ = record.seq;
-      ++stats.replayed_records;
-    }
-  }
-  index->m_.recovery_replayed_records->add(stats.replayed_records);
-  index->m_.recovery_snapshots_skipped->add(stats.snapshots_skipped);
-  span.attr("replayed_records", static_cast<double>(stats.replayed_records));
-  span.attr("snapshots_skipped",
-            static_cast<double>(stats.snapshots_skipped));
-  span.attr("segments_scanned", static_cast<double>(stats.segments_scanned));
-
-  auto writer =
-      storage::WalWriter::create(env, opts.dir, index->last_seq_ + 1);
-  if (!writer.ok()) return writer.status();
-  index->env_ = &env;
-  index->dir_ = opts.dir;
-  index->wal_sync_every_ = std::max<std::size_t>(opts.wal_sync_every, 1);
-  index->wal_ = std::move(writer).value();
-  if (index->config_.tier.background) {
-    index->worker_ = std::thread(&TieredIndex::worker_loop, index.get());
+        auto sig = decode_insert_payload(record.payload,
+                                         tier.config_.bloom_bits);
+        if (!sig.ok()) return sig.status();
+        tier.insert_signature(record.id, sig.value());
+        return storage::Status{};
+      });
+  if (!log.ok()) return log.status();
+  tier.log_ = std::move(log).value();
+  if (tier.config_.tier.background) {
+    tier.worker_ = std::thread(&TieredIndex::worker_loop, &tier);
   }
   // Segments restored without a finalized bloom (sealed pre-crash, never
   // finalized) get their summary rebuilt by the first maintenance pass.
-  if (index->segment_count() > 0) index->schedule_maintenance();
-  if (stats_out != nullptr) *stats_out = stats;
+  if (tier.segment_count() > 0) tier.schedule_maintenance();
   return index;
 }
 

@@ -24,11 +24,11 @@
 // query results are identical to a single flat FastIndex holding the same
 // live set — tier_test asserts hit-and-score equality.
 //
-// Durability reuses the PR 4 substrate unchanged: one global WAL (records
-// logged under the lane lock so per-lane apply order equals sequence
-// order), and full-tier snapshots — manifest of live segments per lane +
-// one CRC-framed section per memtable and segment — written via the
-// snapshot codec with the same rotation/retention as FastIndex.
+// Durability runs on the same storage::DurableLog as FastIndex: one global
+// WAL (records appended under the lane lock so per-lane apply order equals
+// sequence order), and full-tier checkpoints — manifest of live segments
+// per lane + one CRC-framed section per memtable and segment — with the
+// same rotation, retention and fencing.
 #pragma once
 
 #include <atomic>
@@ -53,8 +53,7 @@
 #include "core/segment.hpp"
 #include "hash/sparse_signature.hpp"
 #include "img/image.hpp"
-#include "storage/snapshot.hpp"
-#include "storage/wal.hpp"
+#include "storage/durable_log.hpp"
 #include "vision/pca.hpp"
 
 namespace fast::util {
@@ -100,8 +99,10 @@ class TieredIndex {
   std::size_t index_bytes() const;
   util::MetricsRegistry& metrics() const noexcept { return *metrics_; }
 
-  bool durable() const noexcept { return wal_ != nullptr; }
-  std::uint64_t last_seq() const;
+  bool durable() const noexcept { return log_ != nullptr; }
+  std::uint64_t last_seq() const {
+    return log_ != nullptr ? log_->last_seq() : 0;
+  }
 
   // --- FE + SM (identical to FastIndex) ---
   hash::SparseSignature summarize(const img::Image& image) const;
@@ -224,13 +225,6 @@ class TieredIndex {
     util::Histogram* compaction_merge_s = nullptr;
     util::Histogram* compaction_merge_entries = nullptr;
     util::Histogram* compaction_merged_segments = nullptr;
-    util::Counter* wal_appends = nullptr;
-    util::Counter* wal_bytes = nullptr;
-    util::Counter* wal_syncs = nullptr;
-    util::Histogram* snapshot_write_s = nullptr;
-    util::Gauge* snapshot_bytes = nullptr;
-    util::Counter* recovery_replayed_records = nullptr;
-    util::Counter* recovery_snapshots_skipped = nullptr;
   };
 
   TieredIndex(FastConfig config, vision::PcaModel pca, bool start_worker);
@@ -243,13 +237,6 @@ class TieredIndex {
 
   /// Newest segment mention of `id` in the lane is a live signature.
   static bool segments_contain_live(const Lane& lane, std::uint64_t id);
-
-  /// Mutation bodies; `log` is false on WAL replay. Both take the lane
-  /// lock themselves.
-  InsertResult insert_internal(std::uint64_t id,
-                               const hash::SparseSignature& signature,
-                               bool log);
-  bool erase_internal(std::uint64_t id, bool log);
 
   /// Caller holds lane.mem_mutex exclusively.
   bool maybe_seal_locked(Lane& lane, std::size_t lane_idx);
@@ -271,8 +258,6 @@ class TieredIndex {
                        std::shared_ptr<const ImmutableSegment> replacement);
   void publish_tier_gauges();
 
-  void wal_log(std::uint8_t type, std::uint64_t id,
-               std::span<const std::uint8_t> payload);
   storage::SnapshotFile build_snapshot_locked() const;
   bool restore_snapshot(const storage::SnapshotFile& snapshot);
   std::size_t count_live() const;
@@ -296,16 +281,10 @@ class TieredIndex {
   std::shared_ptr<util::MetricsRegistry> metrics_;
   TierMetrics m_;
 
-  // Durability (null/zero for a purely in-memory tier). Lock order is
-  // lane.mem_mutex -> wal_mutex_; the snapshot path takes every lane lock
-  // (in index order) first, which also quiesces the WAL.
-  storage::Env* env_ = nullptr;
-  std::string dir_;
-  std::size_t wal_sync_every_ = 1;
-  mutable std::mutex wal_mutex_;
-  std::unique_ptr<storage::WalWriter> wal_;
-  std::uint64_t last_seq_ = 0;
-  std::size_t appends_since_sync_ = 0;
+  // Snapshot + WAL; null for a purely in-memory tier. Lock order is
+  // lane.mem_mutex -> the log's own mutex; the snapshot path takes every
+  // lane lock (in index order) first, which also quiesces appends.
+  std::unique_ptr<storage::DurableLog> log_;
 
   // Background maintenance. compaction_mutex_ serializes whole passes
   // (worker vs explicit compact_once); work_mutex_ guards the wake flags.

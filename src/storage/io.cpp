@@ -222,8 +222,9 @@ class FaultWritableFile final : public WritableFile {
   Status sync() override {
     if (env_.crashed_) return env_.crashed_status();
     if (env_.tick()) {
-      // A failed fsync may lose everything since the last barrier.
-      buffer_.clear();
+      // A crash at fsync may lose everything since the last barrier; a
+      // transient failure leaves the buffered bytes for a later sync.
+      if (env_.crashed_) buffer_.clear();
       return env_.crashed_status();
     }
     Status s = base_->append(buffer_);
@@ -246,13 +247,21 @@ class FaultWritableFile final : public WritableFile {
  private:
   /// The planned fault fires on this append: a deterministic prefix of the
   /// data (plus corrupted trailing bytes for torn writes) lands in the base
-  /// file, un-synced buffered bytes are lost, and the env is crashed.
+  /// file, un-synced buffered bytes are lost, and the env is crashed. A
+  /// transient fault instead lands the buffered bytes and then the prefix,
+  /// as a short write() that returned an error would, and the env lives on.
   Status inject(std::span<const std::uint8_t> data) {
     const FaultPlan& plan = env_.plan_;
     if (plan.kind != FaultPlan::Kind::kFail && !data.empty()) {
       const std::uint64_t r = scramble(plan.seed ^ (env_.ops_ * 0x9e37ULL));
       const std::size_t landed = static_cast<std::size_t>(
           r % (static_cast<std::uint64_t>(data.size()) + 1));
+      if (plan.kind == FaultPlan::Kind::kTransientShortWrite) {
+        buffer_.insert(buffer_.end(), data.begin(), data.begin() + landed);
+        (void)base_->append(buffer_);
+        buffer_.clear();
+        return env_.crashed_status();
+      }
       std::vector<std::uint8_t> partial(data.begin(),
                                         data.begin() + landed);
       if (plan.kind == FaultPlan::Kind::kTornWrite) {
@@ -267,7 +276,7 @@ class FaultWritableFile final : public WritableFile {
       (void)base_->append(partial);
       (void)base_->sync();
     }
-    buffer_.clear();
+    if (env_.crashed_) buffer_.clear();
     return env_.crashed_status();
   }
 
@@ -279,7 +288,7 @@ class FaultWritableFile final : public WritableFile {
 bool FaultInjectingEnv::tick() {
   const std::size_t op = ops_++;
   if (plan_.kind != FaultPlan::Kind::kNone && op == plan_.fail_at_op) {
-    crashed_ = true;
+    crashed_ = plan_.kind != FaultPlan::Kind::kTransientShortWrite;
     return true;
   }
   return false;

@@ -105,6 +105,11 @@ class IoError : public std::runtime_error {
   Status status_;
 };
 
+/// Throws IoError carrying `status` unless it is ok.
+inline void throw_if_error(Status status) {
+  if (!status.ok()) throw IoError(std::move(status));
+}
+
 /// Append-only byte sink. Appends are durable only after a successful
 /// sync() — exactly the POSIX write/fsync contract the WAL relies on.
 class WritableFile {
@@ -154,18 +159,23 @@ StatusOr<std::vector<std::uint8_t>> read_file(Env& env,
 // Fault injection
 // ---------------------------------------------------------------------------
 
-/// One planned crash. Ops are counted across the env: every WritableFile
+/// One planned fault. Ops are counted across the env: every WritableFile
 /// append and sync, and every rename/remove, is one op. At op index
-/// `fail_at_op` the planned fault fires and the env enters the crashed
-/// state, in which every subsequent mutating operation fails — modeling the
-/// process dying mid-write. Recovery then reopens the directory with a
-/// clean Env, exactly like a restart.
+/// `fail_at_op` the planned fault fires. Every kind but the transient one
+/// is a crash: the env enters the crashed state, in which every subsequent
+/// mutating operation fails — modeling the process dying mid-write.
+/// Recovery then reopens the directory with a clean Env, exactly like a
+/// restart.
 struct FaultPlan {
   enum class Kind {
     kNone,        ///< never fire (dry runs that only count ops)
     kFail,        ///< the op performs no I/O and fails
     kShortWrite,  ///< a seed-chosen prefix of the append lands, then crash
     kTornWrite,   ///< short prefix + a few corrupted trailing bytes land
+    /// A live I/O error, not a crash: an append lands a seed-chosen prefix
+    /// (a sync, rename or remove does nothing) and fails, and later ops
+    /// succeed again.
+    kTransientShortWrite,
   };
   Kind kind = Kind::kNone;
   std::size_t fail_at_op = ~std::size_t{0};
@@ -205,7 +215,7 @@ class FaultInjectingEnv : public Env {
   bool tick();
   Status crashed_status() const {
     return Status::error(StatusCode::kInjectedFault,
-                         "injected crash at op " +
+                         "injected fault at op " +
                              std::to_string(plan_.fail_at_op));
   }
 

@@ -1,10 +1,8 @@
 #include "storage/snapshot.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
-#include "storage/wal.hpp"
 #include "util/codec.hpp"
 #include "util/crc32.hpp"
 #include "util/trace.hpp"
@@ -156,47 +154,6 @@ StatusOr<SnapshotFile> read_snapshot(Env& env, const std::string& path) {
                          "snapshot has trailing bytes: " + path);
   }
   return snapshot;
-}
-
-Status rotate_wal_and_retire(Env& env, const std::string& dir,
-                             std::uint64_t last_seq,
-                             std::unique_ptr<WalWriter>* wal) {
-  // On create failure the closed writer stays in place: the index remains
-  // "durable" and every further mutation fails loudly at the closed WAL
-  // instead of silently going unlogged.
-  (void)(*wal)->close();
-  auto rotated = WalWriter::create(env, dir, last_seq + 1);
-  if (!rotated.ok()) return rotated.status();
-  *wal = std::move(rotated).value();
-
-  // Retention: keep ONE previous snapshot generation and the WAL segments
-  // it does not cover, so a latent-corrupt newest image (bit rot, torn
-  // sector) still recovers exactly — previous snapshot + surviving segments
-  // replay to the same state. Only files the RETAINED generation covers are
-  // dead: snapshots older than it, and segments whose records it contains
-  // (rotation happens at every snapshot, so a segment starting at or before
-  // the previous snapshot's seq ends there too). Before the first snapshot
-  // the fallback generation is the empty index, which needs every segment.
-  auto names = env.list_dir(dir);
-  if (!names.ok()) return Status{};  // best-effort cleanup
-  std::uint64_t prev_snapshot = 0;
-  for (const std::string& name : names.value()) {
-    std::uint64_t seq = 0;
-    if (parse_snapshot_file_name(name, &seq) && seq < last_seq) {
-      prev_snapshot = std::max(prev_snapshot, seq);
-    }
-  }
-  for (const std::string& name : names.value()) {
-    std::uint64_t seq = 0;
-    const bool dead_snapshot =
-        parse_snapshot_file_name(name, &seq) && seq < prev_snapshot;
-    const bool dead_segment =
-        parse_wal_segment_name(name, &seq) && seq <= prev_snapshot;
-    if (dead_snapshot || dead_segment) {
-      (void)env.remove_file(dir + "/" + name);  // best-effort cleanup
-    }
-  }
-  return Status{};
 }
 
 }  // namespace fast::storage

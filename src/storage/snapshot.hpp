@@ -78,17 +78,4 @@ StatusOr<SnapshotFile> read_snapshot(Env& env, const std::string& path);
 std::string snapshot_file_name(std::uint64_t seq);
 bool parse_snapshot_file_name(const std::string& name, std::uint64_t* seq);
 
-class WalWriter;
-
-/// Post-snapshot WAL rotation + retention, shared by every durable index
-/// flavor. Closes *wal, starts a fresh segment at last_seq + 1, and deletes
-/// files covered by the RETAINED previous snapshot generation: snapshots
-/// older than it, and WAL segments whose records it contains. One previous
-/// generation always survives so a latent-corrupt newest image still
-/// recovers exactly. On error the closed writer stays in *wal so further
-/// mutations fail loudly instead of going unlogged.
-Status rotate_wal_and_retire(Env& env, const std::string& dir,
-                             std::uint64_t last_seq,
-                             std::unique_ptr<WalWriter>* wal);
-
 }  // namespace fast::storage

@@ -1,7 +1,8 @@
-// Append-only write-ahead log for FastIndex mutations.
+// Append-only write-ahead log for index mutations.
 //
-// The index logs every insert/erase here BEFORE applying it in memory, so a
-// crash can lose at most the un-fsynced tail. Each record is framed as
+// A durable index logs every insert/erase here (through storage::DurableLog)
+// BEFORE applying it in memory, so a crash can lose at most the un-fsynced
+// tail. Each record is framed as
 //
 //   [u32 crc][u32 len][body]     body = u64 seq | u8 type | u64 id | payload
 //
@@ -39,7 +40,9 @@ struct WalRecord {
 };
 
 /// Appends records to one segment file. Records are durable only after
-/// sync(); the caller (FastIndex) owns the fsync cadence.
+/// sync(); the caller (storage::DurableLog) owns the fsync cadence and stops
+/// appending after the first error (a failed append may leave a partial
+/// frame behind).
 class WalWriter {
  public:
   /// Creates (truncates) segment wal-<start_seq>.log in `dir` and writes the

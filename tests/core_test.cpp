@@ -1,4 +1,6 @@
-#include <cstdio>
+#include <unistd.h>
+
+#include <filesystem>
 #include <set>
 #include <string>
 
@@ -356,8 +358,15 @@ TEST_F(FastIndexTest, ReinsertDoesNotDuplicateGroupMembership) {
 }
 
 TEST_F(FastIndexTest, SaveLoadAfterErasePreservesStateAndAnswers) {
-  const std::string path = "/tmp/fast_index_erase_roundtrip.bin";
-  FastIndex index(small_config(), *pca_);
+  // Snapshot a durable index after erases, then load it back through
+  // recovery: erased ids stay gone and every answer is unchanged.
+  DurabilityOptions opts;
+  opts.dir = ::testing::TempDir() + "fast_index_erase_roundtrip_" +
+             std::to_string(::getpid());
+  std::filesystem::remove_all(opts.dir);
+  auto opened = FastIndex::open_or_recover(small_config(), *pca_, opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+  FastIndex index = std::move(opened).value();
   std::vector<hash::SparseSignature> sigs;
   for (std::size_t i = 0; i < 12; ++i) {
     sigs.push_back(index.summarize(dataset_->photos[i].image));
@@ -365,9 +374,15 @@ TEST_F(FastIndexTest, SaveLoadAfterErasePreservesStateAndAnswers) {
   }
   ASSERT_TRUE(index.erase(2));
   ASSERT_TRUE(index.erase(7));
-  index.save(path);
+  ASSERT_TRUE(index.save_snapshot().ok());
 
-  FastIndex loaded = FastIndex::load(path, small_config(), *pca_);
+  RecoveryStats stats;
+  auto reopened =
+      FastIndex::open_or_recover(small_config(), *pca_, opts, &stats);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().to_string();
+  EXPECT_TRUE(stats.loaded_snapshot);
+  EXPECT_EQ(stats.replayed_records, 0u);
+  const FastIndex& loaded = reopened.value();
   EXPECT_EQ(loaded.size(), index.size());
   EXPECT_FALSE(loaded.signature_of(2).has_value());
   EXPECT_FALSE(loaded.signature_of(7).has_value());
@@ -380,7 +395,7 @@ TEST_F(FastIndexTest, SaveLoadAfterErasePreservesStateAndAnswers) {
       EXPECT_DOUBLE_EQ(before.hits[h].score, after.hits[h].score);
     }
   }
-  std::remove(path.c_str());
+  std::filesystem::remove_all(opts.dir);
 }
 
 // ---------- QueryEngine ----------

@@ -17,13 +17,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/fast_index.hpp"
+#include "core/query_engine.hpp"
 #include "core/tiered_index.hpp"
 #include "storage/io.hpp"
 #include "storage/snapshot.hpp"
@@ -451,40 +454,6 @@ TEST(RecoveryTest, StrayFilesInDirectoryAreIgnored) {
   auto recovered = FastIndex::open_or_recover(cfg, pca, opts);
   ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
   EXPECT_EQ(recovered.value().size(), 1u);
-}
-
-TEST(RecoveryTest, WalMetricsAccumulate) {
-  const FastConfig cfg = small_config();
-  const vision::PcaModel pca = test::fake_pca();
-  DurabilityOptions opts;
-  opts.dir = fresh_dir("metrics");
-  auto opened = FastIndex::open_or_recover(cfg, pca, opts);
-  ASSERT_TRUE(opened.ok());
-  FastIndex durable = std::move(opened).value();
-  for (std::uint64_t id = 0; id < 3; ++id) {
-    durable.insert_signature(id, make_signature(id, cfg.bloom_bits));
-  }
-  const auto snap = durable.metrics().snapshot();
-  EXPECT_EQ(snap.counters.at("wal.appends"), 3u);
-  EXPECT_EQ(snap.counters.at("wal.syncs"), 3u);  // wal_sync_every = 1
-  EXPECT_GT(snap.counters.at("wal.bytes"), 0u);
-}
-
-TEST(RecoveryTest, GroupSyncedWalAcksInBatches) {
-  const FastConfig cfg = small_config();
-  const vision::PcaModel pca = test::fake_pca();
-  DurabilityOptions opts;
-  opts.dir = fresh_dir("group_sync");
-  opts.wal_sync_every = 4;
-  auto opened = FastIndex::open_or_recover(cfg, pca, opts);
-  ASSERT_TRUE(opened.ok());
-  FastIndex durable = std::move(opened).value();
-  for (std::uint64_t id = 0; id < 8; ++id) {
-    durable.insert_signature(id, make_signature(id, cfg.bloom_bits));
-  }
-  const auto snap = durable.metrics().snapshot();
-  EXPECT_EQ(snap.counters.at("wal.appends"), 8u);
-  EXPECT_EQ(snap.counters.at("wal.syncs"), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1030,6 +999,192 @@ INSTANTIATE_TEST_SUITE_P(
                       storage::FaultPlan::Kind::kTornWrite));
 
 // ---------------------------------------------------------------------------
+// Both flavors over the one DurableLog
+// ---------------------------------------------------------------------------
+
+enum class Flavor { kFlat, kTiered };
+
+/// Names the flavor in test listings instead of its raw bytes.
+void PrintTo(Flavor flavor, std::ostream* os) {
+  *os << (flavor == Flavor::kTiered ? "tiered" : "flat");
+}
+
+/// Runs each case once per index flavor. The engine facade opens either
+/// flavor from the config, so one test body covers both.
+class RecoveryFlavorTest : public ::testing::TestWithParam<Flavor> {
+ protected:
+  FastConfig config() const {
+    return GetParam() == Flavor::kTiered ? tiered_config() : small_config();
+  }
+
+  std::unique_ptr<QueryEngine> open(const DurabilityOptions& opts) const {
+    auto opened = QueryEngine::open(config(), test::fake_pca(), opts,
+                                    nullptr, /*threads=*/1);
+    EXPECT_TRUE(opened.ok()) << opened.status().to_string();
+    return opened.ok() ? std::move(opened).value() : nullptr;
+  }
+
+  static bool holds(const QueryEngine& engine, std::uint64_t id) {
+    return engine.is_tiered()
+               ? engine.tiered().find_signature(id).has_value()
+               : engine.index().signature_of(id).has_value();
+  }
+
+  /// Inserts id 1, then id 2 under a transient fault at the
+  /// `fault_offset`-th I/O op of its log write (0 = append, 1 = fsync),
+  /// runs `after_fault`, and tries id 3. Then reopens the directory and
+  /// expects every insert that returned to be there.
+  void expect_acked_writes_survive(
+      std::size_t fault_offset, std::uint64_t seed,
+      const std::function<void(QueryEngine&)>& after_fault) const {
+    const std::size_t bits = config().bloom_bits;
+    const std::string label = "seed " + std::to_string(seed);
+    // Dry run: id 2's first I/O op index is the op count after id 1.
+    std::size_t id2_first_op = 0;
+    {
+      storage::FaultInjectingEnv counter(storage::Env::posix(), {});
+      DurabilityOptions opts;
+      opts.dir = fresh_dir("fence_dry");
+      opts.env = &counter;
+      auto engine = open(opts);
+      ASSERT_NE(engine, nullptr);
+      engine->insert_signature(1, make_signature(1, bits));
+      id2_first_op = counter.ops_attempted();
+    }
+    storage::FaultPlan plan;
+    plan.kind = storage::FaultPlan::Kind::kTransientShortWrite;
+    plan.fail_at_op = id2_first_op + fault_offset;
+    plan.seed = seed;
+    storage::FaultInjectingEnv env(storage::Env::posix(), plan);
+    DurabilityOptions opts;
+    opts.dir = fresh_dir("fence_" + std::to_string(fault_offset) + "_" +
+                         std::to_string(seed));
+    opts.env = &env;
+    std::vector<std::uint64_t> acked;
+    {
+      auto engine = open(opts);
+      ASSERT_NE(engine, nullptr) << label;
+      engine->insert_signature(1, make_signature(1, bits));
+      acked.push_back(1);
+      EXPECT_THROW(engine->insert_signature(2, make_signature(2, bits)),
+                   storage::IoError)
+          << label;
+      EXPECT_FALSE(env.crashed()) << label;
+      after_fault(*engine);
+      try {
+        engine->insert_signature(3, make_signature(3, bits));
+        acked.push_back(3);
+      } catch (const storage::IoError&) {
+      }
+    }
+    opts.env = nullptr;
+    auto reopened = open(opts);
+    ASSERT_NE(reopened, nullptr) << label;
+    for (const std::uint64_t id : acked) {
+      EXPECT_TRUE(holds(*reopened, id)) << label << ": acked id " << id;
+    }
+  }
+};
+
+std::string flavor_name(const ::testing::TestParamInfo<Flavor>& info) {
+  return info.param == Flavor::kTiered ? "Tiered" : "Flat";
+}
+
+/// The wal.*, snapshot.* and recovery.* names an index exports.
+std::vector<std::string> durability_instruments(
+    const util::MetricsSnapshot& snap) {
+  std::vector<std::string> names;
+  const auto collect = [&](const auto& instruments) {
+    for (const auto& [name, value] : instruments) {
+      if (name.rfind("wal.", 0) == 0 || name.rfind("snapshot.", 0) == 0 ||
+          name.rfind("recovery.", 0) == 0) {
+        names.push_back(name);
+      }
+    }
+  };
+  collect(snap.counters);
+  collect(snap.gauges);
+  collect(snap.histograms);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST_P(RecoveryFlavorTest, InMemoryIndexExportsDurabilityInstruments) {
+  const FastConfig cfg = config();
+  const vision::PcaModel pca = test::fake_pca();
+  const std::vector<std::string> want = {
+      "recovery.replayed_records", "recovery.snapshots_skipped",
+      "snapshot.bytes",            "snapshot.write_s",
+      "wal.appends",               "wal.bytes",
+      "wal.syncs"};
+  if (GetParam() == Flavor::kTiered) {
+    TieredIndex index(cfg, pca);
+    EXPECT_FALSE(index.durable());
+    EXPECT_EQ(durability_instruments(index.metrics().snapshot()), want);
+  } else {
+    FastIndex index(cfg, pca);
+    EXPECT_FALSE(index.durable());
+    EXPECT_EQ(durability_instruments(index.metrics().snapshot()), want);
+  }
+}
+
+TEST_P(RecoveryFlavorTest, WalMetricsAccumulate) {
+  DurabilityOptions opts;
+  opts.dir = fresh_dir("metrics");
+  auto engine = open(opts);
+  ASSERT_NE(engine, nullptr);
+  for (std::uint64_t id = 0; id < 3; ++id) {
+    engine->insert_signature(id, make_signature(id, config().bloom_bits));
+  }
+  const auto snap = engine->metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("wal.appends"), 3u);
+  EXPECT_EQ(snap.counters.at("wal.syncs"), 3u);  // wal_sync_every = 1
+  EXPECT_GT(snap.counters.at("wal.bytes"), 0u);
+}
+
+TEST_P(RecoveryFlavorTest, GroupSyncedWalAcksInBatches) {
+  DurabilityOptions opts;
+  opts.dir = fresh_dir("group_sync");
+  opts.wal_sync_every = 4;
+  auto engine = open(opts);
+  ASSERT_NE(engine, nullptr);
+  for (std::uint64_t id = 0; id < 8; ++id) {
+    engine->insert_signature(id, make_signature(id, config().bloom_bits));
+  }
+  const auto snap = engine->metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("wal.appends"), 8u);
+  EXPECT_EQ(snap.counters.at("wal.syncs"), 2u);
+}
+
+/// A live (non-crash) short write: id 2's append lands only a prefix of its
+/// frame and fails. Without fencing, id 3 would be logged behind that
+/// partial frame under id 2's sequence number, and recovery would cut it
+/// off as a torn tail. The seeds vary how much of id 2's frame lands.
+TEST_P(RecoveryFlavorTest, TransientShortWriteFencesTheLog) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    expect_acked_writes_survive(/*fault_offset=*/0, seed,
+                                [](QueryEngine& engine) {
+                                  EXPECT_FALSE(engine.sync_wal().ok());
+                                });
+  }
+}
+
+/// Id 2's record reaches the segment but its fsync fails. A checkpoint now
+/// would rotate to a segment starting at id 2's sequence number, so
+/// recovery would replay the unapplied id 2 and skip id 3 behind it: the
+/// checkpoint must be refused.
+TEST_P(RecoveryFlavorTest, FailedSyncRefusesCheckpoint) {
+  expect_acked_writes_survive(/*fault_offset=*/1, /*seed=*/1,
+                              [](QueryEngine& engine) {
+                                EXPECT_FALSE(engine.save_snapshot().ok());
+                              });
+}
+
+INSTANTIATE_TEST_SUITE_P(Flavors, RecoveryFlavorTest,
+                         ::testing::Values(Flavor::kFlat, Flavor::kTiered),
+                         flavor_name);
+
+// ---------------------------------------------------------------------------
 // Golden v1 fixture
 // ---------------------------------------------------------------------------
 
@@ -1119,6 +1274,39 @@ TEST(RecoveryGoldenTest, FixtureRejectsMismatchedGeometry) {
       FastIndex::open_or_recover(other, test::fake_pca(), opts);
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), storage::StatusCode::kConfigMismatch);
+}
+
+/// The writer side of the fixture: today's code, run on the fixture's
+/// workload in an empty directory, must write the checked-in bytes exactly.
+TEST(RecoveryGoldenTest, WriterReproducesFixtureBytes) {
+  DurabilityOptions opts;
+  opts.dir = fresh_dir("golden_writer");
+  {
+    auto opened = FastIndex::open_or_recover(test::golden_config(),
+                                             test::fake_pca(), opts);
+    ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+    FastIndex index = std::move(opened).value();
+    test::apply_golden_workload(index);
+  }
+  const std::string fixture = std::string(FAST_TEST_DATA_DIR) + "/golden_v1";
+  std::vector<std::string> want_names;
+  for (const auto& entry : std::filesystem::directory_iterator(fixture)) {
+    want_names.push_back(entry.path().filename().string());
+  }
+  std::vector<std::string> got_names;
+  for (const auto& entry : std::filesystem::directory_iterator(opts.dir)) {
+    got_names.push_back(entry.path().filename().string());
+  }
+  std::sort(want_names.begin(), want_names.end());
+  std::sort(got_names.begin(), got_names.end());
+  ASSERT_EQ(want_names.size(), 3u);
+  ASSERT_EQ(got_names, want_names);
+  for (const std::string& name : want_names) {
+    auto want = storage::read_file(storage::Env::posix(), fixture + "/" + name);
+    auto got = storage::read_file(storage::Env::posix(), opts.dir + "/" + name);
+    ASSERT_TRUE(want.ok() && got.ok()) << name;
+    EXPECT_EQ(got.value(), want.value()) << name;
+  }
 }
 
 /// A second crash during RECOVERY itself (before the new WAL header lands)

@@ -22,6 +22,7 @@
 #include "server/client.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
+#include "storage/snapshot.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -279,13 +280,21 @@ TEST(ServerProtocolTest, TimingTrailerRoundTrips) {
 // --- Engine facade parity --------------------------------------------------
 
 /// Engine-routed writes must be bit-identical to direct index writes: same
-/// ops through QueryEngine vs. straight on the index, then byte-compare
-/// the persisted images.
+/// ops through QueryEngine vs. straight on a durable index, then
+/// byte-compare the two snapshot images.
 TEST(EngineFacadeTest, FlatWritesBitIdenticalToDirect) {
   const core::FastConfig cfg = flat_config();
   const auto pca = test::fake_pca();
-  core::FastIndex direct(cfg, pca);
-  core::FastIndex routed_backend(cfg, pca);
+  core::DurabilityOptions direct_opts;
+  direct_opts.dir = fresh_dir("facade_flat_direct");
+  core::DurabilityOptions routed_opts;
+  routed_opts.dir = fresh_dir("facade_flat_routed");
+  auto direct_opened = core::FastIndex::open_or_recover(cfg, pca, direct_opts);
+  auto routed_opened = core::FastIndex::open_or_recover(cfg, pca, routed_opts);
+  ASSERT_TRUE(direct_opened.ok()) << direct_opened.status().to_string();
+  ASSERT_TRUE(routed_opened.ok()) << routed_opened.status().to_string();
+  core::FastIndex direct = std::move(direct_opened).value();
+  core::FastIndex routed_backend = std::move(routed_opened).value();
   core::QueryEngine engine(routed_backend);
   ASSERT_TRUE(engine.writable());
 
@@ -302,11 +311,12 @@ TEST(EngineFacadeTest, FlatWritesBitIdenticalToDirect) {
   EXPECT_EQ(engine.erase_batch(erase_ids), erase_ids.size());
   ASSERT_EQ(engine.size(), direct.size());
 
-  const std::string dir = fresh_dir("facade_flat");
-  direct.save(dir + "/direct.fast");
-  engine.index().save(dir + "/routed.fast");
-  const auto a = read_file(dir + "/direct.fast");
-  const auto b = read_file(dir + "/routed.fast");
+  ASSERT_TRUE(direct.save_snapshot().ok());
+  ASSERT_TRUE(engine.save_snapshot().ok());
+  ASSERT_EQ(engine.index().last_seq(), direct.last_seq());
+  const std::string name = storage::snapshot_file_name(direct.last_seq());
+  const auto a = read_file(direct_opts.dir + "/" + name);
+  const auto b = read_file(routed_opts.dir + "/" + name);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
 }

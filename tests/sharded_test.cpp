@@ -1,5 +1,6 @@
 // Tests for the distributed index, deletion and persistence extensions.
-#include <cstdio>
+#include <unistd.h>
+
 #include <filesystem>
 
 #include <gtest/gtest.h>
@@ -173,19 +174,33 @@ TEST_F(ShardedTest, ReinsertAfterErase) {
 // ---------- persistence ----------
 
 TEST_F(ShardedTest, SaveLoadRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fast_index_test.bin")
-          .string();
-  FastIndex index(small_config(), *pca_);
+  // A snapshot loaded back through recovery holds every signature and
+  // answers each stored image as its own exact top hit.
+  DurabilityOptions opts;
+  opts.dir = (std::filesystem::temp_directory_path() /
+              ("fast_index_snapshot_" + std::to_string(::getpid())))
+                 .string();
+  std::filesystem::remove_all(opts.dir);
   std::vector<hash::SparseSignature> sigs;
-  for (std::size_t i = 0; i < 15; ++i) {
-    sigs.push_back(index.summarize(dataset_->photos[i].image));
-    index.insert_signature(i, sigs.back());
+  {
+    auto opened = FastIndex::open_or_recover(small_config(), *pca_, opts);
+    ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+    FastIndex index = std::move(opened).value();
+    for (std::size_t i = 0; i < 15; ++i) {
+      sigs.push_back(index.summarize(dataset_->photos[i].image));
+      index.insert_signature(i, sigs.back());
+    }
+    ASSERT_TRUE(index.save_snapshot().ok());
   }
-  index.save(path);
 
-  FastIndex restored = FastIndex::load(path, small_config(), *pca_);
-  EXPECT_EQ(restored.size(), index.size());
+  RecoveryStats stats;
+  auto recovered =
+      FastIndex::open_or_recover(small_config(), *pca_, opts, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+  EXPECT_TRUE(stats.loaded_snapshot);
+  EXPECT_EQ(stats.replayed_records, 0u);
+  const FastIndex& restored = recovered.value();
+  EXPECT_EQ(restored.size(), sigs.size());
   for (std::size_t i = 0; i < 15; ++i) {
     const auto sig = restored.signature_of(i);
     ASSERT_TRUE(sig.has_value());
@@ -194,33 +209,7 @@ TEST_F(ShardedTest, SaveLoadRoundTrip) {
     ASSERT_FALSE(r.hits.empty());
     EXPECT_DOUBLE_EQ(r.hits.front().score, 1.0);
   }
-  std::remove(path.c_str());
-}
-
-TEST_F(ShardedTest, LoadRejectsGeometryMismatch) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fast_index_geom.bin")
-          .string();
-  FastIndex index(small_config(), *pca_);
-  index.insert_signature(0, index.summarize(dataset_->photos[0].image));
-  index.save(path);
-  FastConfig other = small_config();
-  other.bloom_bits = 4096;
-  other.lsh.dim = 4096;
-  EXPECT_THROW(FastIndex::load(path, other, *pca_), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST_F(ShardedTest, LoadRejectsGarbage) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fast_index_garbage.bin")
-          .string();
-  FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("not an index", f);
-  std::fclose(f);
-  EXPECT_THROW(FastIndex::load(path, small_config(), *pca_),
-               std::runtime_error);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(opts.dir);
 }
 
 // ---------- batch path ----------

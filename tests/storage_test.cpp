@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/durable_log.hpp"
 #include "storage/io.hpp"
 #include "storage/page_cache.hpp"
 #include "storage/shard.hpp"
@@ -14,6 +15,7 @@
 #include "storage/wal.hpp"
 #include "util/codec.hpp"
 #include "util/crc32.hpp"
+#include "util/metrics.hpp"
 
 namespace fast::storage {
 namespace {
@@ -396,6 +398,103 @@ TEST(FaultEnv, TornWriteCorruptsTrailingBytes) {
   ASSERT_TRUE(back.ok());
   // Never longer than the attempted write (prefix + scrambled tail bytes).
   EXPECT_LE(back.value().size(), data.size());
+}
+
+TEST(FaultEnv, TransientShortWriteFailsOnceThenContinues) {
+  const std::string dir = fresh_dir("fault_transient");
+  FaultPlan plan;
+  plan.kind = FaultPlan::Kind::kTransientShortWrite;
+  plan.fail_at_op = 1;  // ops: append, append(<- fires), append, sync
+  plan.seed = 3;
+  FaultInjectingEnv env(Env::posix(), plan);
+  auto file = env.new_writable(dir + "/f", true);
+  ASSERT_TRUE(file.ok());
+  const auto before = bytes_of({1, 2});
+  const std::vector<std::uint8_t> failed(64, 0x41);
+  const auto after = bytes_of({9});
+  ASSERT_TRUE(file.value()->append(before).ok());
+  EXPECT_FALSE(file.value()->append(failed).ok());
+  EXPECT_FALSE(env.crashed());
+  ASSERT_TRUE(file.value()->append(after).ok());
+  ASSERT_TRUE(file.value()->sync().ok());
+  // The earlier bytes, a prefix of the failed append, then the later one.
+  auto back = read_file(Env::posix(), dir + "/f");
+  ASSERT_TRUE(back.ok());
+  ASSERT_GE(back.value().size(), before.size() + after.size());
+  const std::size_t landed =
+      back.value().size() - before.size() - after.size();
+  ASSERT_LE(landed, failed.size());
+  std::vector<std::uint8_t> want = before;
+  want.insert(want.end(), failed.begin(), failed.begin() + landed);
+  want.insert(want.end(), after.begin(), after.end());
+  EXPECT_EQ(back.value(), want);
+}
+
+// ---------- DurableLog ----------
+
+/// Opens a DurableLog over an empty directory whose callbacks accept
+/// nothing (no snapshot, no records to replay).
+std::unique_ptr<DurableLog> open_empty_log(Env& env, const std::string& dir,
+                                           util::MetricsRegistry& metrics) {
+  auto log = DurableLog::open(
+      env, dir, /*config_fingerprint=*/1, /*sync_every=*/1, metrics, nullptr,
+      [](const SnapshotFile&) { return false; },
+      [](const WalRecord&) { return Status{}; });
+  EXPECT_TRUE(log.ok()) << log.status().to_string();
+  return log.ok() ? std::move(log).value() : nullptr;
+}
+
+TEST(DurableLog, FailedAppendFencesEveryLaterWrite) {
+  const std::string dir = fresh_dir("log_fence_append");
+  FaultPlan plan;
+  plan.kind = FaultPlan::Kind::kTransientShortWrite;
+  plan.fail_at_op = 4;  // header append + sync, record 1 append + sync
+  plan.seed = 5;
+  FaultInjectingEnv env(Env::posix(), plan);
+  util::MetricsRegistry metrics;
+  auto log = open_empty_log(env, dir, metrics);
+  ASSERT_NE(log, nullptr);
+  ASSERT_TRUE(log->append(kWalRecordInsert, 1, bytes_of({1})).ok());
+  const Status failed = log->append(kWalRecordInsert, 2, bytes_of({2}));
+  ASSERT_FALSE(failed.ok());
+  EXPECT_FALSE(env.crashed());
+  EXPECT_EQ(log->last_seq(), 1u);
+
+  // Fenced: the first error comes back and no file is touched again.
+  const std::size_t ops = env.ops_attempted();
+  EXPECT_EQ(log->append(kWalRecordInsert, 3, bytes_of({3})).message(),
+            failed.message());
+  EXPECT_FALSE(log->sync().ok());
+  SnapshotFile snapshot;
+  snapshot.last_seq = log->last_seq();
+  EXPECT_FALSE(log->checkpoint(snapshot).ok());
+  EXPECT_EQ(env.ops_attempted(), ops);
+  EXPECT_EQ(log->last_seq(), 1u);
+  EXPECT_EQ(metrics.snapshot().counters.at("wal.appends"), 1u);
+}
+
+TEST(DurableLog, FailedSyncFencesCheckpoint) {
+  const std::string dir = fresh_dir("log_fence_sync");
+  FaultPlan plan;
+  plan.kind = FaultPlan::Kind::kTransientShortWrite;
+  plan.fail_at_op = 3;  // header append + sync, record 1 append, sync
+  FaultInjectingEnv env(Env::posix(), plan);
+  util::MetricsRegistry metrics;
+  auto log = open_empty_log(env, dir, metrics);
+  ASSERT_NE(log, nullptr);
+  // The record reached the segment but was never made durable; it must not
+  // count as logged, and no checkpoint may rotate past it.
+  EXPECT_FALSE(log->append(kWalRecordInsert, 1, bytes_of({1})).ok());
+  EXPECT_EQ(log->last_seq(), 0u);
+  SnapshotFile snapshot;
+  EXPECT_FALSE(log->checkpoint(snapshot).ok());
+  EXPECT_FALSE(log->append(kWalRecordInsert, 2, bytes_of({2})).ok());
+  auto names = Env::posix().list_dir(dir);
+  ASSERT_TRUE(names.ok());
+  std::uint64_t seq = 0;
+  for (const std::string& name : names.value()) {
+    EXPECT_FALSE(parse_snapshot_file_name(name, &seq)) << name;
+  }
 }
 
 // ---------- WAL ----------
