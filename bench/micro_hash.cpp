@@ -1,7 +1,8 @@
 // Google-benchmark micro suite for the hashing substrate: raw hash
 // functions, Bloom operations, sparse-signature algebra (pairwise Jaccard,
 // the per-query bitmap scorer over list and packed candidates), LSH
-// backends and the cuckoo tables (standard vs flat vs
+// backends (MinHash also at the engine geometry, fold next to the
+// rank-prefix scan) and the cuckoo tables (standard vs flat vs
 // fingerprint-compressed). The find
 // benches publish roofline counters — bytes_per_lookup and
 // slots_per_lookup from the ProbeProfile instrumentation — so the probe
@@ -254,6 +255,77 @@ void BM_MinHashAll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinHashAll)->Arg(256)->Arg(2048);
+
+// The engine's SA geometry: FastConfig::minhash (48 bands x 2) over
+// 16,384-bit summaries. Arg is the popcount: 64 as for a wire_small client
+// key, 512 at the rank-prefix density rule, 1,973 as for a real photo.
+constexpr hash::MinHashConfig kEngineMinHash{.bands = 48, .band_size = 2,
+                                             .seed = 0x31a};
+constexpr std::uint32_t kEngineBits = 16384;
+
+hash::SparseSignature engine_signature(std::size_t popcount) {
+  util::Rng rng(popcount);
+  std::vector<bool> set(kEngineBits, false);
+  std::vector<std::uint32_t> bits;
+  while (bits.size() < popcount) {
+    const auto bit = static_cast<std::uint32_t>(rng.uniform_u64(kEngineBits));
+    if (!set[bit]) bits.push_back(bit);
+    set[bit] = true;
+  }
+  std::sort(bits.begin(), bits.end());
+  return hash::SparseSignature(std::move(bits), kEngineBits);
+}
+
+// minhashes() as the engine runs it: a hasher built for the index width,
+// which scans the rank prefix at or above the density rule (the label says
+// which path ran). Aborts if any pair differs from the fold-only hasher.
+void BM_MinHashEngine(benchmark::State& state) {
+  const hash::MinHasher mh(kEngineMinHash, kEngineBits);
+  const auto sig = engine_signature(static_cast<std::size_t>(state.range(0)));
+  const auto want = hash::MinHasher(kEngineMinHash).minhashes(sig);
+  const auto got = mh.minhashes(sig);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (got[i].min != want[i].min || got[i].second != want[i].second) {
+      std::fprintf(stderr, "rank-prefix minhash %zu differs from fold\n", i);
+      std::abort();
+    }
+  }
+  state.SetLabel(mh.scans_rank_prefix(sig) ? "rank prefix" : "fold");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mh.minhashes(sig));
+  }
+}
+BENCHMARK(BM_MinHashEngine)->Arg(64)->Arg(512)->Arg(1973);
+
+// The same signatures through a fold-only hasher: every set bit is hashed
+// under every salt.
+void BM_MinHashEngineFold(benchmark::State& state) {
+  const hash::MinHasher mh(kEngineMinHash);
+  const auto sig = engine_signature(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mh.minhashes(sig));
+  }
+}
+BENCHMARK(BM_MinHashEngineFold)->Arg(64)->Arg(512)->Arg(1973);
+
+// Building the rank-prefix table for the engine's 96 salts, paid once per
+// process and geometry (hashers of one geometry share the table).
+void BM_MinHasherBuild(benchmark::State& state) {
+  const auto width = static_cast<std::uint32_t>(state.range(0));
+  util::Rng rng(kEngineMinHash.seed);
+  std::vector<std::uint64_t> salts(kEngineMinHash.bands *
+                                   kEngineMinHash.band_size);
+  for (auto& salt : salts) salt = rng.next_u64();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        hash::MinHasher::build_rank_prefix(salts, width).data());
+  }
+  state.SetLabel("48x2 salts");
+}
+BENCHMARK(BM_MinHasherBuild)
+    ->Arg(1000)
+    ->Arg(kEngineBits)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_CuckooInsert_Standard(benchmark::State& state) {
   const std::size_t cap = 1 << 16;

@@ -25,8 +25,9 @@ std::unique_ptr<SemanticAggregator> make_aggregator(const FastConfig& config) {
     return std::make_unique<hash::PStableAggregator>(
         config.lsh, config.probe_depth, config.lsh_input_scale);
   }
-  return std::make_unique<hash::MinHashAggregator>(config.minhash,
-                                                   config.minhash_multiprobe);
+  return std::make_unique<hash::MinHashAggregator>(
+      config.minhash, config.minhash_multiprobe,
+      static_cast<std::uint32_t>(config.bloom_bits));
 }
 
 std::unique_ptr<GroupStore> make_group_store(const FastConfig& config,

@@ -71,8 +71,8 @@ std::size_t PStableAggregator::param_bytes() const noexcept {
 }
 
 MinHashAggregator::MinHashAggregator(const MinHashConfig& config,
-                                     bool multiprobe)
-    : minhasher_(config), multiprobe_(multiprobe) {}
+                                     bool multiprobe, std::uint32_t bit_count)
+    : minhasher_(config, bit_count), multiprobe_(multiprobe) {}
 
 std::size_t MinHashAggregator::table_count() const noexcept {
   return minhasher_.config().bands;
@@ -107,6 +107,8 @@ std::size_t MinHashAggregator::query_hash_ops_per_table(
 }
 
 std::size_t MinHashAggregator::param_bytes() const noexcept {
+  // The salts. The rank-prefix table is derived from them and the width,
+  // a lookup cache like a query's scorer bitmap, so Table IV leaves it out.
   return minhasher_.hash_count() * sizeof(std::uint64_t);
 }
 

@@ -9,7 +9,9 @@
 //    paper-faithful (dense L*M*dim flops).
 //  - MinHashAggregator: MinHash banding over the sparse set-bit list, whose
 //    collision probability is the signatures' Jaccard similarity (the
-//    default on this repo's synthetic features; DESIGN.md §2).
+//    default on this repo's synthetic features; DESIGN.md §2). Dense
+//    signatures of the index's width take their minhashes from a rank-
+//    prefix table instead of hashing every set bit (DESIGN.md §3n).
 #pragma once
 
 #include <cstdint>
@@ -52,8 +54,11 @@ class PStableAggregator final : public core::pipeline::SemanticAggregator {
 class MinHashAggregator final : public core::pipeline::SemanticAggregator {
  public:
   /// When `multiprobe` is set, queries additionally probe each band with
-  /// one position substituted by its runner-up minhash.
-  MinHashAggregator(const MinHashConfig& config, bool multiprobe);
+  /// one position substituted by its runner-up minhash. `bit_count` is the
+  /// signature width the MinHasher builds its rank-prefix table for (0:
+  /// none); keys are the same either way.
+  MinHashAggregator(const MinHashConfig& config, bool multiprobe,
+                    std::uint32_t bit_count);
 
   std::size_t table_count() const noexcept override;
   std::vector<std::uint64_t> keys(

@@ -9,9 +9,17 @@
 // sets, so it separates at precisely the resolution the summaries provide.
 // Both backends feed the same cuckoo-hashing flat-structured storage; see
 // DESIGN.md for the substitution note.
+//
+// A hasher built for a signature width also keeps each salt's rank prefix:
+// the positions with the smallest hashes, in hash order. For a dense
+// signature the two smallest hashes over its set bits are those of the
+// first two set positions in the prefix, found with a few bit tests
+// instead of one mix per set bit; the pairs are bit-identical to the fold
+// (DESIGN.md §3n).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -27,7 +35,21 @@ struct MinHashConfig {
 
 class MinHasher {
  public:
+  /// Positions kept per salt in the rank-prefix table: the L positions of
+  /// [0, W) with the smallest hash under that salt, in hash order.
+  static constexpr std::size_t kPrefixLength = 256;
+  /// minhashes() scans the rank prefix only when a signature is expected
+  /// to set at least this many of each salt's prefix positions.
+  static constexpr std::size_t kMinExpectedHits = 8;
+
+  /// A hasher that computes every minhash with fold().
   explicit MinHasher(const MinHashConfig& config);
+
+  /// Also holds the rank-prefix table for signatures of `bit_count` bits,
+  /// built once per process and geometry (none when bit_count is 0 or
+  /// above 65,536, the reach of a u16 position). minhashes() returns the
+  /// same pairs either way.
+  MinHasher(const MinHashConfig& config, std::uint32_t bit_count);
 
   const MinHashConfig& config() const noexcept { return config_; }
   std::size_t hash_count() const noexcept {
@@ -43,7 +65,37 @@ class MinHasher {
 
   /// Computes all minwise hashes of a signature. Empty signatures yield
   /// sentinel (all-ones) values, which still band deterministically.
+  /// Dense signatures of the table's width scan the rank prefix; all
+  /// others, and salts whose prefix holds fewer than two set bits, fold.
   std::vector<MinPair> minhashes(const SparseSignature& signature) const;
+
+  /// The width the rank-prefix table was built for (0: no table).
+  std::uint32_t prefix_width() const noexcept { return prefix_width_; }
+
+  /// Salt i's rank prefix: min(kPrefixLength, prefix_width()) positions
+  /// in ascending order of mix64(salt_i ^ (position + 1)). Every position
+  /// left out hashes at least as high as the last one kept. Requires a
+  /// table (prefix_width() != 0).
+  std::span<const std::uint16_t> rank_prefix(std::size_t i) const noexcept {
+    return {prefix_->data() + i * prefix_length_, prefix_length_};
+  }
+
+  /// Builds a rank-prefix table: the rank prefixes of `salts` over
+  /// `bit_count` positions (1 to 65,536), salt-major. The constructor gets
+  /// its table through a process-wide cache of these, keyed by (seed,
+  /// hash count, width), so hashers of one geometry share one table.
+  static std::vector<std::uint16_t> build_rank_prefix(
+      std::span<const std::uint64_t> salts, std::uint32_t bit_count);
+
+  /// Whether minhashes(signature) scans the rank prefix: the table was
+  /// built for the signature's width and popcount * prefix length >=
+  /// kMinExpectedHits * width, i.e. at least kMinExpectedHits expected
+  /// set bits in each salt's prefix.
+  bool scans_rank_prefix(const SparseSignature& signature) const noexcept {
+    return prefix_width_ != 0 && signature.bit_count() == prefix_width_ &&
+           signature.popcount() * prefix_length_ >=
+               kMinExpectedHits * prefix_width_;
+  }
 
   /// The kernel behind minhashes(): out[i] becomes the (min, second) of
   /// mix64(salts[i] ^ (bit + 1)) over `bits`, starting from the all-ones
@@ -70,8 +122,17 @@ class MinHasher {
                                       std::size_t band_size);
 
  private:
+  void scan_rank_prefix(const SparseSignature& signature,
+                        std::span<MinPair> out) const;
+
   MinHashConfig config_;
   std::vector<std::uint64_t> salts_;
+  // Rank-prefix table, salt-major: prefix_length_ positions per salt.
+  // Immutable once built, so concurrent minhashes() calls and hashers of
+  // the same geometry share it.
+  std::uint32_t prefix_width_ = 0;
+  std::size_t prefix_length_ = 0;
+  std::shared_ptr<const std::vector<std::uint16_t>> prefix_;
 };
 
 }  // namespace fast::hash

@@ -4,12 +4,14 @@
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/fast_index.hpp"
+#include "core/pipeline/factory.hpp"
 #include "core/tiered_index.hpp"
 #include "hash/aggregators.hpp"
 #include "hash/bloom_filter.hpp"
@@ -1041,12 +1043,14 @@ void expect_same_pairs(const std::vector<MinHasher::MinPair>& got,
 }
 
 // Salt counts cover one lane, partial blocks and several full blocks, so
-// the zero-padded tail block is exercised as well as the default 144.
+// the zero-padded tail block is exercised as well as the engine's 96
+// (FastConfig::minhash, 48 x 2) and MinHashConfig{}'s 144 (48 x 3).
 TEST(MinHash, FoldMatchesBranchyReference) {
   util::Rng rng(0x51f7);
   for (const std::size_t salt_count :
        {std::size_t{1}, std::size_t{15}, std::size_t{16}, std::size_t{17},
-        std::size_t{100}, std::size_t{144}, std::size_t{145}}) {
+        std::size_t{96}, std::size_t{100}, std::size_t{144},
+        std::size_t{145}}) {
     for (const std::size_t nnz : {std::size_t{0}, std::size_t{1},
                                   std::size_t{64}, std::size_t{2048}}) {
       std::vector<std::uint64_t> salts(salt_count);
@@ -1117,6 +1121,205 @@ TEST(MinHash, FoldMatchesBranchyReferenceOnTies) {
   std::vector<MinHasher::MinPair> twice(salts.size());
   MinHasher::fold(salts, std::vector<std::uint32_t>{5, 5}, twice);
   for (const auto& p : twice) EXPECT_EQ(p.min, p.second);
+}
+
+// ---------- MinHash rank prefix ----------
+
+// The engine's SA geometry: FastConfig::minhash over 16,384-bit summaries.
+constexpr MinHashConfig kEngineMinHash{.bands = 48, .band_size = 2,
+                                       .seed = 0x31a};
+constexpr std::uint32_t kEngineBits = 16384;
+
+std::vector<std::uint64_t> salts_of(const MinHashConfig& cfg) {
+  util::Rng rng(cfg.seed);
+  std::vector<std::uint64_t> salts(cfg.bands * cfg.band_size);
+  for (auto& salt : salts) salt = rng.next_u64();
+  return salts;
+}
+
+// The table itself: each salt's prefix holds min(256, W) distinct
+// positions in ascending hash order, and no position left out hashes
+// below its last entry.
+TEST(MinHash, RankPrefixHoldsEachSaltsSmallestHashes) {
+  for (const std::uint32_t width : {64u, 100u, 255u, 256u, 1000u, 16384u}) {
+    const MinHasher mh(kEngineMinHash, width);
+    ASSERT_EQ(mh.prefix_width(), width);
+    const auto salts = salts_of(kEngineMinHash);
+    const std::size_t length =
+        std::min<std::size_t>(MinHasher::kPrefixLength, width);
+    for (std::size_t i = 0; i < salts.size(); ++i) {
+      const auto h = [&](std::uint32_t b) {
+        return mix64(salts[i] ^ (static_cast<std::uint64_t>(b) + 1));
+      };
+      const auto prefix = mh.rank_prefix(i);
+      ASSERT_EQ(prefix.size(), length);
+      std::vector<bool> in_prefix(width, false);
+      for (std::size_t j = 0; j < prefix.size(); ++j) {
+        ASSERT_LT(prefix[j], width);
+        ASSERT_FALSE(in_prefix[prefix[j]]) << "salt " << i;
+        in_prefix[prefix[j]] = true;
+        if (j > 0) {
+          ASSERT_LE(h(prefix[j - 1]), h(prefix[j]));
+        }
+      }
+      for (std::uint32_t b = 0; b < width; ++b) {
+        if (!in_prefix[b]) {
+          ASSERT_GE(h(b), h(prefix.back())) << "salt " << i;
+        }
+      }
+    }
+  }
+  // No width, or one past u16 positions: no table, fold only.
+  EXPECT_EQ(MinHasher(kEngineMinHash).prefix_width(), 0u);
+  EXPECT_EQ(MinHasher(kEngineMinHash, 0).prefix_width(), 0u);
+  EXPECT_EQ(MinHasher(kEngineMinHash, 65537).prefix_width(), 0u);
+  EXPECT_EQ(MinHasher(kEngineMinHash, 65536).prefix_width(), 65536u);
+}
+
+// Popcounts straddle the density rule (512 set bits at 16,384: 8 expected
+// prefix hits) up to the full signature; pairs must equal the reference
+// loop whichever path runs.
+TEST(MinHash, RankPrefixMatchesBranchyReferenceAtEngineWidth) {
+  const MinHasher mh(kEngineMinHash, kEngineBits);
+  const auto salts = salts_of(kEngineMinHash);
+  for (const std::size_t nnz :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{511},
+        std::size_t{512}, std::size_t{513}, std::size_t{1000},
+        std::size_t{1973}, std::size_t{4000}, std::size_t{kEngineBits}}) {
+    const auto bits = random_sorted_bits(kEngineBits, nnz, 0x3a1 + nnz);
+    const SparseSignature sig(bits, kEngineBits);
+    EXPECT_EQ(mh.scans_rank_prefix(sig), nnz >= 512) << "nnz " << nnz;
+    expect_same_pairs(mh.minhashes(sig), branchy_minhashes(salts, bits),
+                      "nnz " + std::to_string(nnz));
+  }
+}
+
+// Widths below the prefix length (the prefix is every position), one that
+// is not a multiple of 64, and a hash count that is not a multiple of the
+// 16-salt fold block.
+TEST(MinHash, RankPrefixMatchesBranchyReferenceAtOddWidths) {
+  for (const MinHashConfig cfg :
+       {kEngineMinHash, MinHashConfig{.bands = 7, .band_size = 3, .seed = 9}}) {
+    const auto salts = salts_of(cfg);
+    for (const std::uint32_t width : {64u, 100u, 255u, 1000u}) {
+      const MinHasher mh(cfg, width);
+      std::size_t scanned = 0;
+      for (const std::size_t nnz :
+           {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{7},
+            std::size_t{8}, std::size_t{9}, std::size_t{width / 8},
+            std::size_t{width / 2}, std::size_t{width - 1},
+            std::size_t{width}}) {
+        const auto bits = random_sorted_bits(width, nnz, width * 31 + nnz);
+        const SparseSignature sig(bits, width);
+        scanned += mh.scans_rank_prefix(sig) ? 1 : 0;
+        expect_same_pairs(mh.minhashes(sig), branchy_minhashes(salts, bits),
+                          "width " + std::to_string(width) + " nnz " +
+                              std::to_string(nnz));
+      }
+      EXPECT_GT(scanned, 0u) << "width " << width;
+    }
+  }
+}
+
+// A dense signature whose set bits avoid salt 0's prefix entirely (no
+// hit), or meet it exactly once, scans every other salt and folds salt 0
+// over the whole signature; the pairs still equal the reference.
+TEST(MinHash, RankPrefixFallsBackToFoldOnMissedSalts) {
+  const MinHasher mh(kEngineMinHash, kEngineBits);
+  const auto salts = salts_of(kEngineMinHash);
+  std::set<std::uint32_t> avoid;
+  for (const std::size_t salt : {std::size_t{0}, std::size_t{17},
+                                 std::size_t{95}}) {
+    for (const std::uint16_t b : mh.rank_prefix(salt)) avoid.insert(b);
+  }
+  const auto pick = [&](std::size_t hits) {
+    // Every eighth position outside the avoided prefixes (about 1,950
+    // bits), plus salt 0's prefix entries 100, 101, ... as `hits`.
+    std::set<std::uint32_t> bits;
+    for (std::uint32_t b = 0; b < kEngineBits; b += 8) {
+      if (avoid.count(b) == 0) bits.insert(b);
+    }
+    for (std::size_t h = 0; h < hits; ++h) {
+      bits.insert(mh.rank_prefix(0)[100 + h]);
+    }
+    return std::vector<std::uint32_t>(bits.begin(), bits.end());
+  };
+  for (const std::size_t hits : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{2}}) {
+    const auto bits = pick(hits);
+    const SparseSignature sig(bits, kEngineBits);
+    ASSERT_TRUE(mh.scans_rank_prefix(sig));
+    std::size_t salt0_hits = 0;
+    for (const std::uint16_t b : mh.rank_prefix(0)) {
+      salt0_hits += std::binary_search(bits.begin(), bits.end(), b) ? 1 : 0;
+    }
+    ASSERT_EQ(salt0_hits, hits);
+    expect_same_pairs(mh.minhashes(sig), branchy_minhashes(salts, bits),
+                      "salt-0 hits " + std::to_string(hits));
+  }
+}
+
+// What SA hands the group store: band keys and multi-probe keys from a
+// table-built hasher equal those of a fold-only one, on real-density and
+// sparse signatures.
+TEST(MinHash, AggregatorKeysMatchFoldDerivedKeys) {
+  const MinHashAggregator scanned(kEngineMinHash, true, kEngineBits);
+  const MinHashAggregator folded(kEngineMinHash, true, 0);
+  const MinHasher reference(kEngineMinHash);
+  for (const std::size_t nnz : {std::size_t{64}, std::size_t{600},
+                                std::size_t{1973}, std::size_t{4000}}) {
+    const auto bits = random_sorted_bits(kEngineBits, nnz, 0x5a + nnz);
+    const SparseSignature sig(bits, kEngineBits);
+    std::vector<std::vector<std::uint64_t>> scanned_probes, folded_probes;
+    const auto keys = scanned.keys(sig, &scanned_probes);
+    EXPECT_EQ(keys, folded.keys(sig, &folded_probes)) << "nnz " << nnz;
+    EXPECT_EQ(scanned_probes, folded_probes) << "nnz " << nnz;
+    const auto mh = reference.minhashes(sig);
+    for (std::size_t band = 0; band < kEngineMinHash.bands; ++band) {
+      ASSERT_EQ(keys[band], reference.band_key(band, mh));
+      ASSERT_EQ(scanned_probes[band], reference.probe_keys(band, mh));
+    }
+  }
+}
+
+// The table is immutable once built and the scan's bitmap is on the
+// caller's stack, so concurrent callers share one hasher, and hashers of
+// one geometry built on several threads share one cached table (the TSan
+// job runs this).
+TEST(MinHash, ConcurrentCallersShareOneTable) {
+  const MinHasher mh(kEngineMinHash, kEngineBits);
+  const auto salts = salts_of(kEngineMinHash);
+  std::vector<SparseSignature> sigs;
+  std::vector<std::vector<MinHasher::MinPair>> want;
+  for (std::size_t s = 0; s < 8; ++s) {
+    const auto bits = random_sorted_bits(kEngineBits, 600 + 300 * s, s);
+    sigs.emplace_back(bits, kEngineBits);
+    want.push_back(branchy_minhashes(salts, bits));
+  }
+  std::vector<std::size_t> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      const MinHasher own(kEngineMinHash, kEngineBits);
+      if (own.rank_prefix(0).data() != mh.rank_prefix(0).data()) {
+        ++mismatches[t];
+      }
+      for (std::size_t round = 0; round < 20; ++round) {
+        const std::size_t s = (t + round) % sigs.size();
+        const auto got = (round % 2 == 0 ? mh : own).minhashes(sigs[s]);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          if (got[i].min != want[s][i].min ||
+              got[i].second != want[s][i].second) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
 }
 
 // ---------- JaccardScorer ----------
@@ -1433,6 +1636,42 @@ TEST_F(PackedRankingTest, FastIndexMatchesPairwiseReference) {
   const auto [dense, sparse] = check_all_queries(index);
   EXPECT_GT(dense, 0u);
   EXPECT_GT(sparse, 0u);
+}
+
+// The same real-density corpus through a FastIndex whose SA derives keys
+// from the rank prefix and one whose SA folds every set bit: the indexes
+// must answer every query identically.
+TEST_F(PackedRankingTest, RankPrefixIndexMatchesFoldOnlyIndex) {
+  const core::FastConfig cfg = flat_config();
+  core::FastIndex scanned(cfg, test::fake_pca());
+  core::FastIndex folded(
+      cfg, core::pipeline::make_summarizer(cfg, test::fake_pca()),
+      std::make_unique<MinHashAggregator>(cfg.minhash, cfg.minhash_multiprobe,
+                                          0),
+      core::pipeline::make_group_store(cfg, cfg.minhash.bands));
+  for (const auto& [id, sig] : *corpus_) {
+    scanned.insert_signature(id, sig);
+    folded.insert_signature(id, sig);
+  }
+  const MinHasher table(cfg.minhash,
+                        static_cast<std::uint32_t>(cfg.bloom_bits));
+  std::size_t scanned_queries = 0;
+  for (const SparseSignature& query : *queries_) {
+    scanned_queries += table.scans_rank_prefix(query) ? 1 : 0;
+    const core::QueryResult a = scanned.query_signature(query, 10);
+    const core::QueryResult b = folded.query_signature(query, 10);
+    ASSERT_EQ(a.candidates, b.candidates);
+    ASSERT_EQ(a.bucket_probes, b.bucket_probes);
+    ASSERT_EQ(a.parallel_tasks, b.parallel_tasks);
+    ASSERT_EQ(a.cost.elapsed_s(), b.cost.elapsed_s());
+    ASSERT_EQ(a.cost.hash_ops(), b.cost.hash_ops());
+    ASSERT_EQ(a.hits.size(), b.hits.size());
+    for (std::size_t h = 0; h < a.hits.size(); ++h) {
+      ASSERT_EQ(a.hits[h].id, b.hits[h].id) << "hit " << h;
+      ASSERT_EQ(a.hits[h].score, b.hits[h].score) << "hit " << h;
+    }
+  }
+  EXPECT_GT(scanned_queries, 0u);
 }
 
 TEST_F(PackedRankingTest, TieredIndexMatchesPairwiseReference) {
