@@ -13,6 +13,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "hash/bloom_filter.hpp"
 #include "hash/compact_flat_cuckoo_table.hpp"
@@ -23,6 +25,7 @@
 #include "hash/lsh_table_chained.hpp"
 #include "hash/minhash.hpp"
 #include "hash/pstable_lsh.hpp"
+#include "hash/signature_slab.hpp"
 #include "hash/sparse_signature.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -174,6 +177,97 @@ void BM_JaccardScorerPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_JaccardScorerPacked)
     ->ArgsProduct({{64, 1900}, {0, 1, 2, 3}});
+
+// Ranking one real query's candidates as the flat index stores them: 395
+// of 1,000 random 16,384-bit summaries with 1,973 bits set (the traced
+// search_real p50), scored against a query of the same shape. Arg 0 picks
+// the store: 0 ranks slots of a hash::SignatureSlab with score_slots (and
+// its prefetch), 1 looks each id up in an id-keyed unordered_map of
+// PackedSignature and scores it, the store the slab replaced. Arg 1 = 1
+// runs cold: a 64 MB pass evicts the caches before each iteration, untimed,
+// as for a lone query at search_real's 50 QPS; 0 runs warm. Aborts if the
+// two stores score differently.
+void BM_RankCandidates(benchmark::State& state) {
+  constexpr std::uint32_t kBits = 16384;
+  constexpr std::size_t kStored = 1000, kCandidates = 395, kPopcount = 1973;
+  const auto summary = [](std::uint64_t seed) {
+    util::Rng rng(seed);
+    std::vector<bool> set(kBits, false);
+    std::vector<std::uint32_t> bits;
+    while (bits.size() < kPopcount) {
+      const auto bit = static_cast<std::uint32_t>(rng.uniform_u64(kBits));
+      if (!set[bit]) bits.push_back(bit);
+      set[bit] = true;
+    }
+    std::sort(bits.begin(), bits.end());
+    return hash::SparseSignature(std::move(bits), kBits);
+  };
+  const bool slab_store = state.range(0) == 0;
+  const bool cold = state.range(1) == 1;
+  hash::SignatureSlab slab(kBits);
+  std::unordered_map<std::uint64_t, hash::PackedSignature> by_id;
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < kStored; ++i) {
+    const std::uint64_t id = 0x9e3779b97f4a7c15ULL * (i + 1);
+    const hash::SparseSignature sig = summary(i + 1);
+    // Both stores are filled, one entry each in turn, so neither gets a
+    // contiguous heap the other lacks.
+    slab.add(id, sig);
+    by_id.emplace(id, hash::PackedSignature(sig));
+    ids.push_back(id);
+  }
+  // A random candidate subset in random order, as gathered from groups.
+  util::Rng rng(0xc0ffee);
+  std::vector<std::uint32_t> slots(kStored);
+  for (std::uint32_t s = 0; s < kStored; ++s) slots[s] = s;
+  for (std::size_t i = kStored - 1; i > 0; --i) {
+    std::swap(slots[i], slots[rng.uniform_u64(i + 1)]);
+  }
+  slots.resize(kCandidates);
+  std::vector<std::uint64_t> candidate_ids;
+  for (const std::uint32_t s : slots) candidate_ids.push_back(ids[s]);
+
+  const hash::JaccardScorer scorer(summary(0));
+  std::vector<double> scores(kCandidates), want(kCandidates);
+  scorer.score_slots(slab, slots, scores);
+  for (std::size_t c = 0; c < kCandidates; ++c) {
+    want[c] = scorer.score(by_id.at(candidate_ids[c]));
+  }
+  if (scores != want) {
+    std::fprintf(stderr, "slab and map rankings differ\n");
+    std::abort();
+  }
+
+  std::vector<std::uint64_t> evict(std::size_t{64} << 20 >> 3, 1);
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    if (cold) {
+      state.PauseTiming();
+      for (std::size_t i = 0; i < evict.size(); i += 8) sink += evict[i]++;
+      state.ResumeTiming();
+    }
+    if (slab_store) {
+      scorer.score_slots(slab, slots, scores);
+    } else {
+      for (std::size_t c = 0; c < kCandidates; ++c) {
+        scores[c] = scorer.score(by_id.find(candidate_ids[c])->second);
+      }
+    }
+    benchmark::DoNotOptimize(scores.data());
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetLabel(std::string(slab_store ? "slab" : "map") +
+                 (cold ? " cold" : " warm"));
+  state.counters["ns_per_candidate"] = benchmark::Counter(
+      static_cast<double>(kCandidates),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RankCandidates)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(400);
 
 void BM_SparseEncode(benchmark::State& state) {
   const auto sig = make_signature(2048, 3);

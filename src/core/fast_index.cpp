@@ -15,6 +15,71 @@
 
 namespace fast::core {
 
+namespace {
+
+// One query's candidate slots, gathered from its probed groups with each
+// slot kept once, plus room for their scores. The storage is per thread
+// and reused: `seen` has one bit per slot and is all clear between
+// queries, because a query clears exactly the words its own slots set. So
+// the dedupe costs a bit test per gathered member, with no sort and no
+// per-query work proportional to the index size. Concurrent queries (the
+// facades' shared lock) each use their own thread's scratch.
+class CandidateSlots {
+ public:
+  explicit CandidateSlots(std::size_t slot_limit) : s_(scratch()) {
+    FAST_CHECK_MSG(!s_.in_use, "nested query on one thread");
+    s_.in_use = true;
+    const std::size_t words = (slot_limit + 63) / 64;
+    if (s_.seen.size() < words) s_.seen.resize(words, 0);
+    s_.slots.clear();
+  }
+  ~CandidateSlots() {
+    for (const std::uint32_t slot : s_.slots) s_.seen[slot >> 6] = 0;
+    s_.in_use = false;
+  }
+  CandidateSlots(const CandidateSlots&) = delete;
+  CandidateSlots& operator=(const CandidateSlots&) = delete;
+
+  /// Appends the members not gathered yet, in order.
+  void add(std::span<const std::uint32_t> members) {
+    std::size_t n = s_.slots.size();
+    s_.slots.resize(n + members.size());
+    std::uint32_t* out = s_.slots.data();
+    std::uint64_t* seen = s_.seen.data();
+    for (const std::uint32_t slot : members) {
+      std::uint64_t& word = seen[slot >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
+      out[n] = slot;
+      n += (word & bit) == 0 ? 1 : 0;
+      word |= bit;
+    }
+    s_.slots.resize(n);
+  }
+
+  std::span<const std::uint32_t> slots() const noexcept { return s_.slots; }
+  /// One score per gathered slot.
+  std::span<double> scores() {
+    s_.scores.resize(s_.slots.size());
+    return s_.scores;
+  }
+
+ private:
+  struct Scratch {
+    std::vector<std::uint64_t> seen;
+    std::vector<std::uint32_t> slots;
+    std::vector<double> scores;
+    bool in_use = false;
+  };
+  static Scratch& scratch() {
+    thread_local Scratch s;
+    return s;
+  }
+
+  Scratch& s_;
+};
+
+}  // namespace
+
 FastIndex::FastIndex(FastConfig config, vision::PcaModel pca)
     : FastIndex(config, pipeline::make_summarizer(config, std::move(pca)),
                 pipeline::make_aggregator(config), nullptr) {}
@@ -24,7 +89,8 @@ FastIndex::FastIndex(FastConfig config,
                      std::unique_ptr<pipeline::SemanticAggregator> aggregator,
                      std::unique_ptr<pipeline::GroupStore> store)
     : config_(std::move(config)), summarizer_(std::move(summarizer)),
-      aggregator_(std::move(aggregator)), store_(std::move(store)) {
+      aggregator_(std::move(aggregator)), store_(std::move(store)),
+      slab_(static_cast<std::uint32_t>(config_.bloom_bits)) {
   FAST_CHECK_MSG(config_.lsh.dim == config_.bloom_bits,
                  "LSH input dim must equal the Bloom summary width");
   FAST_CHECK_MSG(summarizer_ != nullptr && aggregator_ != nullptr,
@@ -85,7 +151,7 @@ void FastIndex::publish_storage_gauges() {
   m_.chs_total_kicks->set(static_cast<double>(s.total_kicks));
   m_.chs_max_kick_chain->set(static_cast<double>(s.max_kick_chain));
   m_.chs_store_bytes->set(static_cast<double>(store_->store_bytes()));
-  m_.index_size->set(static_cast<double>(signatures_.size()));
+  m_.index_size->set(static_cast<double>(slab_.size()));
   m_.index_groups->set(static_cast<double>(groups_.size()));
 }
 
@@ -181,7 +247,7 @@ InsertResult FastIndex::apply_insert(
   // in a membership list and queries rank against the fresh signature.
   // (apply_erase, not erase: replay of this insert record redoes the
   // eviction, so it must not be logged separately.)
-  if (signatures_.find(id) != signatures_.end()) apply_erase(id);
+  if (slot_of_.contains(id)) apply_erase(id);
 
   // SA hashing cost: p-stable projections or minwise passes, in the
   // aggregator's cost domain.
@@ -203,6 +269,8 @@ InsertResult FastIndex::apply_insert(
   m_.sa_keys_wall_s->observe(keys_timer.elapsed_seconds());
   m_.sa_keys_derived->add(keys.size());
   m_.sa_insert_hash_ops->add(sa_ops);
+  const std::uint32_t slot = slab_.add(id, signature);
+  slot_of_.emplace(id, slot);
   {
     util::TraceSpan place_span("chs.place");
     std::size_t slot_reads = 0;
@@ -215,11 +283,11 @@ InsertResult FastIndex::apply_insert(
       slot_reads += lookup_probes;
       m_.chs_slot_reads->add(lookup_probes);
       if (group) {
-        groups_[*group].push_back(id);
+        groups_[*group].push_back(slot);
         m_.chs_group_hits->add();
       } else {
         const std::uint64_t group_id = groups_.size();
-        groups_.emplace_back(std::vector<std::uint64_t>{id});
+        groups_.emplace_back(std::vector<std::uint32_t>{slot});
         const std::size_t events = store_->place(t, keys[t], group_id);
         result.rehashes += events;
         rehashes_ += events;
@@ -237,7 +305,6 @@ InsertResult FastIndex::apply_insert(
       m_.chs_fingerprint_false_hits->add(probe_profile.fingerprint_false_hits);
     }
   }
-  signatures_.emplace(id, hash::PackedSignature(signature));
   m_.inserts->add();
   m_.insert_sim_s->observe(result.cost.elapsed_s());
   publish_storage_gauges();
@@ -284,7 +351,7 @@ std::vector<InsertResult> FastIndex::insert_batch(
 bool FastIndex::erase(std::uint64_t id) {
   util::TraceSpan span("erase");
   // An unknown id is a no-op; logging it would bloat the WAL for nothing.
-  if (signatures_.find(id) == signatures_.end()) return false;
+  if (!slot_of_.contains(id)) return false;
   if (durable()) {
     storage::throw_if_error(log_->append(storage::kWalRecordErase, id, {}));
   }
@@ -292,21 +359,22 @@ bool FastIndex::erase(std::uint64_t id) {
 }
 
 bool FastIndex::apply_erase(std::uint64_t id) {
-  const auto it = signatures_.find(id);
-  if (it == signatures_.end()) return false;
+  const auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return false;
+  const std::uint32_t slot = it->second;
   m_.erases->add();
   util::WallTimer keys_timer;
   std::vector<std::uint64_t> keys;
   {
     util::TraceSpan keys_span("sa.keys");
-    keys = aggregator_->keys(it->second.unpack(), nullptr);
+    keys = aggregator_->keys(slab_.unpack(slot), nullptr);
     keys_span.attr("keys", static_cast<double>(keys.size()));
   }
   m_.sa_keys_wall_s->observe(keys_timer.elapsed_seconds());
   for (std::size_t t = 0; t < keys.size(); ++t) {
     if (const auto group = store_->find(t, keys[t])) {
       auto& members = groups_[*group];
-      members.erase(std::remove(members.begin(), members.end(), id),
+      members.erase(std::remove(members.begin(), members.end(), slot),
                     members.end());
       // An emptied group's bucket key is dropped so queries stop probing
       // it. (Flat-cuckoo rebuild logs keep the mapping; a rebuilt table
@@ -314,7 +382,8 @@ bool FastIndex::apply_erase(std::uint64_t id) {
       if (members.empty()) store_->erase_key(t, keys[t]);
     }
   }
-  signatures_.erase(it);
+  slab_.remove(slot);
+  slot_of_.erase(it);
   publish_storage_gauges();
   return true;
 }
@@ -336,16 +405,16 @@ storage::SnapshotFile FastIndex::build_snapshot() const {
   snapshot.sections.push_back({storage::kSectionParams, params.take()});
 
   // Signatures in id order: the image is a pure function of index content,
-  // never of unordered_map iteration order.
+  // never of unordered_map iteration order or of slot numbering.
   std::vector<std::uint64_t> ids;
-  ids.reserve(signatures_.size());
-  for (const auto& entry : signatures_) ids.push_back(entry.first);
+  ids.reserve(slot_of_.size());
+  for (const auto& entry : slot_of_) ids.push_back(entry.first);
   std::sort(ids.begin(), ids.end());
   util::ByteWriter sigs;
   sigs.u64(ids.size());
   for (const std::uint64_t id : ids) {
     sigs.u64(id);
-    sigs.blob(signatures_.at(id).encode());
+    sigs.blob(slab_.encode(slot_of_.at(id)));
   }
   snapshot.sections.push_back({storage::kSectionSignatures, sigs.take()});
 
@@ -353,7 +422,7 @@ storage::SnapshotFile FastIndex::build_snapshot() const {
   groups.u64(groups_.size());
   for (const auto& members : groups_) {
     groups.u64(members.size());
-    for (const std::uint64_t id : members) groups.u64(id);
+    for (const std::uint32_t slot : members) groups.u64(slab_.id(slot));
   }
   snapshot.sections.push_back({storage::kSectionGroups, groups.take()});
 
@@ -394,8 +463,9 @@ bool FastIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
   // bound the reserve against the bytes actually left instead of trusting
   // a CRC-valid-but-bogus count.
   if (!sr.ok() || count > sr.remaining() / (8 + 4)) return false;
-  std::unordered_map<std::uint64_t, hash::PackedSignature> restored_sigs;
-  restored_sigs.reserve(count);
+  hash::SignatureSlab restored_slab(slab_.bit_count());
+  std::unordered_map<std::uint64_t, std::uint32_t> restored_slots;
+  restored_slots.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t id = sr.u64();
     const auto encoded = sr.blob();
@@ -403,7 +473,10 @@ bool FastIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
     try {
       const hash::SparseSignature sig = hash::SparseSignature::decode(encoded);
       if (sig.bit_count() != config_.bloom_bits) return false;
-      restored_sigs.emplace(id, hash::PackedSignature(sig));
+      // A repeated id keeps its first signature.
+      if (!restored_slots.contains(id)) {
+        restored_slots.emplace(id, restored_slab.add(id, sig));
+      }
     } catch (const std::runtime_error&) {
       return false;
     }
@@ -412,14 +485,19 @@ bool FastIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
   util::ByteReader gr{std::span(groups->payload)};
   const std::uint64_t group_count = gr.u64();
   if (!gr.ok() || group_count > gr.remaining() / 8) return false;
-  std::vector<std::vector<std::uint64_t>> restored_groups;
+  std::vector<std::vector<std::uint32_t>> restored_groups;
   restored_groups.reserve(group_count);
   for (std::uint64_t g = 0; g < group_count; ++g) {
     const std::uint64_t members = gr.u64();
     if (!gr.ok() || members > gr.remaining() / 8) return false;
-    std::vector<std::uint64_t> list;
+    std::vector<std::uint32_t> list;
     list.reserve(members);
-    for (std::uint64_t i = 0; i < members; ++i) list.push_back(gr.u64());
+    for (std::uint64_t i = 0; i < members; ++i) {
+      // Every member must have a stored signature to be ranked against.
+      const auto slot = restored_slots.find(gr.u64());
+      if (slot == restored_slots.end()) return false;
+      list.push_back(slot->second);
+    }
     restored_groups.push_back(std::move(list));
   }
   if (!gr.ok()) return false;
@@ -432,7 +510,8 @@ bool FastIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
   if (!restored_store->deserialize(str)) return false;
 
   store_ = std::move(restored_store);
-  signatures_ = std::move(restored_sigs);
+  slab_ = std::move(restored_slab);
+  slot_of_ = std::move(restored_slots);
   groups_ = std::move(restored_groups);
   rehashes_ = rehashes;
   config_.lsh_input_scale = input_scale;
@@ -544,8 +623,9 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
 
   // Collect candidates from the home bucket plus the probe buckets of
   // every table. Each flat-addressed lookup is a fixed bounded slot read;
-  // the per-table work items are independent (Fig. 7 parallelism).
-  std::vector<std::uint64_t> candidate_ids;
+  // the per-table work items are independent (Fig. 7 parallelism). A slot
+  // reached through several buckets is gathered once.
+  CandidateSlots candidates(slab_.slot_limit());
   std::size_t slot_reads_total = 0;
   hash::ProbeProfile probe_profile;
   {
@@ -564,9 +644,7 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
         std::size_t lookup_probes = 0;
         if (const auto group =
                 store_->find(t, key, &lookup_probes, &probe_profile)) {
-          const auto& members = groups_[*group];
-          candidate_ids.insert(candidate_ids.end(), members.begin(),
-                               members.end());
+          candidates.add(groups_[*group]);
         }
         table_slot_reads += lookup_probes;
       };
@@ -580,37 +658,35 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
       result.parallel_tasks.push_back(hash_cost + probe_cost);
       slot_reads_total += table_slot_reads;
     }
-    // Dedupe: an id reached through several buckets is scored once. The
-    // top-k below sorts by a total order, so candidate order is free.
-    std::sort(candidate_ids.begin(), candidate_ids.end());
-    candidate_ids.erase(
-        std::unique(candidate_ids.begin(), candidate_ids.end()),
-        candidate_ids.end());
     probe_span.attr("bucket_probes", static_cast<double>(result.bucket_probes));
     probe_span.attr("slot_reads", static_cast<double>(slot_reads_total));
-    probe_span.attr("candidates", static_cast<double>(candidate_ids.size()));
+    probe_span.attr("candidates",
+                    static_cast<double>(candidates.slots().size()));
   }
   m_.chs_slot_reads->add(slot_reads_total);
   if (probe_profile.fingerprint_false_hits != 0) {
     m_.chs_fingerprint_false_hits->add(probe_profile.fingerprint_false_hits);
   }
 
-  // Rank candidates by Jaccard similarity against the query's bitmap.
-  result.candidates = candidate_ids.size();
+  // Rank candidates by Jaccard similarity against the query's bitmap,
+  // straight off their slots. The top-k below sorts by a total order, so
+  // gathering order is free.
+  const std::span<const std::uint32_t> slots = candidates.slots();
+  result.candidates = slots.size();
   util::WallTimer rank_timer;
   {
     util::TraceSpan rank_span("rank");
     const hash::JaccardScorer scorer(signature);
-    result.hits.reserve(candidate_ids.size());
-    for (const std::uint64_t id : candidate_ids) {
-      const auto it = signatures_.find(id);
-      FAST_CHECK(it != signatures_.end());
-      result.hits.push_back(ScoredId{id, scorer.score(it->second)});
+    const std::span<double> scores = candidates.scores();
+    scorer.score_slots(slab_, slots, scores);
+    result.hits.reserve(slots.size());
+    for (std::size_t c = 0; c < slots.size(); ++c) {
+      result.hits.push_back(ScoredId{slab_.id(slots[c]), scores[c]});
     }
     // Ranking cost: one sparse-overlap merge per candidate. Each merge is an
     // independent unit of parallel work (Fig. 7).
-    result.cost.charge_ram(config_.cost.ram_access_s, candidate_ids.size());
-    for (std::size_t c = 0; c < candidate_ids.size(); ++c) {
+    result.cost.charge_ram(config_.cost.ram_access_s, slots.size());
+    for (std::size_t c = 0; c < slots.size(); ++c) {
       result.parallel_tasks.push_back(config_.cost.ram_access_s);
     }
 
@@ -659,17 +735,24 @@ QueryResult FastIndex::query_signature(const hash::SparseSignature& signature,
 
 std::optional<hash::SparseSignature> FastIndex::signature_of(
     std::uint64_t id) const {
-  const auto it = signatures_.find(id);
-  if (it == signatures_.end()) return std::nullopt;
-  return it->second.unpack();
+  const auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return std::nullopt;
+  return slab_.unpack(it->second);
+}
+
+std::vector<std::uint64_t> FastIndex::group_members(std::size_t g) const {
+  std::vector<std::uint64_t> ids;
+  for (const std::uint32_t slot : groups_.at(g)) ids.push_back(slab_.id(slot));
+  return ids;
 }
 
 std::size_t FastIndex::index_bytes() const {
   std::size_t bytes = 0;
-  for (const auto& [id, sig] : signatures_) {
-    bytes += sizeof(id) + sig.storage_bytes();
+  for (const auto& [id, slot] : slot_of_) {
+    bytes += sizeof(id) + slab_.storage_bytes(slot);
   }
   bytes += store_->store_bytes();
+  // Members are counted as the 8-byte ids they stand for, as persisted.
   for (const auto& group : groups_) {
     bytes += sizeof(std::uint64_t) * group.size() + sizeof(std::uint64_t);
   }

@@ -40,6 +40,7 @@
 #include "core/pipeline/semantic_aggregator.hpp"
 #include "core/pipeline/summarizer.hpp"
 #include "core/result.hpp"
+#include "hash/signature_slab.hpp"
 #include "hash/sparse_signature.hpp"
 #include "img/image.hpp"
 #include "storage/durable_log.hpp"
@@ -78,7 +79,7 @@ class FastIndex {
             std::unique_ptr<pipeline::GroupStore> store);
 
   const FastConfig& config() const noexcept { return config_; }
-  std::size_t size() const noexcept { return signatures_.size(); }
+  std::size_t size() const noexcept { return slab_.size(); }
   std::size_t group_count() const noexcept { return groups_.size(); }
   std::size_t rehash_count() const noexcept { return rehashes_; }
 
@@ -190,14 +191,12 @@ class FastIndex {
   /// routing summaries after recovery; not a hot path.
   template <typename Fn>
   void for_each_signature(Fn&& fn) const {
-    for (const auto& [id, sig] : signatures_) fn(id, sig.unpack());
+    for (const auto& [id, slot] : slot_of_) fn(id, slab_.unpack(slot));
   }
 
-  /// Members of correlation group `g` (diagnostics/tests; erased groups
-  /// stay as empty husks).
-  std::span<const std::uint64_t> group_members(std::size_t g) const {
-    return groups_.at(g);
-  }
+  /// Ids of the members of correlation group `g`, in membership order
+  /// (diagnostics/tests; erased groups stay as empty husks).
+  std::vector<std::uint64_t> group_members(std::size_t g) const;
 
   /// Per-stage observability: FE/SM timing, SA key derivation, CHS probe
   /// distributions and occupancy accumulate here (metric names in
@@ -281,8 +280,12 @@ class FastIndex {
   std::unique_ptr<pipeline::Summarizer> summarizer_;
   std::unique_ptr<pipeline::SemanticAggregator> aggregator_;
   std::unique_ptr<pipeline::GroupStore> store_;
-  std::vector<std::vector<std::uint64_t>> groups_;  // group id -> member ids
-  std::unordered_map<std::uint64_t, hash::PackedSignature> signatures_;
+  // Group id -> member slots of slab_. Queries rank straight off the
+  // slots; slot_of_ maps ids to slots for the write, lookup and snapshot
+  // paths, never for a query.
+  std::vector<std::vector<std::uint32_t>> groups_;
+  hash::SignatureSlab slab_;
+  std::unordered_map<std::uint64_t, std::uint32_t> slot_of_;
   std::size_t rehashes_ = 0;
   // shared_ptr keeps the registry (which holds mutexes/atomics and cannot
   // move) stable across FastIndex moves, so the cached pointers stay valid.

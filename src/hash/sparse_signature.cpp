@@ -4,6 +4,7 @@
 #include <bit>
 #include <stdexcept>
 
+#include "hash/signature_slab.hpp"
 #include "util/check.hpp"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -200,8 +201,10 @@ PackedSignature::PackedSignature(const SparseSignature& signature)
   }
 }
 
+// --- PackedView ------------------------------------------------------------
+
 template <typename Fn>
-void PackedSignature::for_each_set_bit(Fn&& fn) const {
+void PackedView::for_each_set_bit(Fn&& fn) const {
   if (!dense()) {
     for (const std::uint32_t b : bits_) fn(b);
     return;
@@ -214,21 +217,25 @@ void PackedSignature::for_each_set_bit(Fn&& fn) const {
   }
 }
 
-SparseSignature PackedSignature::unpack() const {
-  if (!dense()) return SparseSignature(bits_, bit_count_);
+SparseSignature PackedView::unpack() const {
+  if (!dense()) {
+    return SparseSignature(std::vector<std::uint32_t>(bits_.begin(),
+                                                      bits_.end()),
+                           bit_count_);
+  }
   std::vector<std::uint32_t> bits;
   bits.reserve(popcount_);
   for_each_set_bit([&](std::uint32_t b) { bits.push_back(b); });
   return SparseSignature(std::move(bits), bit_count_);
 }
 
-std::vector<std::uint8_t> PackedSignature::encode() const {
+std::vector<std::uint8_t> PackedView::encode() const {
   return encode_set_bits(bit_count_, popcount_, [&](auto&& visit) {
     for_each_set_bit(visit);
   });
 }
 
-std::size_t PackedSignature::storage_bytes() const noexcept {
+std::size_t PackedView::storage_bytes() const noexcept {
   return encoded_size(bit_count_, popcount_, [&](auto&& visit) {
     for_each_set_bit(visit);
   });
@@ -381,8 +388,7 @@ std::size_t JaccardScorer::overlap(
   return overlap_bits(candidate.set_bits());
 }
 
-std::size_t JaccardScorer::overlap(
-    const PackedSignature& candidate) const noexcept {
+std::size_t JaccardScorer::overlap(PackedView candidate) const noexcept {
   FAST_CHECK(candidate.bit_count() == bit_count_);
   if (!candidate.dense()) return overlap_bits(candidate.set_bits());
   return and_popcount_(words_.data(), candidate.words().data(),
@@ -393,8 +399,23 @@ double JaccardScorer::score(const SparseSignature& candidate) const noexcept {
   return score_overlap(overlap(candidate), candidate.popcount());
 }
 
-double JaccardScorer::score(const PackedSignature& candidate) const noexcept {
+double JaccardScorer::score(PackedView candidate) const noexcept {
   return score_overlap(overlap(candidate), candidate.popcount());
+}
+
+void JaccardScorer::score_slots(const SignatureSlab& slab,
+                                std::span<const std::uint32_t> slots,
+                                std::span<double> scores) const noexcept {
+  FAST_CHECK(slab.bit_count() == bit_count_);
+  FAST_CHECK(scores.size() == slots.size());
+  const std::size_t n = slots.size();
+  for (std::size_t c = 0; c < std::min(kPrefetchDistance, n); ++c) {
+    slab.prefetch(slots[c]);
+  }
+  for (std::size_t c = 0; c < n; ++c) {
+    if (c + kPrefetchDistance < n) slab.prefetch(slots[c + kPrefetchDistance]);
+    scores[c] = score(slab.view(slots[c]));
+  }
 }
 
 }  // namespace fast::hash

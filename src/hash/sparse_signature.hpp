@@ -18,6 +18,8 @@
 
 namespace fast::hash {
 
+class SignatureSlab;
+
 class SparseSignature {
  public:
   SparseSignature() = default;
@@ -66,6 +68,43 @@ class SparseSignature {
   std::vector<std::uint32_t> bits_;  // sorted ascending, unique
 };
 
+/// A borrowed at-rest summary: the sorted set-bit list or the bitmap of a
+/// PackedSignature or of a SignatureSlab slot. A dense view has a
+/// non-empty bitmap (bits past bit_count() clear) and no list; a list view
+/// has no bitmap. Codec and unpacking live here, so every stored form
+/// encodes through one walk.
+class PackedView {
+ public:
+  PackedView() = default;
+  PackedView(std::uint32_t bit_count, std::uint32_t popcount,
+             std::span<const std::uint32_t> set_bits,
+             std::span<const std::uint64_t> words) noexcept
+      : bit_count_(bit_count), popcount_(popcount), bits_(set_bits),
+        words_(words) {}
+
+  std::uint32_t bit_count() const noexcept { return bit_count_; }
+  std::size_t popcount() const noexcept { return popcount_; }
+  bool dense() const noexcept { return !words_.empty(); }
+  std::span<const std::uint32_t> set_bits() const noexcept { return bits_; }
+  std::span<const std::uint64_t> words() const noexcept { return words_; }
+
+  SparseSignature unpack() const;
+  /// Byte-identical to unpack().encode().
+  std::vector<std::uint8_t> encode() const;
+  /// Equal to unpack().storage_bytes().
+  std::size_t storage_bytes() const noexcept;
+
+ private:
+  /// Calls fn(bit) for every set bit in ascending order.
+  template <typename Fn>
+  void for_each_set_bit(Fn&& fn) const;
+
+  std::uint32_t bit_count_ = 0;
+  std::uint32_t popcount_ = 0;
+  std::span<const std::uint32_t> bits_;
+  std::span<const std::uint64_t> words_;
+};
+
 /// At-rest form of a summary: what the indexes store per image. It keeps
 /// the sorted set-bit list when popcount() <= bit_count() / 32 and a
 /// ceil(bit_count() / 64)-word bitmap otherwise, i.e. whichever of the two
@@ -96,18 +135,18 @@ class PackedSignature {
   /// The bitmap, bits past bit_count() clear; empty unless dense().
   std::span<const std::uint64_t> words() const noexcept { return words_; }
 
-  SparseSignature unpack() const;
-
+  PackedView view() const noexcept {
+    return PackedView(bit_count_, popcount_, bits_, words_);
+  }
+  SparseSignature unpack() const { return view().unpack(); }
   /// Byte-identical to unpack().encode().
-  std::vector<std::uint8_t> encode() const;
+  std::vector<std::uint8_t> encode() const { return view().encode(); }
   /// Equal to unpack().storage_bytes().
-  std::size_t storage_bytes() const noexcept;
+  std::size_t storage_bytes() const noexcept {
+    return view().storage_bytes();
+  }
 
  private:
-  /// Calls fn(bit) for every set bit in ascending order.
-  template <typename Fn>
-  void for_each_set_bit(Fn&& fn) const;
-
   std::uint32_t bit_count_ = 0;
   std::uint32_t popcount_ = 0;
   std::vector<std::uint32_t> bits_;   // list form: sorted ascending, unique
@@ -140,6 +179,12 @@ const char* popcount_kernel_name(PopcountKernel kernel) noexcept;
 /// Candidates must have the query's bit_count().
 class JaccardScorer {
  public:
+  /// score_slots() prefetches the candidate this many places ahead of the
+  /// one it scores, so a cold bitmap's first lines are already on their
+  /// way when its pass starts. A fixed property of the loop, not a
+  /// setting (DESIGN.md §3o has what it measured).
+  static constexpr std::size_t kPrefetchDistance = 2;
+
   /// `kernel` must be supported by this CPU; tests and benches pass each
   /// one explicitly, everything else takes the default.
   explicit JaccardScorer(const SparseSignature& query,
@@ -149,11 +194,24 @@ class JaccardScorer {
 
   /// |Q ∩ C|.
   std::size_t overlap(const SparseSignature& candidate) const noexcept;
-  std::size_t overlap(const PackedSignature& candidate) const noexcept;
+  std::size_t overlap(PackedView candidate) const noexcept;
+  std::size_t overlap(const PackedSignature& candidate) const noexcept {
+    return overlap(candidate.view());
+  }
 
   /// |Q ∩ C| / |Q ∪ C| (1.0 when both are empty).
   double score(const SparseSignature& candidate) const noexcept;
-  double score(const PackedSignature& candidate) const noexcept;
+  double score(PackedView candidate) const noexcept;
+  double score(const PackedSignature& candidate) const noexcept {
+    return score(candidate.view());
+  }
+
+  /// Scores the live slots `slots` of `slab` into `scores`, in order, each
+  /// equal to score(slab.view(slot)). While it scores one candidate it
+  /// prefetches the one kPrefetchDistance places ahead.
+  void score_slots(const SignatureSlab& slab,
+                   std::span<const std::uint32_t> slots,
+                   std::span<double> scores) const noexcept;
 
  private:
   std::size_t overlap_bits(

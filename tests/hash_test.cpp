@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <span>
@@ -25,6 +26,7 @@
 #include "hash/minhash.hpp"
 #include "hash/multi_probe.hpp"
 #include "hash/pstable_lsh.hpp"
+#include "hash/signature_slab.hpp"
 #include "hash/sparse_signature.hpp"
 #include "test_helpers.hpp"
 #include "util/codec.hpp"
@@ -1467,6 +1469,133 @@ TEST(PackedSignature, DispatchedKernelIsSupported) {
   EXPECT_TRUE(popcount_kernel_supported(best_popcount_kernel()));
 }
 
+// ---------- SignatureSlab ----------
+
+// A slot must hold exactly what a PackedSignature of the same summary
+// holds: the same form, bits, codec bytes and storage size.
+void expect_slot_matches_packed(const SignatureSlab& slab, std::uint32_t slot,
+                                const SparseSignature& sig) {
+  const PackedSignature packed(sig);
+  const PackedView view = slab.view(slot);
+  EXPECT_EQ(view.dense(), packed.dense());
+  EXPECT_EQ(slab.popcount(slot), sig.popcount());
+  EXPECT_EQ(view.bit_count(), sig.bit_count());
+  EXPECT_TRUE(std::equal(view.words().begin(), view.words().end(),
+                         packed.words().begin(), packed.words().end()));
+  EXPECT_TRUE(std::equal(view.set_bits().begin(), view.set_bits().end(),
+                         packed.set_bits().begin(), packed.set_bits().end()));
+  EXPECT_EQ(slab.unpack(slot).set_bits(), sig.set_bits());
+  EXPECT_EQ(slab.unpack(slot).bit_count(), sig.bit_count());
+  EXPECT_EQ(slab.encode(slot), packed.encode());
+  EXPECT_EQ(slab.storage_bytes(slot), packed.storage_bytes());
+}
+
+TEST(SignatureSlab, FollowsThePackedDensityRule) {
+  constexpr std::uint32_t kBits = 16384;
+  SignatureSlab slab(kBits);
+  const std::size_t popcounts[] = {0,           1,    kBits / 32,
+                                   kBits / 32 + 1, 1973, kBits};
+  const bool dense[] = {false, false, false, true, true, true};
+  for (std::size_t i = 0; i < std::size(popcounts); ++i) {
+    SCOPED_TRACE("popcount " + std::to_string(popcounts[i]));
+    const SparseSignature sig = random_signature(kBits, popcounts[i], i + 1);
+    const std::uint32_t slot = slab.add(100 + i, sig);
+    EXPECT_EQ(slot, i);
+    EXPECT_EQ(slab.id(slot), 100 + i);
+    EXPECT_EQ(slab.view(slot).dense(), dense[i]);
+    expect_slot_matches_packed(slab, slot, sig);
+  }
+  EXPECT_EQ(slab.size(), std::size(popcounts));
+}
+
+TEST(SignatureSlab, CodecMatchesPackedSignatureAtOddWidths) {
+  for (const std::uint32_t bits : {16384u, 1100u, 100u, 65u, 64u, 1u}) {
+    SignatureSlab slab(bits);
+    const std::size_t limit = bits / 32;
+    for (const std::size_t popcount :
+         {std::size_t{0}, limit, limit + 1, std::size_t{bits / 2},
+          std::size_t{bits}}) {
+      SCOPED_TRACE("bit_count " + std::to_string(bits) + " popcount " +
+                   std::to_string(popcount));
+      const SparseSignature sig =
+          random_signature(bits, popcount, bits * 7 + popcount);
+      expect_slot_matches_packed(slab, slab.add(popcount, sig), sig);
+    }
+  }
+  // Both ends of the range.
+  SignatureSlab slab(16384);
+  const SparseSignature ends({0, 16383}, 16384);
+  expect_slot_matches_packed(slab, slab.add(1, ends), ends);
+}
+
+TEST(SignatureSlab, RecyclesSlotsAndBitmapBlocks) {
+  constexpr std::uint32_t kBits = 16384;
+  SignatureSlab slab(kBits);
+  const SparseSignature dense_a = random_signature(kBits, 1973, 1);
+  const SparseSignature dense_b = random_signature(kBits, 1973, 2);
+  const SparseSignature list = random_signature(kBits, 64, 3);
+  const std::uint32_t a = slab.add(10, dense_a);
+  const std::uint32_t b = slab.add(11, dense_b);
+  const std::uint64_t* a_words = slab.view(a).words().data();
+
+  // The freed slot and its block come back first, holding the new summary.
+  slab.remove(a);
+  EXPECT_FALSE(slab.live(a));
+  EXPECT_EQ(slab.size(), 1u);
+  const std::uint32_t c = slab.add(12, dense_b);
+  EXPECT_EQ(c, a);
+  EXPECT_EQ(slab.id(c), 12u);
+  EXPECT_EQ(slab.view(c).words().data(), a_words);
+  expect_slot_matches_packed(slab, c, dense_b);
+
+  // A dense slot reused as a list leaves its block for the next bitmap.
+  slab.remove(c);
+  const std::uint32_t d = slab.add(13, list);
+  EXPECT_EQ(d, a);
+  EXPECT_FALSE(slab.view(d).dense());
+  expect_slot_matches_packed(slab, d, list);
+  const std::uint32_t e = slab.add(14, dense_a);
+  EXPECT_EQ(e, 2u);  // a new slot ...
+  EXPECT_EQ(slab.view(e).words().data(), a_words);  // ... on the freed block
+  expect_slot_matches_packed(slab, e, dense_a);
+  expect_slot_matches_packed(slab, b, dense_b);
+  EXPECT_EQ(slab.slot_limit(), 3u);
+
+  // Churn in place allocates nothing new.
+  const std::size_t chunks = slab.chunk_count();
+  for (std::size_t round = 0; round < 3 * SignatureSlab::kBitmapsPerChunk;
+       ++round) {
+    slab.remove(e);
+    EXPECT_EQ(slab.add(15 + round, round % 2 == 0 ? dense_b : dense_a), e);
+  }
+  EXPECT_EQ(slab.chunk_count(), chunks);
+  EXPECT_EQ(slab.slot_limit(), 3u);
+  EXPECT_EQ(slab.size(), 3u);
+}
+
+TEST(SignatureSlab, ChunkPointersStableAcrossGrowth) {
+  constexpr std::uint32_t kBits = 16384;
+  SignatureSlab slab(kBits);
+  std::vector<SparseSignature> sigs;
+  std::vector<const std::uint64_t*> words;
+  for (std::size_t i = 0; i < 1000; ++i) {
+    // Mostly bitmaps, with a list every seventh slot.
+    sigs.push_back(random_signature(kBits, i % 7 == 0 ? 64 : 1973, i + 1));
+    const std::uint32_t slot = slab.add(i, sigs.back());
+    ASSERT_EQ(slot, i);
+    words.push_back(slab.view(slot).words().data());
+    if (slab.view(slot).dense()) {
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(words.back()) % 64, 0u);
+    }
+  }
+  EXPECT_GE(slab.chunk_count(), 1000 * 6 / 7 / SignatureSlab::kBitmapsPerChunk);
+  for (std::uint32_t slot = 0; slot < 1000; ++slot) {
+    EXPECT_EQ(slab.view(slot).words().data(), words[slot]) << "slot " << slot;
+    EXPECT_EQ(slab.unpack(slot).set_bits(), sigs[slot].set_bits())
+        << "slot " << slot;
+  }
+}
+
 // score(Packed) must equal the pairwise reference bit for bit on every word
 // kernel, over dense x dense, dense x sparse and sparse x sparse pairs.
 class PackedScorerTest : public ::testing::TestWithParam<PopcountKernel> {};
@@ -1511,6 +1640,49 @@ TEST_P(PackedScorerTest, MatchesPairwiseJaccardOnRandomPairs) {
       }
     }
     EXPECT_GT(dense_pairs, 0u);
+  }
+}
+
+// score_slots() over a slab mixing bitmaps, lists and an empty summary,
+// in scrambled order with repeats: every score equals the pairwise Jaccard.
+TEST_P(PackedScorerTest, ScoreSlotsMatchesPairwiseJaccard) {
+  const PopcountKernel kernel = GetParam();
+  if (!popcount_kernel_supported(kernel)) {
+    GTEST_SKIP() << popcount_kernel_name(kernel) << " not supported here";
+  }
+  for (const std::uint32_t bits : {16384u, 1100u}) {
+    SignatureSlab slab(bits);
+    std::vector<SparseSignature> stored;
+    const std::size_t popcounts[] = {0, 1, bits / 32, bits / 32 + 1, bits / 9,
+                                     bits / 2, bits};
+    for (std::size_t i = 0; i < 40; ++i) {
+      stored.push_back(random_signature(
+          bits, popcounts[i % std::size(popcounts)], bits + i));
+      ASSERT_EQ(slab.add(i, stored.back()), i);
+    }
+    util::Rng rng(bits);
+    std::vector<std::uint32_t> slots;
+    for (std::size_t i = 0; i < 100; ++i) {
+      slots.push_back(static_cast<std::uint32_t>(rng.uniform_u64(40)));
+    }
+    for (const std::size_t query_popcount : {std::size_t{0}, std::size_t{bits / 9}}) {
+      const SparseSignature query =
+          random_signature(bits, query_popcount, query_popcount + 5);
+      const JaccardScorer scorer(query, kernel);
+      std::vector<double> scores(slots.size());
+      scorer.score_slots(slab, slots, scores);
+      for (std::size_t c = 0; c < slots.size(); ++c) {
+        ASSERT_EQ(scores[c],
+                  SparseSignature::jaccard(query, stored[slots[c]]))
+            << "bits " << bits << " candidate " << c;
+      }
+    }
+    // Fewer candidates than the prefetch distance, and none.
+    const JaccardScorer scorer(stored[5], kernel);
+    std::vector<double> one(1);
+    scorer.score_slots(slab, std::span(slots).first(1), one);
+    EXPECT_EQ(one[0], SparseSignature::jaccard(stored[5], stored[slots[0]]));
+    scorer.score_slots(slab, {}, {});
   }
 }
 
@@ -1681,6 +1853,285 @@ TEST_F(PackedRankingTest, TieredIndexMatchesPairwiseReference) {
   const auto [dense, sparse] = check_all_queries(index);
   EXPECT_GT(dense, 0u);
   EXPECT_GT(sparse, 0u);
+}
+
+// ---------- FastIndex over the signature slab ----------
+
+// FastIndex keeps its summaries in a SignatureSlab and its groups hold
+// slots. These run the real-summary corpus through histories that free and
+// reuse slots of both forms, and check every answer against references
+// that know nothing of slots.
+class SlabIndexTest : public PackedRankingTest {
+ protected:
+  static constexpr std::uint64_t kFreshBase = 5000;
+
+  /// Inserts the corpus, then erases, replaces and re-inserts so that
+  /// freed bitmap and list slots are reused, often by the other form.
+  /// Returns the live id -> signature map.
+  static std::map<std::uint64_t, SparseSignature> churn(
+      core::FastIndex& index) {
+    std::map<std::uint64_t, SparseSignature> live(*corpus_);
+    for (const auto& [id, sig] : live) index.insert_signature(id, sig);
+    std::vector<std::uint64_t> ids;
+    for (const auto& entry : live) ids.push_back(entry.first);
+    for (std::size_t i = 0; i < ids.size(); i += 3) {
+      EXPECT_TRUE(index.erase(ids[i]));
+      live.erase(ids[i]);
+    }
+    // Re-insert under another summary: the id leaves its groups and slot
+    // and comes back in a recycled one.
+    for (std::size_t i = 1; i < ids.size(); i += 5) {
+      const SparseSignature& other = corpus_->at(ids[(i * 7 + 3) % ids.size()]);
+      index.insert_signature(ids[i], other);
+      live.insert_or_assign(ids[i], other);
+    }
+    // New ids in freed slots, then some erased ids back under their own
+    // summaries.
+    for (std::size_t i = 0; i < ids.size(); i += 6) {
+      const SparseSignature& sig = corpus_->at(ids[(i + 1) % ids.size()]);
+      index.insert_signature(kFreshBase + i, sig);
+      live.insert_or_assign(kFreshBase + i, sig);
+    }
+    for (std::size_t i = 3; i < ids.size(); i += 6) {
+      index.insert_signature(ids[i], corpus_->at(ids[i]));
+      live.insert_or_assign(ids[i], corpus_->at(ids[i]));
+    }
+    EXPECT_EQ(index.size(), live.size());
+    return live;
+  }
+
+  /// The candidates a query must gather, by brute force: every live id
+  /// whose bucket key in some table is the query's home or probe key
+  /// there. Also returns the number of buckets the query probes.
+  static std::set<std::uint64_t> reference_candidates(
+      const core::pipeline::SemanticAggregator& aggregator,
+      const std::map<std::uint64_t, SparseSignature>& live,
+      const SparseSignature& query, std::size_t* bucket_probes) {
+    std::vector<std::vector<std::uint64_t>> probes;
+    const std::vector<std::uint64_t> keys = aggregator.keys(query, &probes);
+    std::vector<std::set<std::uint64_t>> reached(keys.size());
+    *bucket_probes = 0;
+    for (std::size_t t = 0; t < keys.size(); ++t) {
+      reached[t].insert(keys[t]);
+      reached[t].insert(probes[t].begin(), probes[t].end());
+      *bucket_probes += 1 + probes[t].size();
+    }
+    std::set<std::uint64_t> candidates;
+    for (const auto& [id, sig] : live) {
+      const std::vector<std::uint64_t> own = aggregator.keys(sig, nullptr);
+      for (std::size_t t = 0; t < own.size(); ++t) {
+        if (reached[t].contains(own[t])) {
+          candidates.insert(id);
+          break;
+        }
+      }
+    }
+    return candidates;
+  }
+
+  static void expect_same_answer(const core::QueryResult& a,
+                                 const core::QueryResult& b) {
+    ASSERT_EQ(a.candidates, b.candidates);
+    ASSERT_EQ(a.bucket_probes, b.bucket_probes);
+    ASSERT_EQ(a.parallel_tasks, b.parallel_tasks);
+    ASSERT_EQ(a.cost.elapsed_s(), b.cost.elapsed_s());
+    ASSERT_EQ(a.cost.hash_ops(), b.cost.hash_ops());
+    ASSERT_EQ(a.hits.size(), b.hits.size());
+    for (std::size_t h = 0; h < a.hits.size(); ++h) {
+      ASSERT_EQ(a.hits[h].id, b.hits[h].id) << "hit " << h;
+      ASSERT_EQ(a.hits[h].score, b.hits[h].score) << "hit " << h;
+    }
+  }
+};
+
+// After churn, every query gathers exactly the brute-force candidates and
+// ranks them exactly as the pairwise merge does. A fresh index built from
+// the surviving summaries answers identically, simulated cost and
+// parallel tasks included (flat addressing reads a fixed number of slots
+// per lookup, so cost does not depend on the churned table layout).
+TEST_F(SlabIndexTest, ChurnedIndexMatchesPairwiseReference) {
+  for (const bool multiprobe : {false, true}) {
+    SCOPED_TRACE(multiprobe ? "multiprobe" : "home buckets only");
+    core::FastConfig cfg = flat_config();
+    cfg.minhash_multiprobe = multiprobe;
+    core::FastIndex index(cfg, test::fake_pca());
+    const auto live = churn(index);
+    core::FastIndex fresh(cfg, test::fake_pca());
+    for (const auto& [id, sig] : live) fresh.insert_signature(id, sig);
+    const auto aggregator = core::pipeline::make_aggregator(cfg);
+
+    std::size_t gathered = 0;
+    for (const SparseSignature& query : *queries_) {
+      std::size_t bucket_probes = 0;
+      const std::set<std::uint64_t> candidates =
+          reference_candidates(*aggregator, live, query, &bucket_probes);
+      const core::QueryResult result =
+          index.query_signature(query, live.size());
+      ASSERT_EQ(result.candidates, candidates.size());
+      ASSERT_EQ(result.bucket_probes, bucket_probes);
+      std::vector<core::ScoredId> want;
+      for (const std::uint64_t id : candidates) {
+        want.push_back({id, SparseSignature::jaccard(query, live.at(id))});
+      }
+      std::sort(want.begin(), want.end(),
+                [](const core::ScoredId& a, const core::ScoredId& b) {
+                  if (a.score != b.score) return a.score > b.score;
+                  return a.id < b.id;
+                });
+      ASSERT_EQ(result.hits.size(), want.size());
+      for (std::size_t h = 0; h < want.size(); ++h) {
+        ASSERT_EQ(result.hits[h].id, want[h].id) << "hit " << h;
+        ASSERT_EQ(result.hits[h].score, want[h].score) << "hit " << h;
+      }
+      expect_same_answer(result, fresh.query_signature(query, live.size()));
+      expect_same_answer(index.query_signature(query, 10),
+                         fresh.query_signature(query, 10));
+      gathered += result.candidates;
+    }
+    EXPECT_GT(gathered, queries_->size());
+  }
+}
+
+// An erased id's slot is handed to the next insert. The newcomer must join
+// only its own groups: none of the erased id's groups may list it.
+TEST_F(SlabIndexTest, ReusedSlotNeverJoinsTheErasedIdsGroups) {
+  const core::FastConfig cfg = flat_config();
+  core::FastIndex index(cfg, test::fake_pca());
+  for (const auto& [id, sig] : *corpus_) index.insert_signature(id, sig);
+  const auto aggregator = core::pipeline::make_aggregator(cfg);
+  const std::size_t tables = aggregator->table_count();
+
+  // A bitmap victim replaced by a list newcomer, then the reverse.
+  for (const std::uint64_t victim : {std::uint64_t{3}, kThinnedBase + 4}) {
+    SCOPED_TRACE("victim " + std::to_string(victim));
+    const std::vector<std::uint64_t> victim_keys =
+        aggregator->keys(corpus_->at(victim), nullptr);
+    // The newcomer's summary is of the other form and shares no bucket
+    // key with the victim's in any table.
+    const SparseSignature* newcomer_sig = nullptr;
+    for (const auto& [id, sig] : *corpus_) {
+      if ((id >= kThinnedBase) == (victim >= kThinnedBase)) continue;
+      const std::vector<std::uint64_t> keys = aggregator->keys(sig, nullptr);
+      bool disjoint = true;
+      for (std::size_t t = 0; t < tables; ++t) {
+        disjoint = disjoint && keys[t] != victim_keys[t];
+      }
+      if (disjoint) {
+        newcomer_sig = &sig;
+        break;
+      }
+    }
+    ASSERT_NE(newcomer_sig, nullptr);
+
+    std::vector<std::size_t> victim_groups;
+    for (std::size_t g = 0; g < index.group_count(); ++g) {
+      const auto members = index.group_members(g);
+      if (std::find(members.begin(), members.end(), victim) != members.end()) {
+        victim_groups.push_back(g);
+      }
+    }
+    ASSERT_EQ(victim_groups.size(), tables);
+
+    ASSERT_TRUE(index.erase(victim));
+    const std::uint64_t newcomer = kFreshBase + victim;
+    index.insert_signature(newcomer, *newcomer_sig);
+
+    for (const std::size_t g : victim_groups) {
+      const auto members = index.group_members(g);
+      EXPECT_EQ(std::count(members.begin(), members.end(), newcomer), 0)
+          << "group " << g;
+      EXPECT_EQ(std::count(members.begin(), members.end(), victim), 0)
+          << "group " << g;
+    }
+    std::size_t appearances = 0;
+    for (std::size_t g = 0; g < index.group_count(); ++g) {
+      const auto members = index.group_members(g);
+      appearances += static_cast<std::size_t>(
+          std::count(members.begin(), members.end(), newcomer));
+    }
+    EXPECT_EQ(appearances, tables);
+    // Through the victim's old buckets, no query reaches the newcomer.
+    const core::QueryResult result =
+        index.query_signature(corpus_->at(victim), corpus_->size() + 2);
+    for (const auto& hit : result.hits) {
+      EXPECT_NE(hit.id, newcomer);
+      EXPECT_NE(hit.id, victim);
+    }
+  }
+}
+
+// A snapshot numbers slots afresh (in id order) and the WAL tail replays
+// onto them; the recovered index must answer exactly like the live one
+// whose slots were numbered by its churn history.
+TEST_F(SlabIndexTest, SnapshotRecoveryAnswersLikeLive) {
+  const core::FastConfig cfg = flat_config();
+  const std::string dir = ::testing::TempDir() + "fast_slab_snapshot";
+  std::filesystem::remove_all(dir);
+  core::DurabilityOptions opts;
+  opts.dir = dir;
+  auto opened = core::FastIndex::open_or_recover(cfg, test::fake_pca(), opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+  core::FastIndex live = std::move(opened).value();
+  churn(live);
+  ASSERT_TRUE(live.save_snapshot().ok());
+  // A WAL tail past the snapshot: an erase, a replacement, a new id.
+  ASSERT_TRUE(live.erase(1));
+  live.insert_signature(2, corpus_->at(kThinnedBase + 9));
+  live.insert_signature(kFreshBase + 999, corpus_->at(7));
+
+  core::RecoveryStats stats;
+  auto recovered =
+      core::FastIndex::open_or_recover(cfg, test::fake_pca(), opts, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+  EXPECT_TRUE(stats.loaded_snapshot);
+  const core::FastIndex& back = recovered.value();
+  ASSERT_EQ(back.size(), live.size());
+  ASSERT_EQ(back.group_count(), live.group_count());
+  EXPECT_EQ(back.index_bytes(), live.index_bytes());
+  for (std::size_t g = 0; g < live.group_count(); ++g) {
+    ASSERT_EQ(back.group_members(g), live.group_members(g)) << "group " << g;
+  }
+  for (const SparseSignature& query : *queries_) {
+    expect_same_answer(back.query_signature(query, 10),
+                       live.query_signature(query, 10));
+    expect_same_answer(back.query_signature(query, corpus_->size()),
+                       live.query_signature(query, corpus_->size()));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Concurrent readers each dedupe through their own thread's scratch, and
+// one thread's scratch serves indexes of different sizes in turn: four
+// threads alternating between the churned and a small index must answer
+// every query as a lone caller does.
+TEST_F(SlabIndexTest, ConcurrentQueriesMatchSequentialAnswers) {
+  const core::FastConfig cfg = flat_config();
+  core::FastIndex index(cfg, test::fake_pca());
+  churn(index);
+  core::FastIndex small(cfg, test::fake_pca());
+  for (std::uint64_t id = 0; id < 6; ++id) {
+    small.insert_signature(id, corpus_->at(id));
+  }
+  std::vector<core::QueryResult> want_index, want_small;
+  for (const SparseSignature& query : *queries_) {
+    want_index.push_back(index.query_signature(query, 10));
+    want_small.push_back(small.query_signature(query, 10));
+  }
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (std::size_t round = 0; round < 3; ++round) {
+        for (std::size_t i = 0; i < queries_->size(); ++i) {
+          const std::size_t q = (i + t * 7) % queries_->size();
+          expect_same_answer(index.query_signature((*queries_)[q], 10),
+                             want_index[q]);
+          expect_same_answer(small.query_signature((*queries_)[q], 10),
+                             want_small[q]);
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
 }
 
 // ---------- Locality-Sensitive Bloom Filter ----------
