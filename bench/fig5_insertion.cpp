@@ -18,7 +18,7 @@
 #include <thread>
 
 #include "common.hpp"
-#include "core/concurrent_index.hpp"
+#include "core/tiered_index.hpp"
 #include "img/transform.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -135,7 +135,7 @@ core::FastConfig churn_tiered_config(std::size_t seal_threshold = 2000) {
 
 /// Wall-clock inserts/second for `total` signature inserts spread over
 /// `threads` writers with disjoint id ranges.
-double measure_ingest(core::ConcurrentFastIndex& index, std::size_t threads,
+double measure_ingest(core::Backend& index, std::size_t threads,
                       std::size_t total,
                       const std::vector<hash::SparseSignature>& sigs) {
   const std::size_t per_thread = total / threads;
@@ -185,9 +185,10 @@ void run_churn(bool smoke) {
   // Wall-clock columns are whatever this host can show; the modeled column
   // projects the measured serial/parallel split to T true cores, in the
   // same spirit as the SimClock numbers elsewhere in the suite. The flat
-  // facade derives keys INSIDE its writer lock, so its modeled rate is
-  // flat at any thread count; the tiered path only serializes per-lane
-  // placement, so key derivation scales with T.
+  // layout serializes every placement behind one writer lock; the tiered
+  // path only serializes per-lane placement, so its model divides the
+  // critical section across lanes and the lock-free key derivation
+  // across T.
   const std::size_t lanes = churn_tiered_config().tier.lanes;
   util::Table sweep({"threads", "mutable (ins/s)", "tiered (ins/s)",
                      "wall speedup", "tiered modeled", "modeled speedup"});
@@ -198,13 +199,13 @@ void run_churn(bool smoke) {
   double wall_speedup_at_max = 0.0;
   std::size_t max_threads = 0;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    core::ConcurrentFastIndex flat(churn_flat_config(), pca, threads);
+    core::FastIndex flat(churn_flat_config(), pca);
     const double flat_rate = measure_ingest(flat, threads, sweep_inserts,
                                             sigs);
-    core::ConcurrentFastIndex tiered(churn_tiered_config(), pca, threads);
+    core::TieredIndex tiered(churn_tiered_config(), pca);
     const double tiered_rate = measure_ingest(tiered, threads, sweep_inserts,
                                               sigs);
-    tiered.tiered()->wait_idle();
+    tiered.wait_idle();
     if (threads == 1) {
       flat_rate_1 = flat_rate;
       insert_s_1 = 1.0 / tiered_rate;
@@ -247,12 +248,11 @@ void run_churn(bool smoke) {
   // --- Churn phase: sustained insert/erase + concurrent queries ---------
   // A tighter seal threshold than the sweep so seals and compactions fire
   // repeatedly at bench scale while the reader is timing queries.
-  core::ConcurrentFastIndex index(churn_tiered_config(smoke ? 250 : 500),
-                                  pca, 2);
+  core::TieredIndex index(churn_tiered_config(smoke ? 250 : 500), pca);
   for (std::uint64_t id = 0; id < preload; ++id) {
     index.insert_signature(id, sigs[id % kSigs]);
   }
-  index.tiered()->wait_idle();
+  index.wait_idle();
 
   // Wall time is whatever a 2-writers-plus-reader schedule on this host
   // gives; the simulated cost is the index work a query actually did
@@ -292,7 +292,7 @@ void run_churn(bool smoke) {
   std::thread reader([&] { timed_queries(churn_walls, churn_sims); });
   for (auto& t : writers) t.join();
   reader.join();
-  index.tiered()->wait_idle();
+  index.wait_idle();
 
   util::Table lat({"phase", "wall p50", "wall p99", "sim p50", "sim p99"});
   lat.add_row({"idle", util::fmt_duration(percentile_of(idle_walls, 50.0)),
@@ -322,7 +322,7 @@ void run_churn(bool smoke) {
   core::FastIndex truth(churn_flat_config(), pca);
   std::size_t rebuilt = 0;
   auto adopt = [&](std::uint64_t id) {
-    const auto sig = index.tiered()->find_signature(id);
+    const auto sig = index.signature_of(id);
     if (sig.has_value()) {
       truth.insert_signature(id, *sig);
       ++rebuilt;

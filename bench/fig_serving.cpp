@@ -1,7 +1,7 @@
 // fig_serving — sustained serving throughput and tail latency of the
 // network front door (DESIGN.md §3g).
 //
-// Starts an in-process fast::server over a tiered, writable engine,
+// Starts an in-process fast::server over an engine on a tiered backend,
 // preloads a zipf key space, then measures:
 //   1. closed-loop sweep: connections 1..N, 90/10 read/write zipf mix —
 //      sustained QPS and p50/p99/p999 per concurrency level;

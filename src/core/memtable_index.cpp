@@ -13,13 +13,14 @@ MemtableIndex::MemtableIndex(const FastConfig& config, std::size_t tables)
 std::size_t MemtableIndex::place(std::uint64_t id,
                                  hash::PackedSignature signature,
                                  std::span<const std::uint64_t> keys,
-                                 std::size_t* slot_reads) {
+                                 std::size_t* slot_reads,
+                                 hash::ProbeProfile* profile) {
   FAST_CHECK(keys.size() == store_->table_count());
   FAST_CHECK_MSG(!contains(id), "place() on a present id; remove() it first");
   std::size_t rehashes = 0;
   for (std::size_t t = 0; t < keys.size(); ++t) {
     std::size_t lookup_probes = 0;
-    const auto group = store_->find(t, keys[t], &lookup_probes);
+    const auto group = store_->find(t, keys[t], &lookup_probes, profile);
     if (slot_reads != nullptr) *slot_reads += lookup_probes;
     if (group) {
       groups_[*group].push_back(id);
@@ -54,9 +55,10 @@ void MemtableIndex::remove(std::uint64_t id) {
 
 void MemtableIndex::collect(std::size_t t, std::uint64_t key,
                             std::unordered_set<std::uint64_t>& out,
-                            std::size_t* slot_reads) const {
+                            std::size_t* slot_reads,
+                            hash::ProbeProfile* profile) const {
   std::size_t lookup_probes = 0;
-  if (const auto group = store_->find(t, key, &lookup_probes)) {
+  if (const auto group = store_->find(t, key, &lookup_probes, profile)) {
     for (const std::uint64_t id : groups_[*group]) out.insert(id);
   }
   if (slot_reads != nullptr) *slot_reads += lookup_probes;

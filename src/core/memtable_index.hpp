@@ -74,11 +74,12 @@ class MemtableIndex {
   /// Places `id` under precomputed per-table home keys (keys.size() ==
   /// table_count()) and drops any tombstone for it. The id must not already
   /// be present — the caller erases the old version first (re-insert).
-  /// Returns rehash events; adds modeled slot reads to *slot_reads when
-  /// non-null.
+  /// Returns rehash events; adds modeled slot reads to *slot_reads and the
+  /// lookups' probe work to *profile when non-null.
   std::size_t place(std::uint64_t id, hash::PackedSignature signature,
                     std::span<const std::uint64_t> keys,
-                    std::size_t* slot_reads = nullptr);
+                    std::size_t* slot_reads = nullptr,
+                    hash::ProbeProfile* profile = nullptr);
 
   /// Removes a locally stored id under its cached keys (emptied groups
   /// release their bucket key). The id must be present.
@@ -88,10 +89,11 @@ class MemtableIndex {
   void add_tombstone(std::uint64_t id) { tombstones_.insert(id); }
 
   /// Probes one (table, key) bucket and unions the group's members into
-  /// `out`. Adds the modeled slot reads of the lookup to *slot_reads.
+  /// `out`. Adds the modeled slot reads of the lookup to *slot_reads and
+  /// its probe work to *profile when non-null.
   void collect(std::size_t t, std::uint64_t key,
-               std::unordered_set<std::uint64_t>& out,
-               std::size_t* slot_reads) const;
+               std::unordered_set<std::uint64_t>& out, std::size_t* slot_reads,
+               hash::ProbeProfile* profile = nullptr) const;
 
   const std::unordered_map<std::uint64_t, hash::PackedSignature>& signatures()
       const noexcept {

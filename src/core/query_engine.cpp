@@ -1,84 +1,47 @@
 #include "core/query_engine.hpp"
 
+#include "util/check.hpp"
 #include "util/metrics.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace fast::core {
 
-namespace {
-
-void register_engine_metrics(util::MetricsRegistry& r, util::Counter** batches,
-                             util::Histogram** batch_size,
-                             util::Histogram** batch_wall_s,
-                             util::Gauge** last_sim_mean_s,
-                             util::Gauge** last_sim_makespan_s) {
-  *batches = &r.counter("engine.batches");
-  *batch_size = &r.count_histogram("engine.batch_size");
-  *batch_wall_s = &r.latency_histogram("engine.batch_native_wall_s");
-  *last_sim_mean_s = &r.gauge("engine.last_sim_mean_latency_s");
-  *last_sim_makespan_s = &r.gauge("engine.last_sim_makespan_s");
+QueryEngine::QueryEngine(Backend& backend, std::size_t threads)
+    : backend_(backend), pool_(threads) {
+  util::MetricsRegistry& r = backend_.metrics();
+  batches_ = &r.counter("engine.batches");
+  batch_size_ = &r.count_histogram("engine.batch_size");
+  batch_wall_s_ = &r.latency_histogram("engine.batch_native_wall_s");
+  last_sim_mean_s_ = &r.gauge("engine.last_sim_mean_latency_s");
+  last_sim_makespan_s_ = &r.gauge("engine.last_sim_makespan_s");
 }
 
-}  // namespace
-
-QueryEngine::QueryEngine(const FastIndex& index, std::size_t threads)
-    : flat_(&index), pool_(threads) {
-  register_engine_metrics(index.metrics(), &batches_, &batch_size_,
-                          &batch_wall_s_, &last_sim_mean_s_,
-                          &last_sim_makespan_s_);
-}
-
-QueryEngine::QueryEngine(const TieredIndex& index, std::size_t threads)
-    : tiered_(&index), pool_(threads) {
-  register_engine_metrics(index.metrics(), &batches_, &batch_size_,
-                          &batch_wall_s_, &last_sim_mean_s_,
-                          &last_sim_makespan_s_);
-}
-
-QueryEngine::QueryEngine(FastIndex& index, std::size_t threads)
-    : QueryEngine(static_cast<const FastIndex&>(index), threads) {
-  mut_flat_ = &index;
-}
-
-QueryEngine::QueryEngine(TieredIndex& index, std::size_t threads)
-    : QueryEngine(static_cast<const TieredIndex&>(index), threads) {
-  mut_tiered_ = &index;
-}
-
-QueryEngine::QueryEngine(std::unique_ptr<FastIndex> owned, std::size_t threads)
-    : QueryEngine(*owned, threads) {  // non-const *owned: engine is writable
-  owned_ = std::move(owned);
-}
-
-QueryEngine::QueryEngine(std::unique_ptr<TieredIndex> owned,
-                         std::size_t threads)
-    : QueryEngine(*owned, threads) {
-  owned_tiered_ = std::move(owned);
+QueryEngine::QueryEngine(std::unique_ptr<Backend> backend, std::size_t threads)
+    : QueryEngine(*backend, threads) {
+  owned_ = std::move(backend);
 }
 
 storage::StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::open(
     FastConfig config, vision::PcaModel pca, const DurabilityOptions& opts,
     RecoveryStats* stats, std::size_t threads) {
-  if (config.tier.enabled) {
-    auto index = TieredIndex::open_or_recover(std::move(config),
-                                              std::move(pca), opts, stats);
-    if (!index.ok()) return index.status();
-    return std::unique_ptr<QueryEngine>(
-        new QueryEngine(std::move(index).value(), threads));
-  }
-  auto index = FastIndex::open_or_recover(std::move(config), std::move(pca),
-                                          opts, stats);
-  if (!index.ok()) return index.status();
-  return std::unique_ptr<QueryEngine>(new QueryEngine(
-      std::make_unique<FastIndex>(std::move(index).value()), threads));
+  auto backend =
+      open_backend(std::move(config), std::move(pca), opts, stats);
+  if (!backend.ok()) return backend.status();
+  return std::make_unique<QueryEngine>(std::move(backend).value(), threads);
+}
+
+const TieredIndex& QueryEngine::tiered() const {
+  const auto* tiered = dynamic_cast<const TieredIndex*>(&backend_);
+  FAST_CHECK_MSG(tiered != nullptr, "tiered() on a flat engine");
+  return *tiered;
 }
 
 void QueryEngine::finish_report(BatchReport& report,
                                 std::size_t sim_slots) const {
   std::size_t slots = sim_slots;
   if (slots == 0) {
-    const FastConfig& c = backend_config();
+    const FastConfig& c = backend_.config();
     slots = c.cost.nodes * c.cost.cores_per_node;
   }
   std::vector<double> costs;
@@ -105,16 +68,9 @@ BatchReport QueryEngine::run_batch(
   report.results.resize(queries.size());
 
   util::WallTimer timer;
-  // A writable flat backend can have facade writers racing this batch;
-  // hold the reader side for the batch (readers never block readers).
-  std::shared_lock<std::shared_mutex> guard = reader_guard();
   pool_.parallel_for(queries.size(), [&](std::size_t i) {
-    report.results[i] =
-        tiered_ != nullptr
-            ? tiered_->query_signature(queries[i], options.top_k)
-            : flat_->query_signature(queries[i], options.top_k);
+    report.results[i] = backend_.query_signature(queries[i], options.top_k);
   });
-  guard = {};
   report.native_wall_s = timer.elapsed_seconds();
 
   finish_report(report, options.sim_slots);
@@ -128,93 +84,11 @@ BatchReport QueryEngine::run_image_batch(
   BatchReport report;
 
   util::WallTimer timer;
-  {
-    std::shared_lock<std::shared_mutex> guard = reader_guard();
-    report.results = tiered_ != nullptr
-                         ? tiered_->query_batch(images, options.top_k, &pool_)
-                         : flat_->query_batch(images, options.top_k, &pool_);
-  }
+  report.results = backend_.query_batch(images, options.top_k, &pool_);
   report.native_wall_s = timer.elapsed_seconds();
 
   finish_report(report, options.sim_slots);
   return report;
-}
-
-QueryResult QueryEngine::query_signature(
-    const hash::SparseSignature& signature, std::size_t k) const {
-  if (tiered_ != nullptr) return tiered_->query_signature(signature, k);
-  std::shared_lock<std::shared_mutex> guard = reader_guard();
-  return flat_->query_signature(signature, k);
-}
-
-std::size_t QueryEngine::size() const {
-  if (tiered_ != nullptr) return tiered_->size();
-  std::shared_lock<std::shared_mutex> guard = reader_guard();
-  return flat_->size();
-}
-
-bool QueryEngine::durable() const noexcept {
-  return tiered_ != nullptr ? tiered_->durable() : flat_->durable();
-}
-
-InsertResult QueryEngine::insert_signature(
-    std::uint64_t id, const hash::SparseSignature& signature) {
-  FAST_CHECK_MSG(writable(), "insert through a read-only QueryEngine");
-  if (mut_tiered_ != nullptr) return mut_tiered_->insert_signature(id, signature);
-  std::unique_lock<std::shared_mutex> guard(rw_mutex_);
-  return mut_flat_->insert_signature(id, signature);
-}
-
-std::vector<InsertResult> QueryEngine::insert_batch(
-    std::span<const EngineWrite> items) {
-  FAST_CHECK_MSG(writable(), "insert through a read-only QueryEngine");
-  std::vector<InsertResult> results;
-  results.reserve(items.size());
-  if (mut_tiered_ != nullptr) {
-    // Per-lane locking inside the tier: batches from different connections
-    // interleave without a facade lock.
-    for (const EngineWrite& item : items) {
-      results.push_back(mut_tiered_->insert_signature(item.id, item.signature));
-    }
-    return results;
-  }
-  std::unique_lock<std::shared_mutex> guard(rw_mutex_);
-  for (const EngineWrite& item : items) {
-    results.push_back(mut_flat_->insert_signature(item.id, item.signature));
-  }
-  return results;
-}
-
-bool QueryEngine::erase(std::uint64_t id) {
-  FAST_CHECK_MSG(writable(), "erase through a read-only QueryEngine");
-  if (mut_tiered_ != nullptr) return mut_tiered_->erase(id);
-  std::unique_lock<std::shared_mutex> guard(rw_mutex_);
-  return mut_flat_->erase(id);
-}
-
-std::size_t QueryEngine::erase_batch(std::span<const std::uint64_t> ids) {
-  FAST_CHECK_MSG(writable(), "erase through a read-only QueryEngine");
-  if (mut_tiered_ != nullptr) return mut_tiered_->erase_batch(ids);
-  std::unique_lock<std::shared_mutex> guard(rw_mutex_);
-  std::size_t erased = 0;
-  for (const std::uint64_t id : ids) {
-    if (mut_flat_->erase(id)) ++erased;
-  }
-  return erased;
-}
-
-storage::Status QueryEngine::sync_wal() {
-  FAST_CHECK_MSG(writable(), "sync_wal through a read-only QueryEngine");
-  if (mut_tiered_ != nullptr) return mut_tiered_->sync_wal();
-  std::unique_lock<std::shared_mutex> guard(rw_mutex_);
-  return mut_flat_->sync_wal();
-}
-
-storage::Status QueryEngine::save_snapshot() {
-  FAST_CHECK_MSG(writable(), "save_snapshot through a read-only QueryEngine");
-  if (mut_tiered_ != nullptr) return mut_tiered_->save_snapshot();
-  std::unique_lock<std::shared_mutex> guard(rw_mutex_);
-  return mut_flat_->save_snapshot();
 }
 
 double QueryEngine::simulated_query_latency(const QueryResult& result,

@@ -1,36 +1,29 @@
-// Parallel query execution — and, when writable, the mutating facade the
-// network server routes through — over a FastIndex or TieredIndex.
+// Parallel query execution — and the mutating facade the network server
+// routes through — over one core::Backend (flat or tiered; the engine never
+// asks which).
 //
 // Native side: a thread pool fans independent queries (and their probe
 // work) across host cores. Simulated side: per-query probe tasks are
 // scheduled onto the modeled cluster/multicore (sim::ClusterModel) to
 // produce the latency series of Fig. 4 (concurrent request batches) and
-// Fig. 7 (per-query latency vs. core count). The engine serves either
-// backend through the same interface — against a tiered index the batch
-// runs concurrently with ingest and compaction.
+// Fig. 7 (per-query latency vs. core count).
 //
-// Write facade: an engine constructed over a mutable index (or recovered
-// via open(), which owns its index) additionally exposes insert/erase
-// passthroughs that route through the config-selected backend, preserving
-// WAL durability. Engine-routed writes are bit-identical to calling the
-// index directly — tests/server_test.cpp proves it by comparing persisted
-// images. Thread-safety matches the backend: TieredIndex synchronizes
-// internally, so writes and queries flow straight through; a flat
-// FastIndex is single-writer, so a writable flat engine guards the backend
-// with a shared_mutex (queries shared, mutations exclusive) exactly like
-// ConcurrentFastIndex. Engines over a const index take no locks and stay
-// read-only.
+// Write facade: insert/erase passthroughs route to the backend, preserving
+// WAL durability; engine-routed writes are bit-identical to calling the
+// backend directly (tests/server_test.cpp compares persisted images). The
+// backend synchronizes internally, so the engine adds no lock: a served
+// query is one call into the backend and one shared-lock acquisition on
+// the flat layout.
 #pragma once
 
 #include <memory>
-#include <shared_mutex>
 #include <span>
 #include <vector>
 
+#include "core/backend.hpp"
 #include "core/fast_index.hpp"
 #include "core/tiered_index.hpp"
 #include "sim/cluster_model.hpp"
-#include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fast::core {
@@ -50,44 +43,27 @@ struct BatchReport {
   double native_wall_s = 0;       ///< host wall-clock for the whole batch
 };
 
-/// One engine-routed write: a precomputed signature and its id (the shape
-/// mobile clients ship — the server protocol carries exactly this).
-struct EngineWrite {
-  std::uint64_t id = 0;
-  hash::SparseSignature signature;
-};
-
 class QueryEngine {
  public:
+  /// Serves a caller-owned backend, which must outlive the engine.
   /// `threads` native worker threads (0 = hardware concurrency).
-  explicit QueryEngine(const FastIndex& index, std::size_t threads = 0);
-  explicit QueryEngine(const TieredIndex& index, std::size_t threads = 0);
+  explicit QueryEngine(Backend& backend, std::size_t threads = 0);
 
-  /// Writable engines: same query paths, plus the mutating facade below.
-  explicit QueryEngine(FastIndex& index, std::size_t threads = 0);
-  explicit QueryEngine(TieredIndex& index, std::size_t threads = 0);
+  /// Serves (and owns) `backend`.
+  explicit QueryEngine(std::unique_ptr<Backend> backend,
+                       std::size_t threads = 0);
 
-  /// Serves queries over an index recovered from opts.dir: a read-only
-  /// deployment (figure regeneration, a query-tier replica) pointed at a
-  /// persisted corpus. The engine owns the recovered index — flat or
-  /// tiered per config.tier.enabled.
+  /// Serves a durable backend recovered from (or initialized in) opts.dir,
+  /// flat or tiered per config.tier.enabled (core::open_backend).
   static storage::StatusOr<std::unique_ptr<QueryEngine>> open(
       FastConfig config, vision::PcaModel pca, const DurabilityOptions& opts,
       RecoveryStats* stats = nullptr, std::size_t threads = 0);
 
-  bool is_tiered() const noexcept { return tiered_ != nullptr; }
+  Backend& backend() const noexcept { return backend_; }
 
-  /// The flat index this engine queries (the recovered one for open()).
-  /// Only valid when !is_tiered().
-  const FastIndex& index() const {
-    FAST_CHECK_MSG(flat_ != nullptr, "index() on a tiered engine");
-    return *flat_;
-  }
-  /// The tiered index this engine queries. Only valid when is_tiered().
-  const TieredIndex& tiered() const {
-    FAST_CHECK_MSG(tiered_ != nullptr, "tiered() on a flat engine");
-    return *tiered_;
-  }
+  /// The tiered backend, for its maintenance surface (wait_idle,
+  /// segment_count, ...). FAST_CHECKs that the backend is tiered.
+  const TieredIndex& tiered() const;
 
   /// Runs a batch of signature queries in parallel and computes the
   /// simulated batch latency under `options.sim_slots` parallel servers.
@@ -104,83 +80,60 @@ class QueryEngine {
   static double simulated_query_latency(const QueryResult& result,
                                         std::size_t cores);
 
-  // --- Mutating facade (writable engines only) ---
-
-  /// True when this engine was built over a mutable index (or via open())
-  /// and the passthroughs below are legal.
-  bool writable() const noexcept {
-    return mut_flat_ != nullptr || mut_tiered_ != nullptr;
-  }
+  // --- Mutating facade ---
 
   /// Routes one signature insert through the backend; WAL-durable when the
-  /// backend is. FAST_CHECKs writable().
+  /// backend is.
   InsertResult insert_signature(std::uint64_t id,
-                                const hash::SparseSignature& signature);
-  /// Batch variant: items apply in order; per-item results match
-  /// insert_signature(). One writer-lock round-trip on a flat backend.
-  std::vector<InsertResult> insert_batch(std::span<const EngineWrite> items);
-  /// Erases one id; false when unknown. FAST_CHECKs writable().
-  bool erase(std::uint64_t id);
+                                const hash::SparseSignature& signature) {
+    return backend_.insert_signature(id, signature);
+  }
+  /// Batch variant: items apply in order as one unit; per-item results
+  /// match insert_signature().
+  std::vector<InsertResult> insert_batch(std::span<const EngineWrite> items) {
+    return backend_.insert_signatures(items);
+  }
+  /// Erases one id; false when unknown.
+  bool erase(std::uint64_t id) { return backend_.erase(id); }
   /// Erases each id (skipping unknowns); returns the number erased.
-  std::size_t erase_batch(std::span<const std::uint64_t> ids);
+  std::size_t erase_batch(std::span<const std::uint64_t> ids) {
+    return backend_.erase_batch(ids);
+  }
 
   /// One signature query through the backend — the server's unit of work
   /// (run_batch is the bench-facing batch path). Safe to call concurrently
   /// with the mutating facade.
   QueryResult query_signature(const hash::SparseSignature& signature,
-                              std::size_t k) const;
+                              std::size_t k) const {
+    return backend_.query_signature(signature, k);
+  }
 
   /// Backend config (the server validates wire-signature geometry here).
-  const FastConfig& config() const noexcept { return backend_config(); }
+  const FastConfig& config() const noexcept { return backend_.config(); }
   /// The backend's metrics registry; the server registers its instruments
   /// here so one scrape covers pipeline and serving metrics together.
   util::MetricsRegistry& metrics() const noexcept {
-    return tiered_ != nullptr ? tiered_->metrics() : flat_->metrics();
+    return backend_.metrics();
   }
 
   /// Live images in the backend.
-  std::size_t size() const;
+  std::size_t size() const { return backend_.size(); }
   /// True when backend mutations are WAL-logged.
-  bool durable() const noexcept;
+  bool durable() const noexcept { return backend_.durable(); }
   /// Fsyncs buffered WAL records (group-commit tail); the server calls
   /// this after draining so every acked write is on disk before exit.
-  storage::Status sync_wal();
-  /// Snapshots the backend (requires a durable, writable engine).
-  storage::Status save_snapshot();
+  storage::Status sync_wal() { return backend_.sync_wal(); }
+  /// Snapshots the backend (requires a durable backend).
+  storage::Status save_snapshot() { return backend_.save_snapshot(); }
 
  private:
-  QueryEngine(std::unique_ptr<FastIndex> owned, std::size_t threads);
-  QueryEngine(std::unique_ptr<TieredIndex> owned, std::size_t threads);
-
-  const FastConfig& backend_config() const noexcept {
-    return tiered_ != nullptr ? tiered_->config() : flat_->config();
-  }
-
-  /// Shared lock over the flat backend when facade writers can race it; an
-  /// empty guard otherwise (read-only or tiered engines pay nothing).
-  std::shared_lock<std::shared_mutex> reader_guard() const {
-    return mut_flat_ != nullptr
-               ? std::shared_lock<std::shared_mutex>(rw_mutex_)
-               : std::shared_lock<std::shared_mutex>();
-  }
-
   /// Fills the simulated-latency fields from the executed results.
   void finish_report(BatchReport& report, std::size_t sim_slots) const;
 
-  /// Set only by open(); declared before the backend pointers so the
-  /// references always outlive their bindings.
-  std::unique_ptr<FastIndex> owned_;
-  std::unique_ptr<TieredIndex> owned_tiered_;
-  const FastIndex* flat_ = nullptr;
-  const TieredIndex* tiered_ = nullptr;
-  /// Null on read-only engines. The tiered backend synchronizes internally;
-  /// the flat one is single-writer and guarded by rw_mutex_.
-  FastIndex* mut_flat_ = nullptr;
-  TieredIndex* mut_tiered_ = nullptr;
-  /// Engaged only when mut_flat_ != nullptr: queries shared, writes
-  /// exclusive. Read-only engines never touch it, so the existing
-  /// bench/figure paths are lock-free as before.
-  mutable std::shared_mutex rw_mutex_;
+  /// Set only when the engine owns its backend; declared first so it is
+  /// destroyed last, after the pool's workers have stopped.
+  std::unique_ptr<Backend> owned_;
+  Backend& backend_;
   util::ThreadPool pool_;
   util::Counter* batches_ = nullptr;
   util::Histogram* batch_size_ = nullptr;

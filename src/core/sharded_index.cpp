@@ -19,27 +19,13 @@ FastConfig shard_config(const FastConfig& config, std::size_t s) {
   return shard_cfg;
 }
 
-std::vector<std::unique_ptr<FastIndex>> build_flat_shards(
+std::vector<std::unique_ptr<Backend>> build_shards(
     const FastConfig& config, const vision::PcaModel& pca,
     std::size_t shards) {
-  std::vector<std::unique_ptr<FastIndex>> built;
-  if (config.tier.enabled) return built;
+  std::vector<std::unique_ptr<Backend>> built;
   built.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    built.push_back(std::make_unique<FastIndex>(shard_config(config, s), pca));
-  }
-  return built;
-}
-
-std::vector<std::unique_ptr<TieredIndex>> build_tiered_shards(
-    const FastConfig& config, const vision::PcaModel& pca,
-    std::size_t shards) {
-  std::vector<std::unique_ptr<TieredIndex>> built;
-  if (!config.tier.enabled) return built;
-  built.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    built.push_back(
-        std::make_unique<TieredIndex>(shard_config(config, s), pca));
+    built.push_back(make_backend(shard_config(config, s), pca));
   }
   return built;
 }
@@ -48,18 +34,15 @@ std::vector<std::unique_ptr<TieredIndex>> build_tiered_shards(
 
 ShardedFastIndex::ShardedFastIndex(FastConfig config, vision::PcaModel pca,
                                    std::size_t shards, std::size_t threads)
-    : ShardedFastIndex(config, build_flat_shards(config, pca, shards),
-                       build_tiered_shards(config, pca, shards), threads) {}
+    : ShardedFastIndex(config, build_shards(config, pca, shards), threads) {}
 
 ShardedFastIndex::ShardedFastIndex(
-    FastConfig config, std::vector<std::unique_ptr<FastIndex>> shards,
-    std::vector<std::unique_ptr<TieredIndex>> tiered_shards,
+    FastConfig config, std::vector<std::unique_ptr<Backend>> shards,
     std::size_t threads)
-    : config_(std::move(config)),
-      shard_map_(shards.empty() ? tiered_shards.size() : shards.size()),
-      shards_(std::move(shards)), tiered_shards_(std::move(tiered_shards)),
-      pool_(threads), metrics_(std::make_shared<util::MetricsRegistry>()) {
-  FAST_CHECK(shards_.empty() != tiered_shards_.empty());
+    : config_(std::move(config)), shard_map_(shards.size()),
+      shards_(std::move(shards)), pool_(threads),
+      metrics_(std::make_shared<util::MetricsRegistry>()) {
+  FAST_CHECK(!shards_.empty());
   queries_ = &metrics_->counter("sharded.queries");
   inserts_ = &metrics_->counter("sharded.inserts");
   erases_ = &metrics_->counter("sharded.erases");
@@ -79,9 +62,7 @@ ShardedFastIndex::ShardedFastIndex(
     router_agg_ = pipeline::make_aggregator(config_);
     // A recovered shard may carry a calibrated LSH input scale; the
     // coordinator's key derivation must match the shards'.
-    const FastConfig& shard_cfg = is_tiered() ? tiered_shards_.front()->config()
-                                              : shards_.front()->config();
-    router_agg_->set_input_scale(shard_cfg.lsh_input_scale);
+    router_agg_->set_input_scale(front().config().lsh_input_scale);
     const std::size_t counters = std::size_t{1} << config_.shard_routing_bits;
     summaries_.reserve(shard_map_.shard_count());
     for (std::size_t s = 0; s < shard_map_.shard_count(); ++s) {
@@ -151,7 +132,6 @@ void ShardedFastIndex::routing_remove(std::size_t s,
 
 std::optional<hash::SparseSignature> ShardedFastIndex::shard_signature(
     std::size_t s, std::uint64_t id) const {
-  if (is_tiered()) return tiered_shards_[s]->find_signature(id);
   return shards_[s]->signature_of(id);
 }
 
@@ -166,14 +146,10 @@ void ShardedFastIndex::routing_replace(std::size_t s, std::uint64_t id,
 void ShardedFastIndex::rebuild_routing_summaries() {
   if (!routing_enabled()) return;
   for (std::size_t s = 0; s < shard_map_.shard_count(); ++s) {
-    const auto add = [&](std::uint64_t, const hash::SparseSignature& sig) {
-      routing_add(s, sig);
-    };
-    if (is_tiered()) {
-      tiered_shards_[s]->for_each_live_signature(add);
-    } else {
-      shards_[s]->for_each_signature(add);
-    }
+    shards_[s]->for_each_live(
+        [&](std::uint64_t, const hash::SparseSignature& sig) {
+          routing_add(s, sig);
+        });
   }
 }
 
@@ -184,24 +160,15 @@ ShardedFastIndex::open_or_recover(FastConfig config, vision::PcaModel pca,
                                   RecoveryStats* stats, std::size_t threads) {
   FAST_CHECK(shards >= 1);
   RecoveryStats total;
-  std::vector<std::unique_ptr<FastIndex>> flat_built;
-  std::vector<std::unique_ptr<TieredIndex>> tiered_built;
+  std::vector<std::unique_ptr<Backend>> built;
   for (std::size_t s = 0; s < shards; ++s) {
     DurabilityOptions shard_opts = opts;
     shard_opts.dir = opts.dir + "/shard-" + std::to_string(s);
     RecoveryStats shard_stats;
-    if (config.tier.enabled) {
-      auto index = TieredIndex::open_or_recover(shard_config(config, s), pca,
-                                                shard_opts, &shard_stats);
-      if (!index.ok()) return index.status();
-      tiered_built.push_back(std::move(index).value());
-    } else {
-      auto index = FastIndex::open_or_recover(shard_config(config, s), pca,
-                                              shard_opts, &shard_stats);
-      if (!index.ok()) return index.status();
-      flat_built.push_back(
-          std::make_unique<FastIndex>(std::move(index).value()));
-    }
+    auto shard = open_backend(shard_config(config, s), pca, shard_opts,
+                              &shard_stats);
+    if (!shard.ok()) return shard.status();
+    built.push_back(std::move(shard).value());
     total.loaded_snapshot |= shard_stats.loaded_snapshot;
     total.snapshot_seq = std::max(total.snapshot_seq,
                                   shard_stats.snapshot_seq);
@@ -211,8 +178,7 @@ ShardedFastIndex::open_or_recover(FastConfig config, vision::PcaModel pca,
     total.wal_torn |= shard_stats.wal_torn;
   }
   std::unique_ptr<ShardedFastIndex> sharded(
-      new ShardedFastIndex(std::move(config), std::move(flat_built),
-                           std::move(tiered_built), threads));
+      new ShardedFastIndex(std::move(config), std::move(built), threads));
   if (stats != nullptr) *stats = total;
   return sharded;
 }
@@ -223,44 +189,13 @@ storage::Status ShardedFastIndex::save_snapshot() {
     storage::Status s = shard->save_snapshot();
     if (!s.ok() && first.ok()) first = std::move(s);
   }
-  for (const auto& shard : tiered_shards_) {
-    storage::Status s = shard->save_snapshot();
-    if (!s.ok() && first.ok()) first = std::move(s);
-  }
   return first;
 }
 
 std::size_t ShardedFastIndex::size() const noexcept {
   std::size_t n = 0;
   for (const auto& s : shards_) n += s->size();
-  for (const auto& s : tiered_shards_) n += s->size();
   return n;
-}
-
-hash::SparseSignature ShardedFastIndex::summarize_front(
-    const img::Image& image) const {
-  // Any shard's summarizer is equivalent (shards differ only in storage
-  // seeds).
-  return is_tiered() ? tiered_shards_.front()->summarize(image)
-                     : shards_.front()->summarize(image);
-}
-
-sim::SimClock ShardedFastIndex::frontend_cost() const {
-  return is_tiered() ? tiered_shards_.front()->frontend_insert_cost()
-                     : shards_.front()->frontend_insert_cost();
-}
-
-InsertResult ShardedFastIndex::shard_insert_signature(
-    std::size_t s, std::uint64_t id, const hash::SparseSignature& signature) {
-  return is_tiered() ? tiered_shards_[s]->insert_signature(id, signature)
-                     : shards_[s]->insert_signature(id, signature);
-}
-
-QueryResult ShardedFastIndex::shard_query_signature(
-    std::size_t s, const hash::SparseSignature& signature,
-    std::size_t k) const {
-  return is_tiered() ? tiered_shards_[s]->query_signature(signature, k)
-                     : shards_[s]->query_signature(signature, k);
 }
 
 InsertResult ShardedFastIndex::insert(std::uint64_t id,
@@ -273,13 +208,12 @@ InsertResult ShardedFastIndex::insert(std::uint64_t id,
     // Summarize at the coordinator (same FE+SM work the shard would do) so
     // the summary can track the placed signature; cost accounting matches
     // the direct shard->insert path exactly.
-    const hash::SparseSignature sig = summarize_front(image);
+    const hash::SparseSignature sig = front().summarize(image);
     routing_replace(s, id, sig);
-    r = shard_insert_signature(s, id, sig);
-    r.cost.merge(frontend_cost());
+    r = shards_[s]->insert_signature(id, sig);
+    r.cost.merge(front().frontend_insert_cost());
   } else {
-    r = is_tiered() ? tiered_shards_[s]->insert(id, image)
-                    : shards_[s]->insert(id, image);
+    r = shards_[s]->insert(id, image);
   }
   // Routing the signature to the owner node: one network hop.
   r.cost.charge(config_.cost.net_transfer_s(512));
@@ -292,7 +226,7 @@ InsertResult ShardedFastIndex::insert_signature(
   scatter_msgs_->add();
   const std::size_t s = shard_map_.shard_of(id);
   if (routing_enabled()) routing_replace(s, id, signature);
-  InsertResult r = shard_insert_signature(s, id, signature);
+  InsertResult r = shards_[s]->insert_signature(id, signature);
   r.cost.charge(config_.cost.net_transfer_s(signature.storage_bytes()));
   return r;
 }
@@ -304,8 +238,7 @@ bool ShardedFastIndex::erase(std::uint64_t id) {
   // the summary once the shard confirms the id was resident.
   std::optional<hash::SparseSignature> old;
   if (routing_enabled()) old = shard_signature(s, id);
-  const bool erased = is_tiered() ? tiered_shards_[s]->erase(id)
-                                  : shards_[s]->erase(id);
+  const bool erased = shards_[s]->erase(id);
   if (erased) {
     erases_->add();
     if (old) routing_remove(s, *old);
@@ -323,7 +256,7 @@ std::vector<InsertResult> ShardedFastIndex::insert_batch(
   // FE+SM for the whole batch, fanned across the native pool.
   std::vector<hash::SparseSignature> sigs(items.size());
   pool_.parallel_for(items.size(), [&](std::size_t i) {
-    sigs[i] = summarize_front(*items[i].image);
+    sigs[i] = front().summarize(*items[i].image);
   });
 
   // Partition item indices into per-shard sub-batches, then let every
@@ -336,7 +269,7 @@ std::vector<InsertResult> ShardedFastIndex::insert_batch(
   for (const auto& sub : by_shard) {
     shard_batch_items_->observe(static_cast<double>(sub.size()));
   }
-  const sim::SimClock frontend = frontend_cost();
+  const sim::SimClock frontend = front().frontend_insert_cost();
   std::vector<InsertResult> results(items.size());
   pool_.parallel_for(ns, [&](std::size_t s) {
     util::TraceSpan shard_span("shard.place");
@@ -346,7 +279,7 @@ std::vector<InsertResult> ShardedFastIndex::insert_batch(
       // Summary writes are race-free here: each task touches only its own
       // shard's summary, mirroring the shard-disjoint placement below.
       if (routing_enabled()) routing_replace(s, items[i].id, sigs[i]);
-      InsertResult stored = shard_insert_signature(s, items[i].id, sigs[i]);
+      InsertResult stored = shards_[s]->insert_signature(items[i].id, sigs[i]);
       stored.cost.merge(frontend);
       stored.cost.charge(config_.cost.net_transfer_s(512));
       results[i] = std::move(stored);
@@ -359,7 +292,7 @@ std::vector<QueryResult> ShardedFastIndex::query_batch(
     std::span<const img::Image* const> images, std::size_t k) const {
   std::vector<hash::SparseSignature> sigs(images.size());
   pool_.parallel_for(images.size(), [&](std::size_t i) {
-    sigs[i] = summarize_front(*images[i]);
+    sigs[i] = front().summarize(*images[i]);
   });
 
   // Per-query shard targets: all shards, or the routed subset when
@@ -396,7 +329,7 @@ std::vector<QueryResult> ShardedFastIndex::query_batch(
     util::TraceSpan shard_span("shard.probe");
     shard_span.attr("shard", static_cast<double>(cell.s));
     shard_span.attr("query", static_cast<double>(cell.q));
-    per_query[cell.q][cell.slot] = shard_query_signature(cell.s, sigs[cell.q], k);
+    per_query[cell.q][cell.slot] = shards_[cell.s]->query_signature(sigs[cell.q], k);
   });
 
   std::vector<QueryResult> results;
@@ -452,7 +385,7 @@ QueryResult ShardedFastIndex::gather(std::vector<QueryResult> per_shard,
 QueryResult ShardedFastIndex::query(const img::Image& image,
                                     std::size_t k) const {
   // Summarize once at the front end; only the signature travels.
-  const hash::SparseSignature sig = summarize_front(image);
+  const hash::SparseSignature sig = front().summarize(image);
   QueryResult r = query_signature(sig, k);
   // Account the front-end extraction in the merged cost.
   QueryResult with_fe = std::move(r);
@@ -475,7 +408,7 @@ QueryResult ShardedFastIndex::query_signature(
   pool_.parallel_for(targets.size(), [&](std::size_t i) {
     util::TraceSpan shard_span("shard.probe");
     shard_span.attr("shard", static_cast<double>(targets[i]));
-    per_shard[i] = shard_query_signature(targets[i], signature, k);
+    per_shard[i] = shards_[targets[i]]->query_signature(signature, k);
   });
   return gather(std::move(per_shard), k, 0.0);
 }
@@ -483,7 +416,6 @@ QueryResult ShardedFastIndex::query_signature(
 std::size_t ShardedFastIndex::index_bytes() const {
   std::size_t bytes = 0;
   for (const auto& s : shards_) bytes += s->index_bytes();
-  for (const auto& s : tiered_shards_) bytes += s->index_bytes();
   return bytes;
 }
 

@@ -1,10 +1,9 @@
 // Distributed FAST: the paper's 256-node deployment shape.
 //
 // Photos are hash-partitioned across shards (one per cluster node in the
-// paper); each shard runs an independent local index over its partition —
-// a flat FastIndex by default, or a TieredIndex (memtable + sealed
-// segments + background compaction) when config.tier.enabled is set, so a
-// churn-heavy deployment keeps per-node ingest off the query path. Queries
+// paper); each shard is an independent core::Backend over its partition,
+// laid out per config.tier.enabled (make_backend), so a churn-heavy
+// deployment can keep per-node ingest off the query path. Queries
 // scatter the ~hundreds-of-bytes signature to all shards — not the image —
 // gather the per-shard top-k and merge. Per-query simulated cost models the
 // scatter/gather network hops plus the slowest shard's local probe (shards
@@ -25,8 +24,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/fast_index.hpp"
-#include "core/tiered_index.hpp"
+#include "core/backend.hpp"
 #include "hash/counting_bloom.hpp"
 #include "storage/shard.hpp"
 #include "util/metrics.hpp"
@@ -36,9 +34,8 @@ namespace fast::core {
 
 class ShardedFastIndex {
  public:
-  /// `shards` independent partitions (flat or tiered per
-  /// config.tier.enabled); `threads` native workers for parallel shard
-  /// probing (0 = hardware concurrency).
+  /// `shards` independent partitions (make_backend per shard); `threads`
+  /// native workers for parallel shard probing (0 = hardware concurrency).
   ShardedFastIndex(FastConfig config, vision::PcaModel pca,
                    std::size_t shards, std::size_t threads = 0);
 
@@ -60,7 +57,6 @@ class ShardedFastIndex {
   std::size_t shard_count() const noexcept { return shard_map_.shard_count(); }
   std::size_t size() const noexcept;
   const FastConfig& config() const noexcept { return config_; }
-  bool is_tiered() const noexcept { return !tiered_shards_.empty(); }
 
   /// Shard that owns an image id.
   std::size_t shard_of(std::uint64_t id) const noexcept {
@@ -97,17 +93,8 @@ class ShardedFastIndex {
   /// Sum of all shards' in-memory index bytes.
   std::size_t index_bytes() const;
 
-  /// Access to a flat shard's local index (tests, rebalancing tooling).
-  /// Only valid when !is_tiered().
-  const FastIndex& shard(std::size_t i) const {
-    FAST_CHECK_MSG(!is_tiered(), "shard() on a tiered deployment");
-    return *shards_.at(i);
-  }
-  /// Access to a tiered shard's local index. Only valid when is_tiered().
-  const TieredIndex& tiered_shard(std::size_t i) const {
-    FAST_CHECK_MSG(is_tiered(), "tiered_shard() on a flat deployment");
-    return *tiered_shards_.at(i);
-  }
+  /// A shard's local backend (tests, rebalancing tooling).
+  const Backend& shard(std::size_t i) const { return *shards_.at(i); }
 
   /// Scatter/gather and fan-out observability for the distributed frontend
   /// (per-shard stage metrics live in each shard's own registry).
@@ -118,12 +105,10 @@ class ShardedFastIndex {
   bool routing_enabled() const noexcept { return !summaries_.empty(); }
 
  private:
-  /// Assembles the facade around pre-built shard indexes (the durable path
-  /// recovers each shard before construction). Exactly one of the two
-  /// vectors is non-empty.
+  /// Assembles the facade around pre-built shard backends (the durable
+  /// path recovers each shard before construction).
   ShardedFastIndex(FastConfig config,
-                   std::vector<std::unique_ptr<FastIndex>> shards,
-                   std::vector<std::unique_ptr<TieredIndex>> tiered_shards,
+                   std::vector<std::unique_ptr<Backend>> shards,
                    std::size_t threads);
 
   QueryResult gather(std::vector<QueryResult> per_shard, std::size_t k,
@@ -155,19 +140,13 @@ class ShardedFastIndex {
   /// persisting them, so they can never be stale relative to the WAL tail.
   void rebuild_routing_summaries();
 
-  // Shard-local dispatch (flat vs tiered) for the scatter/gather plumbing.
-  hash::SparseSignature summarize_front(const img::Image& image) const;
-  sim::SimClock frontend_cost() const;
-  InsertResult shard_insert_signature(std::size_t s, std::uint64_t id,
-                                      const hash::SparseSignature& signature);
-  QueryResult shard_query_signature(std::size_t s,
-                                    const hash::SparseSignature& signature,
-                                    std::size_t k) const;
+  /// The coordinator's front end: any shard's summarizer is equivalent
+  /// (shards differ only in storage seeds).
+  const Backend& front() const { return *shards_.front(); }
 
   FastConfig config_;
   storage::ShardMap shard_map_;
-  std::vector<std::unique_ptr<FastIndex>> shards_;
-  std::vector<std::unique_ptr<TieredIndex>> tiered_shards_;
+  std::vector<std::unique_ptr<Backend>> shards_;
   mutable util::ThreadPool pool_;
   std::shared_ptr<util::MetricsRegistry> metrics_;
   /// Coordinator-side key derivation for routing: shards differ only in

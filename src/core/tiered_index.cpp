@@ -1,17 +1,14 @@
 #include "core/tiered_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/fast_index.hpp"
 #include "core/pipeline/factory.hpp"
 #include "util/check.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
@@ -22,13 +19,8 @@ TieredIndex::TieredIndex(FastConfig config, vision::PcaModel pca)
 
 TieredIndex::TieredIndex(FastConfig config, vision::PcaModel pca,
                          bool start_worker)
-    : config_(std::move(config)),
-      summarizer_(pipeline::make_summarizer(config_, std::move(pca))),
-      aggregator_(pipeline::make_aggregator(config_)) {
-  FAST_CHECK_MSG(config_.lsh.dim == config_.bloom_bits,
-                 "LSH input dim must equal the Bloom summary width");
-  FAST_CHECK_MSG(summarizer_->signature_bits() == config_.bloom_bits,
-                 "summarizer width must match the configured Bloom width");
+    : Backend(config, pipeline::make_summarizer(config, std::move(pca)),
+              pipeline::make_aggregator(config)) {
   tables_ = aggregator_->table_count();
   mem_config_ = config_;
   // Headroom over the seal threshold keeps a filling memtable below the
@@ -50,7 +42,7 @@ TieredIndex::TieredIndex(FastConfig config, vision::PcaModel pca,
     lanes_.push_back(std::move(lane));
   }
   init_metrics();
-  m_.tier_lanes->set(static_cast<double>(lanes_.size()));
+  tm_.tier_lanes->set(static_cast<double>(lanes_.size()));
   if (start_worker && config_.tier.background) {
     worker_ = std::thread(&TieredIndex::worker_loop, this);
   }
@@ -59,39 +51,21 @@ TieredIndex::TieredIndex(FastConfig config, vision::PcaModel pca,
 TieredIndex::~TieredIndex() { stop_worker(); }
 
 void TieredIndex::init_metrics() {
-  metrics_ = std::make_shared<util::MetricsRegistry>();
-  util::MetricsRegistry& r = *metrics_;
-  m_.fe_sm_images = &r.counter("fe_sm.images");
-  m_.fe_sm_summarize_s = &r.latency_histogram("fe_sm.summarize_s");
-  m_.inserts = &r.counter("index.inserts");
-  m_.erases = &r.counter("index.erases");
-  m_.queries = &r.counter("index.queries");
-  m_.insert_sim_s = &r.latency_histogram("index.insert_sim_s");
-  m_.query_sim_s = &r.latency_histogram("index.query_sim_s");
-  m_.query_wall_s = &r.latency_histogram("query.wall_s");
-  m_.sa_keys_derived = &r.counter("sa.keys_derived");
-  m_.sa_insert_hash_ops = &r.counter("sa.insert_hash_ops");
-  m_.sa_keys_wall_s = &r.latency_histogram("sa.keys_wall_s");
-  m_.sa_probe_keys = &r.count_histogram("sa.probe_keys_per_query");
-  m_.rank_wall_s = &r.latency_histogram("rank.wall_s");
-  m_.chs_slot_reads = &r.counter("chs.slot_reads");
-  m_.chs_bucket_probes = &r.count_histogram("chs.bucket_probes_per_query");
-  m_.chs_candidates = &r.count_histogram("chs.candidates_per_query");
-  m_.index_size = &r.gauge("index.size");
-  m_.tier_lanes = &r.gauge("tier.lanes");
-  m_.tier_memtable_entries = &r.gauge("tier.memtable_entries");
-  m_.tier_tombstones = &r.gauge("tier.tombstones");
-  m_.tier_seals = &r.counter("tier.seals");
-  m_.tier_segment_skips = &r.counter("tier.segment_skips");
-  m_.segment_count = &r.gauge("segment.count");
-  m_.compaction_runs = &r.counter("compaction.runs");
-  m_.compaction_dropped_tombstones =
+  util::MetricsRegistry& r = metrics();
+  tm_.tier_lanes = &r.gauge("tier.lanes");
+  tm_.tier_memtable_entries = &r.gauge("tier.memtable_entries");
+  tm_.tier_tombstones = &r.gauge("tier.tombstones");
+  tm_.tier_seals = &r.counter("tier.seals");
+  tm_.tier_segment_skips = &r.counter("tier.segment_skips");
+  tm_.segment_count = &r.gauge("segment.count");
+  tm_.compaction_runs = &r.counter("compaction.runs");
+  tm_.compaction_dropped_tombstones =
       &r.counter("compaction.dropped_tombstones");
-  m_.compaction_merge_s = &r.latency_histogram("compaction.merge_s");
-  m_.compaction_merge_entries = &r.count_histogram("compaction.merge_entries");
-  m_.compaction_merged_segments =
+  tm_.compaction_merge_s = &r.latency_histogram("compaction.merge_s");
+  tm_.compaction_merge_entries =
+      &r.count_histogram("compaction.merge_entries");
+  tm_.compaction_merged_segments =
       &r.count_histogram("compaction.merged_segments");
-  storage::DurableLog::register_metrics(r);
 }
 
 std::size_t TieredIndex::segment_count() const {
@@ -138,70 +112,15 @@ void TieredIndex::publish_tier_gauges() {
     segs += list->size();
     for (const auto& seg : *list) seg_tombstones += seg->tombstone_count();
   }
-  m_.segment_count->set(static_cast<double>(segs));
-  m_.tier_memtable_entries->set(static_cast<double>(
+  tm_.segment_count->set(static_cast<double>(segs));
+  tm_.tier_memtable_entries->set(static_cast<double>(
       std::max<std::int64_t>(mem_entries_.load(std::memory_order_relaxed),
                              0)));
-  m_.tier_tombstones->set(static_cast<double>(
+  tm_.tier_tombstones->set(static_cast<double>(
       static_cast<std::size_t>(std::max<std::int64_t>(
           mem_tombstones_.load(std::memory_order_relaxed), 0)) +
       seg_tombstones));
   m_.index_size->set(static_cast<double>(size()));
-}
-
-// --- FE + SM --------------------------------------------------------------
-
-hash::SparseSignature TieredIndex::summarize(const img::Image& image) const {
-  util::TraceSpan span("fe_sm.summarize");
-  util::WallTimer timer;
-  hash::SparseSignature sig = summarizer_->summarize(image);
-  m_.fe_sm_images->add();
-  m_.fe_sm_summarize_s->observe(timer.elapsed_seconds());
-  return sig;
-}
-
-sim::SimClock TieredIndex::frontend_insert_cost() const noexcept {
-  sim::SimClock clock;
-  clock.charge(config_.feature_extract_s);
-  clock.charge_hash(config_.cost.hash_op_s,
-                    config_.max_keypoints * config_.bloom_hashes);
-  return clock;
-}
-
-void TieredIndex::calibrate_scale(
-    std::span<const hash::SparseSignature> sample_queries,
-    std::span<const hash::SparseSignature> corpus_sample,
-    util::ThreadPool* pool) {
-  FAST_CHECK_MSG(size() == 0, "calibrate before inserting");
-  if (sample_queries.empty() || corpus_sample.empty()) return;
-  // Same R-tuning as FastIndex::calibrate_scale (paper §IV-A2): median
-  // sample-query NN distance mapped onto calibrate_target * omega.
-  std::vector<double> best(sample_queries.size());
-  const auto nn_of = [&](std::size_t i) {
-    double b = std::numeric_limits<double>::infinity();
-    for (const auto& c : corpus_sample) {
-      const double d = static_cast<double>(
-          hash::SparseSignature::hamming(sample_queries[i], c));
-      b = std::min(b, d);
-    }
-    best[i] = b;
-  };
-  if (pool != nullptr && sample_queries.size() > 1) {
-    pool->parallel_for(sample_queries.size(), nn_of);
-  } else {
-    for (std::size_t i = 0; i < sample_queries.size(); ++i) nn_of(i);
-  }
-  std::vector<double> nn;
-  nn.reserve(best.size());
-  for (const double b : best) {
-    if (std::isfinite(b)) nn.push_back(std::sqrt(b));
-  }
-  FAST_CHECK(!nn.empty());
-  std::nth_element(nn.begin(), nn.begin() + nn.size() / 2, nn.end());
-  const double median_nn = std::max(nn[nn.size() / 2], 1.0);
-  config_.lsh_input_scale =
-      config_.calibrate_target * config_.lsh.omega / median_nn;
-  aggregator_->set_input_scale(config_.lsh_input_scale);
 }
 
 // --- Mutations ------------------------------------------------------------
@@ -215,46 +134,21 @@ bool TieredIndex::segments_contain_live(const Lane& lane, std::uint64_t id) {
   return false;
 }
 
-InsertResult TieredIndex::insert(std::uint64_t id, const img::Image& image) {
-  util::TraceSpan span("insert.image");
-  const hash::SparseSignature sig = summarize(image);
-  InsertResult stored = insert_signature(id, sig);
-  stored.cost.merge(frontend_insert_cost());
-  return stored;
+void TieredIndex::place(std::span<Placement> batch) {
+  for (Placement& p : batch) {
+    if (place_one(p)) schedule_maintenance();
+  }
 }
 
-InsertResult TieredIndex::insert_signature(
-    std::uint64_t id, const hash::SparseSignature& signature) {
-  util::TraceSpan span("insert");
-  InsertResult result;
-  FAST_CHECK(signature.bit_count() == config_.bloom_bits);
-
-  const std::size_t sa_ops = aggregator_->insert_hash_ops(signature);
-  if (aggregator_->cost_domain() ==
-      pipeline::SemanticAggregator::CostDomain::kFlops) {
-    result.cost.charge_flops(config_.cost.flop_s, sa_ops);
-  } else {
-    result.cost.charge_hash(config_.cost.mix_op_s, sa_ops);
-  }
-
-  // Keys are derived OUTSIDE the lane lock: the critical section below is
-  // pure placement (this is the point of the memtable split).
-  util::WallTimer keys_timer;
-  std::vector<std::uint64_t> keys;
-  {
-    util::TraceSpan keys_span("sa.keys");
-    keys = aggregator_->keys(signature, nullptr);
-    keys_span.attr("keys", static_cast<double>(keys.size()));
-  }
-  m_.sa_keys_wall_s->observe(keys_timer.elapsed_seconds());
-  m_.sa_keys_derived->add(keys.size());
-  m_.sa_insert_hash_ops->add(sa_ops);
-  hash::PackedSignature packed(signature);
-
-  const std::size_t lane_idx = lane_of(id);
+bool TieredIndex::place_one(Placement& p) {
+  // Keys were derived outside any lock; the critical section below is pure
+  // placement (this is the point of the memtable split).
+  hash::PackedSignature packed(*p.signature);
+  const std::size_t lane_idx = lane_of(p.id);
   Lane& lane = *lanes_[lane_idx];
   bool sealed = false;
   std::size_t slot_reads = 0;
+  hash::ProbeProfile probe_profile;
   {
     std::unique_lock<std::shared_mutex> lk(lane.mem_mutex);
     // Log before apply (held lane lock keeps per-lane apply order equal to
@@ -262,27 +156,27 @@ InsertResult TieredIndex::insert_signature(
     // replays through here before the log is attached, so nothing is
     // logged twice.
     if (durable()) {
-      storage::throw_if_error(
-          log_->append(storage::kWalRecordInsert, id, signature.encode()));
+      storage::throw_if_error(log_->append(storage::kWalRecordInsert, p.id,
+                                           p.signature->encode()));
     }
     const std::int64_t e0 = static_cast<std::int64_t>(lane.mem->entries());
     const std::int64_t t0 =
         static_cast<std::int64_t>(lane.mem->tombstone_count());
     bool was_live;
-    if (lane.mem->contains(id)) {
+    if (lane.mem->contains(p.id)) {
       // Re-insert replaces: evict the stale version from its groups first.
       was_live = true;
-      lane.mem->remove(id);
-    } else if (lane.mem->tombstoned(id)) {
+      lane.mem->remove(p.id);
+    } else if (lane.mem->tombstoned(p.id)) {
       was_live = false;
     } else {
-      was_live = segments_contain_live(lane, id);
+      was_live = segments_contain_live(lane, p.id);
     }
-    const std::size_t events =
-        lane.mem->place(id, std::move(packed), keys, &slot_reads);
-    result.rehashes = events;
-    if (events > 0) result.ok = false;
-    result.cost.charge_ram(config_.cost.ram_access_s, slot_reads);
+    const std::size_t events = lane.mem->place(p.id, std::move(packed), p.keys,
+                                               &slot_reads, &probe_profile);
+    p.result.rehashes = events;
+    if (events > 0) p.result.ok = false;
+    p.result.cost.charge_ram(config_.cost.ram_access_s, slot_reads);
     if (!was_live) live_.fetch_add(1, std::memory_order_relaxed);
     mem_entries_.fetch_add(
         static_cast<std::int64_t>(lane.mem->entries()) - e0,
@@ -293,41 +187,24 @@ InsertResult TieredIndex::insert_signature(
     sealed = maybe_seal_locked(lane, lane_idx);
   }
   m_.chs_slot_reads->add(slot_reads);
-  m_.inserts->add();
-  m_.insert_sim_s->observe(result.cost.elapsed_s());
+  if (probe_profile.fingerprint_false_hits != 0) {
+    m_.chs_fingerprint_false_hits->add(probe_profile.fingerprint_false_hits);
+  }
   m_.index_size->set(static_cast<double>(size()));
-  span.attr("rehash_events", static_cast<double>(result.rehashes));
-  span.attr("lane", static_cast<double>(lane_idx));
-  if (sealed) schedule_maintenance();
-  return result;
+  return sealed;
 }
 
-std::vector<InsertResult> TieredIndex::insert_batch(
-    std::span<const BatchImage> items, util::ThreadPool* pool) {
-  std::vector<hash::SparseSignature> sigs(items.size());
-  const auto summarize_one = [&](std::size_t i) {
-    sigs[i] = summarize(*items[i].image);
-  };
-  if (pool != nullptr && items.size() > 1) {
-    pool->parallel_for(items.size(), summarize_one);
-  } else {
-    for (std::size_t i = 0; i < items.size(); ++i) summarize_one(i);
+std::size_t TieredIndex::remove(std::span<const std::uint64_t> ids) {
+  std::size_t erased = 0;
+  for (const std::uint64_t id : ids) {
+    const auto [was_live, sealed] = erase_one(id);
+    if (was_live) ++erased;
+    if (sealed) schedule_maintenance();
   }
-
-  util::TraceSpan span("insert_batch.place");
-  span.attr("items", static_cast<double>(items.size()));
-  std::vector<InsertResult> results;
-  results.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    InsertResult stored = insert_signature(items[i].id, sigs[i]);
-    stored.cost.merge(frontend_insert_cost());
-    results.push_back(std::move(stored));
-  }
-  return results;
+  return erased;
 }
 
-bool TieredIndex::erase(std::uint64_t id) {
-  util::TraceSpan span("erase");
+std::pair<bool, bool> TieredIndex::erase_one(std::uint64_t id) {
   const std::size_t lane_idx = lane_of(id);
   Lane& lane = *lanes_[lane_idx];
   bool erased = false;
@@ -363,23 +240,8 @@ bool TieredIndex::erase(std::uint64_t id) {
       sealed = maybe_seal_locked(lane, lane_idx);
     }
   }
-  if (erased) {
-    m_.erases->add();
-    m_.index_size->set(static_cast<double>(size()));
-  }
-  if (sealed) schedule_maintenance();
-  return erased;
-}
-
-std::size_t TieredIndex::erase_batch(std::span<const std::uint64_t> ids) {
-  util::TraceSpan span("erase_batch");
-  span.attr("items", static_cast<double>(ids.size()));
-  std::size_t erased = 0;
-  for (const std::uint64_t id : ids) {
-    if (erase(id)) ++erased;
-  }
-  span.attr("erased", static_cast<double>(erased));
-  return erased;
+  if (erased) m_.index_size->set(static_cast<double>(size()));
+  return {erased, sealed};
 }
 
 // --- Seal + compaction ----------------------------------------------------
@@ -418,7 +280,7 @@ void TieredIndex::seal_locked(Lane& lane, std::size_t lane_idx) {
     next->insert(next->end(), current->begin(), current->end());
     lane.segments.store(std::shared_ptr<const SegmentList>(std::move(next)));
   }
-  m_.tier_seals->add();
+  tm_.tier_seals->add();
   publish_tier_gauges();
 }
 
@@ -582,11 +444,11 @@ bool TieredIndex::try_compact_lane(Lane& lane) {
   splice_segments(lane, (*list)[best_start]->id(), fanin,
                   std::move(replacement));
 
-  m_.compaction_runs->add();
-  m_.compaction_dropped_tombstones->add(dropped_tombstones);
-  m_.compaction_merge_s->observe(timer.elapsed_seconds());
-  m_.compaction_merged_segments->observe(static_cast<double>(fanin));
-  m_.compaction_merge_entries->observe(static_cast<double>(entries_out));
+  tm_.compaction_runs->add();
+  tm_.compaction_dropped_tombstones->add(dropped_tombstones);
+  tm_.compaction_merge_s->observe(timer.elapsed_seconds());
+  tm_.compaction_merged_segments->observe(static_cast<double>(fanin));
+  tm_.compaction_merge_entries->observe(static_cast<double>(entries_out));
   span.attr("inputs", static_cast<double>(fanin));
   span.attr("entries_in", static_cast<double>(entries_in));
   span.attr("entries_out", static_cast<double>(entries_out));
@@ -616,259 +478,117 @@ void TieredIndex::splice_segments(
 
 // --- Queries --------------------------------------------------------------
 
-QueryResult TieredIndex::query(const img::Image& image, std::size_t k) const {
-  util::TraceSpan span("query.image");
-  return query_summarized(summarize(image), k);
-}
-
-QueryResult TieredIndex::query_summarized(
-    const hash::SparseSignature& signature, std::size_t k) const {
-  QueryResult result = query_signature(signature, k);
-  result.cost.merge(frontend_insert_cost());
-  const double fe_chunk =
-      config_.feature_extract_s / static_cast<double>(config_.max_keypoints);
-  for (std::size_t i = 0; i < config_.max_keypoints; ++i) {
-    result.parallel_tasks.push_back(fe_chunk);
-  }
-  return result;
-}
-
-std::vector<QueryResult> TieredIndex::query_batch(
-    std::span<const img::Image* const> images, std::size_t k,
-    util::ThreadPool* pool) const {
-  std::vector<QueryResult> results(images.size());
-  if (pool != nullptr && images.size() > 1) {
-    pool->parallel_for(images.size(), [&](std::size_t i) {
-      results[i] = query(*images[i], k);
-    });
-  } else {
-    for (std::size_t i = 0; i < images.size(); ++i) {
-      results[i] = query(*images[i], k);
-    }
-  }
-  return results;
-}
-
-QueryResult TieredIndex::query_signature(const hash::SparseSignature& signature,
-                                         std::size_t k) const {
-  util::TraceSpan qspan("query");
-  util::Tracer& tracer = util::Tracer::global();
-  const bool profiling = tracer.enabled();
-  const double profile_start_s = profiling ? tracer.now_s() : 0.0;
-  util::WallTimer wall_timer;
-
-  QueryResult result;
-  FAST_CHECK(signature.bit_count() == config_.bloom_bits);
-
-  std::vector<std::vector<std::uint64_t>> probes;
-  std::vector<std::uint64_t> keys;
-  std::size_t probe_keys = 0;
-  util::WallTimer keys_timer;
-  {
-    util::TraceSpan keys_span("sa.keys");
-    keys = aggregator_->keys(signature, &probes);
-    for (const auto& per_table : probes) probe_keys += per_table.size();
-    keys_span.attr("keys", static_cast<double>(keys.size()));
-    keys_span.attr("probe_keys", static_cast<double>(probe_keys));
-  }
-  const double keys_s = keys_timer.elapsed_seconds();
-  m_.sa_keys_wall_s->observe(keys_s);
-  m_.sa_keys_derived->add(keys.size());
-  m_.sa_probe_keys->observe(static_cast<double>(probe_keys));
-
-  // SA hashing is per table, independent of how many layers get probed.
-  const std::size_t per_table_ops =
-      aggregator_->query_hash_ops_per_table(signature);
-  const double hash_cost =
-      aggregator_->cost_domain() ==
-              pipeline::SemanticAggregator::CostDomain::kFlops
-          ? config_.cost.flop_s * static_cast<double>(per_table_ops)
-          : config_.cost.mix_op_s * static_cast<double>(per_table_ops);
-
-  // Built once, before any lane lock is taken: every candidate of every
-  // layer is scored against the query's bitmap.
-  util::WallTimer scorer_timer;
-  const hash::JaccardScorer scorer(signature);
-  double rank_s = scorer_timer.elapsed_seconds();
-
-  std::vector<std::size_t> table_slot_reads(keys.size(), 0);
-  std::vector<ScoredId> scored;
-  std::size_t slot_reads_total = 0;
+void TieredIndex::gather(std::span<const std::uint64_t> keys,
+                         std::span<const std::vector<std::uint64_t>> probes,
+                         const hash::JaccardScorer& scorer, Gathered& out,
+                         util::TraceSpan& probe_span) const {
+  hash::ProbeProfile probe_profile;
   std::size_t segments_probed = 0;
   std::size_t segments_skipped = 0;
-  {
-    util::TraceSpan probe_span("chs.probe");
-    for (const auto& lane_ptr : lanes_) {
-      const Lane& lane = *lane_ptr;
-      std::shared_ptr<const SegmentList> list;
-      std::vector<std::unordered_set<std::uint64_t>> per_seg;
-      std::unordered_map<std::uint64_t, bool> mem_shadowed;
-      {
-        std::shared_lock<std::shared_mutex> lk(lane.mem_mutex);
-        // Pin the segment list under the memtable lock: seal publishes its
-        // segment before dropping the exclusive lock, so this list and the
-        // memtable form a consistent cut. Loading the list outside would
-        // let a concurrent seal move memtable entries into a segment this
-        // query never sees (missed hits, resurrected erases).
-        list = lane.segments.load();
+  for (const auto& lane_ptr : lanes_) {
+    const Lane& lane = *lane_ptr;
+    std::shared_ptr<const SegmentList> list;
+    std::vector<std::unordered_set<std::uint64_t>> per_seg;
+    std::unordered_map<std::uint64_t, bool> mem_shadowed;
+    {
+      std::shared_lock<std::shared_mutex> lk(lane.mem_mutex);
+      // Pin the segment list under the memtable lock: seal publishes its
+      // segment before dropping the exclusive lock, so this list and the
+      // memtable form a consistent cut. Loading the list outside would
+      // let a concurrent seal move memtable entries into a segment this
+      // query never sees (missed hits, resurrected erases).
+      list = lane.segments.load();
 
-        // 1) Segments: candidate collection stays in the critical section
-        //    because the shadow decisions below must come from the
-        //    memtable of the same cut. A finalized bloom that rejects
-        //    every probe key skips the segment.
-        per_seg.resize(list->size());
-        for (std::size_t si = 0; si < list->size(); ++si) {
-          const ImmutableSegment& seg = *(*list)[si];
-          bool touch = false;
-          for (std::size_t t = 0; t < keys.size() && !touch; ++t) {
-            if (seg.may_contain(t, keys[t])) {
+      // 1) Segments: candidate collection stays in the critical section
+      //    because the shadow decisions below must come from the
+      //    memtable of the same cut. A finalized bloom that rejects
+      //    every probe key skips the segment.
+      per_seg.resize(list->size());
+      for (std::size_t si = 0; si < list->size(); ++si) {
+        const ImmutableSegment& seg = *(*list)[si];
+        bool touch = false;
+        for (std::size_t t = 0; t < keys.size() && !touch; ++t) {
+          if (seg.may_contain(t, keys[t])) {
+            touch = true;
+            break;
+          }
+          for (const std::uint64_t pk : probes[t]) {
+            if (seg.may_contain(t, pk)) {
               touch = true;
               break;
             }
-            for (const std::uint64_t pk : probes[t]) {
-              if (seg.may_contain(t, pk)) {
-                touch = true;
-                break;
-              }
-            }
-          }
-          if (!touch) {
-            ++segments_skipped;
-            continue;
-          }
-          ++segments_probed;
-          for (std::size_t t = 0; t < keys.size(); ++t) {
-            ++result.bucket_probes;
-            seg.state().collect(t, keys[t], per_seg[si], &table_slot_reads[t]);
-            for (const std::uint64_t pk : probes[t]) {
-              ++result.bucket_probes;
-              seg.state().collect(t, pk, per_seg[si], &table_slot_reads[t]);
-            }
           }
         }
-
-        // 2) Memtable: probe, score (the signature map can rehash under
-        //    writers, so scoring stays inside the lock), and take the
-        //    shadow decisions segment candidates need.
-        std::unordered_set<std::uint64_t> mem_ids;
+        if (!touch) {
+          ++segments_skipped;
+          continue;
+        }
+        ++segments_probed;
         for (std::size_t t = 0; t < keys.size(); ++t) {
-          ++result.bucket_probes;
-          lane.mem->collect(t, keys[t], mem_ids, &table_slot_reads[t]);
+          ++out.bucket_probes;
+          seg.state().collect(t, keys[t], per_seg[si],
+                              &out.table_slot_reads[t], &probe_profile);
           for (const std::uint64_t pk : probes[t]) {
-            ++result.bucket_probes;
-            lane.mem->collect(t, pk, mem_ids, &table_slot_reads[t]);
-          }
-        }
-        util::WallTimer mem_rank_timer;
-        for (const std::uint64_t id : mem_ids) {
-          scored.push_back(
-              ScoredId{id, scorer.score(*lane.mem->signature_of(id))});
-        }
-        rank_s += mem_rank_timer.elapsed_seconds();
-        for (const auto& ids : per_seg) {
-          for (const std::uint64_t id : ids) {
-            if (mem_shadowed.find(id) == mem_shadowed.end()) {
-              mem_shadowed.emplace(id, lane.mem->shadows(id));
-            }
+            ++out.bucket_probes;
+            seg.state().collect(t, pk, per_seg[si], &out.table_slot_reads[t],
+                                &probe_profile);
           }
         }
       }
 
-      // 3) Segment candidates, scored lock-free off the pinned immutable
-      //    list: the newest unshadowed mention owns the id (drops
-      //    tombstoned ids and stale duplicates in one rule).
-      util::WallTimer seg_rank_timer;
-      for (std::size_t si = 0; si < per_seg.size(); ++si) {
-        for (const std::uint64_t id : per_seg[si]) {
-          if (mem_shadowed[id]) continue;
-          bool shadowed = false;
-          for (std::size_t sj = 0; sj < si && !shadowed; ++sj) {
-            shadowed = (*list)[sj]->shadows(id);
-          }
-          if (shadowed) continue;
-          scored.push_back(
-              ScoredId{id, scorer.score(*(*list)[si]->signature_of(id))});
+      // 2) Memtable: probe, score (the signature map can rehash under
+      //    writers, so scoring stays inside the lock), and take the
+      //    shadow decisions segment candidates need.
+      std::unordered_set<std::uint64_t> mem_ids;
+      for (std::size_t t = 0; t < keys.size(); ++t) {
+        ++out.bucket_probes;
+        lane.mem->collect(t, keys[t], mem_ids, &out.table_slot_reads[t],
+                          &probe_profile);
+        for (const std::uint64_t pk : probes[t]) {
+          ++out.bucket_probes;
+          lane.mem->collect(t, pk, mem_ids, &out.table_slot_reads[t],
+                            &probe_profile);
         }
       }
-      rank_s += seg_rank_timer.elapsed_seconds();
+      util::WallTimer mem_score_timer;
+      for (const std::uint64_t id : mem_ids) {
+        out.scored.push_back(
+            ScoredId{id, scorer.score(*lane.mem->signature_of(id))});
+      }
+      out.score_s += mem_score_timer.elapsed_seconds();
+      for (const auto& ids : per_seg) {
+        for (const std::uint64_t id : ids) {
+          if (mem_shadowed.find(id) == mem_shadowed.end()) {
+            mem_shadowed.emplace(id, lane.mem->shadows(id));
+          }
+        }
+      }
     }
 
-    // Per-table cost + Fig. 7 task shape, identical to the flat index
-    // (slot reads just accumulate across layers).
-    for (std::size_t t = 0; t < keys.size(); ++t) {
-      const double probe_cost =
-          config_.cost.ram_access_s *
-          static_cast<double>(table_slot_reads[t]);
-      result.cost.charge(hash_cost);
-      result.cost.charge_ram(config_.cost.ram_access_s, table_slot_reads[t]);
-      result.parallel_tasks.push_back(hash_cost + probe_cost);
-      slot_reads_total += table_slot_reads[t];
+    // 3) Segment candidates, scored lock-free off the pinned immutable
+    //    list: the newest unshadowed mention owns the id (drops
+    //    tombstoned ids and stale duplicates in one rule).
+    util::WallTimer seg_score_timer;
+    for (std::size_t si = 0; si < per_seg.size(); ++si) {
+      for (const std::uint64_t id : per_seg[si]) {
+        if (mem_shadowed[id]) continue;
+        bool shadowed = false;
+        for (std::size_t sj = 0; sj < si && !shadowed; ++sj) {
+          shadowed = (*list)[sj]->shadows(id);
+        }
+        if (shadowed) continue;
+        out.scored.push_back(
+            ScoredId{id, scorer.score(*(*list)[si]->signature_of(id))});
+      }
     }
-    probe_span.attr("bucket_probes",
-                    static_cast<double>(result.bucket_probes));
-    probe_span.attr("slot_reads", static_cast<double>(slot_reads_total));
-    probe_span.attr("segments_probed", static_cast<double>(segments_probed));
-    probe_span.attr("segments_skipped",
-                    static_cast<double>(segments_skipped));
-    probe_span.attr("candidates", static_cast<double>(scored.size()));
+    out.score_s += seg_score_timer.elapsed_seconds();
   }
-  m_.chs_slot_reads->add(slot_reads_total);
-  m_.tier_segment_skips->add(segments_skipped);
-
-  result.candidates = scored.size();
-  util::WallTimer topk_timer;
-  {
-    util::TraceSpan rank_span("rank");
-    result.hits = std::move(scored);
-    result.cost.charge_ram(config_.cost.ram_access_s, result.candidates);
-    for (std::size_t c = 0; c < result.candidates; ++c) {
-      result.parallel_tasks.push_back(config_.cost.ram_access_s);
-    }
-    const std::size_t keep = std::min(k, result.hits.size());
-    std::partial_sort(result.hits.begin(),
-                      result.hits.begin() + static_cast<std::ptrdiff_t>(keep),
-                      result.hits.end(),
-                      [](const ScoredId& a, const ScoredId& b) {
-                        if (a.score != b.score) return a.score > b.score;
-                        return a.id < b.id;  // deterministic tie-break
-                      });
-    result.hits.resize(keep);
-    rank_span.attr("candidates", static_cast<double>(result.candidates));
-    rank_span.attr("hits", static_cast<double>(result.hits.size()));
-  }
-  rank_s += topk_timer.elapsed_seconds();
-  m_.rank_wall_s->observe(rank_s);
-  m_.queries->add();
-  m_.chs_bucket_probes->observe(static_cast<double>(result.bucket_probes));
-  m_.chs_candidates->observe(static_cast<double>(result.candidates));
-  m_.query_sim_s->observe(result.cost.elapsed_s());
-  m_.query_wall_s->observe(wall_timer.elapsed_seconds());
-
-  qspan.attr("k", static_cast<double>(k));
-  qspan.attr("hits", static_cast<double>(result.hits.size()));
-  qspan.attr("candidates", static_cast<double>(result.candidates));
-  qspan.attr("bucket_probes", static_cast<double>(result.bucket_probes));
-  if (profiling) {
-    util::QueryProfile profile;
-    profile.request_id = qspan.request_id();
-    profile.sampled = qspan.active();
-    profile.start_s = profile_start_s;
-    profile.wall_s = wall_timer.elapsed_seconds();
-    profile.sa_keys_s = keys_s;
-    profile.rank_s = rank_s;
-    profile.probe_s = profile.wall_s - keys_s - rank_s;
-    profile.k = k;
-    profile.hits = result.hits.size();
-    profile.candidates = result.candidates;
-    profile.bucket_probes = result.bucket_probes;
-    profile.probe_keys = probe_keys;
-    profile.slot_reads = slot_reads_total;
-    tracer.record_query(profile);
-  }
-  return result;
+  out.fingerprint_false_hits = probe_profile.fingerprint_false_hits;
+  probe_span.attr("segments_probed", static_cast<double>(segments_probed));
+  probe_span.attr("segments_skipped", static_cast<double>(segments_skipped));
+  tm_.tier_segment_skips->add(segments_skipped);
 }
-
-std::optional<hash::SparseSignature> TieredIndex::find_signature(
+std::optional<hash::SparseSignature> TieredIndex::signature_of(
     std::uint64_t id) const {
   const Lane& lane = *lanes_[lane_of(id)];
   {
@@ -884,7 +604,7 @@ std::optional<hash::SparseSignature> TieredIndex::find_signature(
   return std::nullopt;
 }
 
-void TieredIndex::for_each_live_signature(
+void TieredIndex::for_each_live(
     const std::function<void(std::uint64_t, const hash::SparseSignature&)>&
         fn) const {
   for (const auto& lane_ptr : lanes_) {
@@ -914,10 +634,6 @@ void TieredIndex::for_each_live_signature(
 }
 
 // --- Durability -----------------------------------------------------------
-
-storage::Status TieredIndex::sync_wal() {
-  return durable() ? log_->sync() : storage::Status{};
-}
 
 storage::SnapshotFile TieredIndex::build_snapshot_locked() const {
   storage::SnapshotFile snapshot;
@@ -1055,7 +771,7 @@ bool TieredIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
   }
   lanes_ = std::move(lanes);
   config_.tier.lanes = lanes_.size();
-  m_.tier_lanes->set(static_cast<double>(lanes_.size()));
+  tm_.tier_lanes->set(static_cast<double>(lanes_.size()));
   // Never hand out an id a restored segment already carries: a snapshot
   // written while compaction was splicing could contain a segment numbered
   // at (or past) the params section's next_segment_id, and a duplicate id
@@ -1111,26 +827,8 @@ storage::StatusOr<std::unique_ptr<TieredIndex>> TieredIndex::open_or_recover(
       new TieredIndex(std::move(config), std::move(pca),
                       /*start_worker=*/false));
   TieredIndex& tier = *index;
-  auto log = storage::DurableLog::open(
-      opts.env != nullptr ? *opts.env : storage::Env::posix(), opts.dir,
-      config_fingerprint(tier.config_), opts.wal_sync_every, tier.metrics(),
-      stats,
-      [&tier](const storage::SnapshotFile& snapshot) {
-        return tier.restore_snapshot(snapshot);
-      },
-      [&tier](const storage::WalRecord& record) -> storage::Status {
-        if (record.type == storage::kWalRecordErase) {
-          tier.erase(record.id);
-          return storage::Status{};
-        }
-        auto sig = decode_insert_payload(record.payload,
-                                         tier.config_.bloom_bits);
-        if (!sig.ok()) return sig.status();
-        tier.insert_signature(record.id, sig.value());
-        return storage::Status{};
-      });
-  if (!log.ok()) return log.status();
-  tier.log_ = std::move(log).value();
+  storage::Status opened = tier.open_log(opts, stats);
+  if (!opened.ok()) return opened;
   if (tier.config_.tier.background) {
     tier.worker_ = std::thread(&TieredIndex::worker_loop, &tier);
   }

@@ -24,6 +24,10 @@
 // query results are identical to a single flat FastIndex holding the same
 // live set — tier_test asserts hit-and-score equality.
 //
+// The shared front end (FE+SM, SA key derivation, the query finish and the
+// instruments) lives in core::Backend; this class supplies placement,
+// candidate gathering and its snapshot image.
+//
 // Durability runs on the same storage::DurableLog as FastIndex: one global
 // WAL (records appended under the lane lock so per-lane apply order equals
 // sequence order), and full-tier checkpoints — manifest of live segments
@@ -34,41 +38,20 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
-#include <span>
-#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "core/config.hpp"
-#include "core/durability.hpp"
+#include "core/backend.hpp"
 #include "core/memtable_index.hpp"
-#include "core/pipeline/semantic_aggregator.hpp"
-#include "core/pipeline/summarizer.hpp"
-#include "core/result.hpp"
 #include "core/segment.hpp"
-#include "hash/sparse_signature.hpp"
-#include "img/image.hpp"
-#include "storage/durable_log.hpp"
-#include "vision/pca.hpp"
-
-namespace fast::util {
-class ThreadPool;
-class MetricsRegistry;
-class Counter;
-class Gauge;
-class Histogram;
-}
 
 namespace fast::core {
 
-struct BatchImage;
-
-class TieredIndex {
+class TieredIndex final : public Backend {
  public:
   /// Newest-first; immutable once published (replaced wholesale).
   using SegmentList = std::vector<std::shared_ptr<const ImmutableSegment>>;
@@ -87,68 +70,25 @@ class TieredIndex {
       FastConfig config, vision::PcaModel pca, const DurabilityOptions& opts,
       RecoveryStats* stats = nullptr);
 
-  const FastConfig& config() const noexcept { return config_; }
-  /// Live images (inserted and not erased), across all layers.
-  std::size_t size() const noexcept {
-    return live_.load(std::memory_order_relaxed);
-  }
   std::size_t lane_count() const noexcept { return lanes_.size(); }
   std::size_t segment_count() const;
   /// Tombstones still pending compaction (memtables + segments).
   std::size_t tombstone_count() const;
-  std::size_t index_bytes() const;
-  util::MetricsRegistry& metrics() const noexcept { return *metrics_; }
 
-  bool durable() const noexcept { return log_ != nullptr; }
-  std::uint64_t last_seq() const {
-    return log_ != nullptr ? log_->last_seq() : 0;
+  /// Live images (inserted and not erased), across all layers.
+  std::size_t size() const override {
+    return live_.load(std::memory_order_relaxed);
   }
-
-  // --- FE + SM (identical to FastIndex) ---
-  hash::SparseSignature summarize(const img::Image& image) const;
-  sim::SimClock frontend_insert_cost() const noexcept;
-  void calibrate_scale(std::span<const hash::SparseSignature> sample_queries,
-                       std::span<const hash::SparseSignature> corpus_sample,
-                       util::ThreadPool* pool = nullptr);
-
-  // --- Mutations ---
-  InsertResult insert(std::uint64_t id, const img::Image& image);
-  InsertResult insert_signature(std::uint64_t id,
-                                const hash::SparseSignature& signature);
-  /// FE+SM fans across `pool`; placement runs in item order.
-  std::vector<InsertResult> insert_batch(std::span<const BatchImage> items,
-                                         util::ThreadPool* pool = nullptr);
-  bool erase(std::uint64_t id);
-  /// Erases each id (skipping unknowns); returns the number erased.
-  std::size_t erase_batch(std::span<const std::uint64_t> ids);
-
-  // --- Queries ---
-  QueryResult query(const img::Image& image, std::size_t k) const;
-  QueryResult query_signature(const hash::SparseSignature& signature,
-                              std::size_t k) const;
-  QueryResult query_summarized(const hash::SparseSignature& signature,
-                               std::size_t k) const;
-  std::vector<QueryResult> query_batch(
-      std::span<const img::Image* const> images, std::size_t k,
-      util::ThreadPool* pool = nullptr) const;
-
+  std::size_t index_bytes() const override;
   /// Stored signature of a live id (copy: the owning layer may be compacted
   /// away at any time); nullopt when absent or tombstoned.
-  std::optional<hash::SparseSignature> find_signature(std::uint64_t id) const;
-
-  /// Visits every live (id, signature) pair across all layers, honoring
-  /// shadowing (the newest layer mentioning an id owns it, same rule as
-  /// find_signature). Used by the sharded facade to rebuild its routing
-  /// summaries after recovery; not a hot path.
-  void for_each_live_signature(
+  std::optional<hash::SparseSignature> signature_of(
+      std::uint64_t id) const override;
+  /// Honors shadowing: the newest layer mentioning an id owns it.
+  void for_each_live(
       const std::function<void(std::uint64_t, const hash::SparseSignature&)>&
-          fn) const;
-
-  // --- Durability ---
-  storage::Status save_snapshot();
-  /// Forces an fsync of WAL records buffered by wal_sync_every > 1 (see
-  /// FastIndex::sync_wal). No-op when already synced or non-durable.
-  storage::Status sync_wal();
+          fn) const override;
+  storage::Status save_snapshot() override;
 
   // --- Maintenance (tests / benches) ---
   /// Seals every non-empty memtable regardless of threshold.
@@ -159,6 +99,15 @@ class TieredIndex {
   bool compact_once();
   /// Blocks until the background worker has drained its queue.
   void wait_idle() const;
+
+ protected:
+  void place(std::span<Placement> batch) override;
+  std::size_t remove(std::span<const std::uint64_t> ids) override;
+  void gather(std::span<const std::uint64_t> keys,
+              std::span<const std::vector<std::uint64_t>> probes,
+              const hash::JaccardScorer& scorer, Gathered& out,
+              util::TraceSpan& probe_span) const override;
+  bool restore_snapshot(const storage::SnapshotFile& snapshot) override;
 
  private:
   /// A lane's published segment list. load() pins the current list; the
@@ -195,25 +144,6 @@ class TieredIndex {
   };
 
   struct TierMetrics {
-    util::Counter* fe_sm_images = nullptr;
-    util::Histogram* fe_sm_summarize_s = nullptr;
-    util::Counter* inserts = nullptr;
-    util::Counter* erases = nullptr;
-    util::Counter* queries = nullptr;
-    util::Histogram* insert_sim_s = nullptr;
-    util::Histogram* query_sim_s = nullptr;
-    util::Histogram* query_wall_s = nullptr;
-    util::Counter* sa_keys_derived = nullptr;
-    util::Counter* sa_insert_hash_ops = nullptr;
-    util::Histogram* sa_keys_wall_s = nullptr;
-    util::Histogram* sa_probe_keys = nullptr;
-    // Scoring wall time per query, memtable and segment candidates summed,
-    // plus top-k selection (same name and meaning in FastIndex).
-    util::Histogram* rank_wall_s = nullptr;
-    util::Counter* chs_slot_reads = nullptr;
-    util::Histogram* chs_bucket_probes = nullptr;
-    util::Histogram* chs_candidates = nullptr;
-    util::Gauge* index_size = nullptr;
     util::Gauge* tier_lanes = nullptr;
     util::Gauge* tier_memtable_entries = nullptr;
     util::Gauge* tier_tombstones = nullptr;
@@ -230,6 +160,10 @@ class TieredIndex {
   TieredIndex(FastConfig config, vision::PcaModel pca, bool start_worker);
 
   void init_metrics();
+  /// One insert under its lane lock; true when it sealed the memtable.
+  bool place_one(Placement& p);
+  /// One erase under its lane lock: {erased, sealed}.
+  std::pair<bool, bool> erase_one(std::uint64_t id);
   std::size_t lane_of(std::uint64_t id) const noexcept {
     return static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ULL) >> 32) %
            lanes_.size();
@@ -259,15 +193,11 @@ class TieredIndex {
   void publish_tier_gauges();
 
   storage::SnapshotFile build_snapshot_locked() const;
-  bool restore_snapshot(const storage::SnapshotFile& snapshot);
   std::size_t count_live() const;
 
-  FastConfig config_;
   /// config_ with the cuckoo store pre-sized for one seal interval, so a
   /// replacement memtable does not re-pay proactive doubling every cycle.
   FastConfig mem_config_;
-  std::unique_ptr<pipeline::Summarizer> summarizer_;
-  std::unique_ptr<pipeline::SemanticAggregator> aggregator_;
   std::size_t tables_ = 0;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::atomic<std::size_t> live_{0};
@@ -278,13 +208,11 @@ class TieredIndex {
   std::atomic<std::int64_t> mem_entries_{0};
   std::atomic<std::int64_t> mem_tombstones_{0};
 
-  std::shared_ptr<util::MetricsRegistry> metrics_;
-  TierMetrics m_;
+  TierMetrics tm_;
 
-  // Snapshot + WAL; null for a purely in-memory tier. Lock order is
+  // The WAL (Backend::log_) is appended under the lane lock. Lock order is
   // lane.mem_mutex -> the log's own mutex; the snapshot path takes every
   // lane lock (in index order) first, which also quiesces appends.
-  std::unique_ptr<storage::DurableLog> log_;
 
   // Background maintenance. compaction_mutex_ serializes whole passes
   // (worker vs explicit compact_once); work_mutex_ guards the wake flags.

@@ -236,8 +236,6 @@ int main(int argc, char** argv) {
   }
 
   // Build the engine: durable (open/recover in --dir) or in-memory.
-  std::unique_ptr<core::FastIndex> flat;
-  std::unique_ptr<core::TieredIndex> tiered_index;
   std::unique_ptr<core::QueryEngine> engine;
   if (!dir.empty()) {
     core::DurabilityOptions opts;
@@ -254,13 +252,9 @@ int main(int argc, char** argv) {
     engine = std::move(opened).value();
     std::printf("fast_server: recovered %zu images from %s (replayed %zu)\n",
                 engine->size(), dir.c_str(), stats.replayed_records);
-  } else if (tiered) {
-    tiered_index =
-        std::make_unique<core::TieredIndex>(config, placeholder_pca());
-    engine = std::make_unique<core::QueryEngine>(*tiered_index);
   } else {
-    flat = std::make_unique<core::FastIndex>(config, placeholder_pca());
-    engine = std::make_unique<core::QueryEngine>(*flat);
+    engine = std::make_unique<core::QueryEngine>(
+        core::make_backend(config, placeholder_pca()));
   }
 
   // Graceful-shutdown plumbing: signals write one byte to a self-pipe; the

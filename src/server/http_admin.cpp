@@ -416,12 +416,10 @@ std::string HttpAdmin::statusz_body() {
   out += "  \"uptime_s\": " + fmt_double(util::process_uptime_s()) + ",\n";
   out += "  \"config_fingerprint\": \"" + std::string(fp) + "\",\n";
   out += "  \"engine\": {\n";
-  out += "    \"writable\": ";
-  out += engine_.writable() ? "true" : "false";
-  out += ",\n    \"durable\": ";
+  out += "    \"durable\": ";
   out += engine_.durable() ? "true" : "false";
   out += ",\n    \"tiered\": ";
-  out += engine_.is_tiered() ? "true" : "false";
+  out += config.tier.enabled ? "true" : "false";
   out += ",\n    \"size\": " + std::to_string(engine_.size()) + "\n  },\n";
   out += "  \"config\": {\n";
   out += "    \"bloom_bits\": " + std::to_string(config.bloom_bits) + ",\n";

@@ -298,7 +298,7 @@ void Server::stop() {
   io_thread_.join();
   // 5. Acked writes hit disk before we return: fsync the WAL group-commit
   //    tail through the facade.
-  if (engine_.writable() && engine_.durable()) {
+  if (engine_.durable()) {
     const storage::Status st = engine_.sync_wal();
     if (!st.ok()) {
       std::fprintf(stderr, "fast_server: final wal sync failed: %s\n",
@@ -703,11 +703,6 @@ Response Server::execute(const Request& request, const WorkItem& item) {
   if (options_.debug_request_delay_us > 0) {
     std::this_thread::sleep_for(
         std::chrono::microseconds(options_.debug_request_delay_us));
-  }
-  if (is_mutation(request.op) && !engine_.writable()) {
-    response.status = Status::kError;
-    response.text = "read-only engine";
-    return response;
   }
   // Reject geometry mismatches before the backend FAST_CHECKs them: a
   // client built against different bloom_bits is a bad request, not a

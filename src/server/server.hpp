@@ -152,9 +152,7 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// The engine must outlive the server. A read-only engine serves queries
-  /// and answers mutations kError; a writable one (QueryEngine::open or a
-  /// mutable-index constructor) serves the full op set.
+  /// The engine must outlive the server; it serves the full op set.
   Server(core::QueryEngine& engine, ServerOptions options);
   ~Server();
 

@@ -4,16 +4,16 @@
 // The paper's headline claims are quantitative (near-real-time latency,
 // bounded probe counts, ~3-orders-lower rehash probability, multicore
 // speedup), so every pipeline stage reports what it did — FE/SM timing, SA
-// key derivations, CHS probe distributions and occupancy, lock and fan-out
-// behaviour of the concurrent/sharded frontends — into one registry that
-// benches dump next to their results (DESIGN.md §3b lists the names).
+// key derivations, CHS probe distributions and occupancy, the flat index's
+// lock and the sharded frontend's fan-out — into one registry that benches
+// dump next to their results (DESIGN.md §3b lists the names).
 //
 // Concurrency model: instruments are registered under a mutex (slow path,
 // once per name) and returned by stable reference; every update afterwards
 // is a relaxed atomic operation, safe from any thread and never a
 // synchronization point. Hot paths cache the returned pointers so queries
-// racing through ConcurrentFastIndex's shared lock do not touch the
-// registry mutex at all.
+// racing through a backend's shared locks do not touch the registry mutex
+// at all.
 #pragma once
 
 #include <atomic>

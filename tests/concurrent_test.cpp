@@ -1,6 +1,6 @@
-// Concurrency tests: queries racing inserts/erases through the
-// ConcurrentFastIndex facade must never crash, lose acknowledged inserts,
-// or return ids that were never inserted.
+// Concurrency tests: queries racing inserts/erases on one FastIndex (whose
+// single-writer lock is the Backend contract's synchronization) must never
+// crash, lose acknowledged inserts, or return ids that were never inserted.
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/concurrent_index.hpp"
+#include "core/query_engine.hpp"
 #include "test_helpers.hpp"
+#include "util/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fast::core {
 namespace {
@@ -38,8 +40,10 @@ class ConcurrentTest : public ::testing::Test {
 workload::Dataset* ConcurrentTest::dataset_ = nullptr;
 vision::PcaModel* ConcurrentTest::pca_ = nullptr;
 
+// The engine facade over a make_backend() index answers exactly like the
+// index called directly.
 TEST_F(ConcurrentTest, SerialSemanticsMatchFastIndex) {
-  ConcurrentFastIndex concurrent(small_config(), *pca_);
+  QueryEngine concurrent(make_backend(small_config(), *pca_), 1);
   FastIndex plain(small_config(), *pca_);
   std::vector<hash::SparseSignature> sigs;
   for (std::size_t i = 0; i < 16; ++i) {
@@ -59,7 +63,7 @@ TEST_F(ConcurrentTest, SerialSemanticsMatchFastIndex) {
 }
 
 TEST_F(ConcurrentTest, QueriesRaceInsertsWithoutLosses) {
-  ConcurrentFastIndex index(small_config(), *pca_);
+  FastIndex index(small_config(), *pca_);
   // Precompute signatures so worker threads exercise the locked paths hard.
   std::vector<hash::SparseSignature> sigs;
   FastIndex helper(small_config(), *pca_);
@@ -115,7 +119,7 @@ TEST_F(ConcurrentTest, QueriesRaceInsertsWithoutLosses) {
 }
 
 TEST_F(ConcurrentTest, ParallelInsertersAllLand) {
-  ConcurrentFastIndex index(small_config(), *pca_);
+  FastIndex index(small_config(), *pca_);
   FastIndex helper(small_config(), *pca_);
   std::vector<hash::SparseSignature> sigs;
   for (const auto& photo : dataset_->photos) {
@@ -134,15 +138,18 @@ TEST_F(ConcurrentTest, ParallelInsertersAllLand) {
   EXPECT_EQ(index.size(), kThreads * sigs.size());
 }
 
-// Regression: the concurrent facade used to drop the FE + Bloom-hash
-// charges that FastIndex::insert applies, so the same upload was billed
-// less when it went through the thread-safe path. All three insert paths
-// and the query path must charge identically.
+// Regression: a thread-safe frontend once dropped the FE + Bloom-hash
+// charges that the image insert applies, so the same upload was billed
+// less when the frontend summarized outside its lock and placed the
+// signature itself. The image path must charge exactly the signature path
+// plus frontend_insert_cost(), and the batch and query paths likewise.
 TEST_F(ConcurrentTest, InsertCostMatchesPlainIndex) {
-  ConcurrentFastIndex concurrent(small_config(), *pca_);
+  FastIndex split(small_config(), *pca_);
   FastIndex plain(small_config(), *pca_);
   for (std::size_t i = 0; i < 8; ++i) {
-    const InsertResult a = concurrent.insert(i, dataset_->photos[i].image);
+    const hash::SparseSignature sig = split.summarize(dataset_->photos[i].image);
+    InsertResult a = split.insert_signature(i, sig);
+    a.cost.merge(split.frontend_insert_cost());
     const InsertResult b = plain.insert(i, dataset_->photos[i].image);
     EXPECT_DOUBLE_EQ(a.cost.elapsed_s(), b.cost.elapsed_s()) << i;
     EXPECT_EQ(a.cost.hash_ops(), b.cost.hash_ops()) << i;
@@ -151,13 +158,14 @@ TEST_F(ConcurrentTest, InsertCostMatchesPlainIndex) {
 }
 
 TEST_F(ConcurrentTest, InsertBatchCostMatchesPlainIndex) {
-  ConcurrentFastIndex concurrent(small_config(), *pca_, 2);
+  util::ThreadPool pool(2);
+  FastIndex concurrent(small_config(), *pca_);
   FastIndex plain(small_config(), *pca_);
   std::vector<BatchImage> items;
   for (std::size_t i = 0; i < 10; ++i) {
     items.push_back(BatchImage{i, &dataset_->photos[i].image});
   }
-  const auto batch = concurrent.insert_batch(items);
+  const auto batch = concurrent.insert_batch(items, &pool);
   ASSERT_EQ(batch.size(), items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
     const InsertResult b = plain.insert(items[i].id, *items[i].image);
@@ -167,15 +175,14 @@ TEST_F(ConcurrentTest, InsertBatchCostMatchesPlainIndex) {
 }
 
 TEST_F(ConcurrentTest, QueryCostMatchesPlainIndex) {
-  ConcurrentFastIndex concurrent(small_config(), *pca_);
-  FastIndex plain(small_config(), *pca_);
+  FastIndex index(small_config(), *pca_);
   for (std::size_t i = 0; i < 8; ++i) {
-    concurrent.insert(i, dataset_->photos[i].image);
-    plain.insert(i, dataset_->photos[i].image);
+    index.insert(i, dataset_->photos[i].image);
   }
   for (std::size_t i = 0; i < 8; ++i) {
-    const QueryResult a = concurrent.query(dataset_->photos[i].image, 3);
-    const QueryResult b = plain.query(dataset_->photos[i].image, 3);
+    const QueryResult a = index.query_summarized(
+        index.summarize(dataset_->photos[i].image), 3);
+    const QueryResult b = index.query(dataset_->photos[i].image, 3);
     EXPECT_DOUBLE_EQ(a.cost.elapsed_s(), b.cost.elapsed_s()) << i;
     EXPECT_EQ(a.cost.hash_ops(), b.cost.hash_ops()) << i;
     EXPECT_EQ(a.cost.ram_accesses(), b.cost.ram_accesses()) << i;
@@ -183,13 +190,14 @@ TEST_F(ConcurrentTest, QueryCostMatchesPlainIndex) {
 }
 
 TEST_F(ConcurrentTest, InsertBatchTakesWriterLockOncePerBatch) {
-  ConcurrentFastIndex index(small_config(), *pca_, 2);
+  util::ThreadPool pool(2);
+  FastIndex index(small_config(), *pca_);
   std::vector<BatchImage> items;
   for (std::size_t i = 0; i < 16; ++i) {
     items.push_back(BatchImage{i, &dataset_->photos[i].image});
   }
   const std::size_t locks_before = index.writer_lock_count();
-  const auto results = index.insert_batch(items);
+  const auto results = index.insert_batch(items, &pool);
   EXPECT_EQ(index.writer_lock_count(), locks_before + 1);
   ASSERT_EQ(results.size(), items.size());
   EXPECT_EQ(index.size(), items.size());
@@ -206,14 +214,15 @@ TEST_F(ConcurrentTest, InsertBatchTakesWriterLockOncePerBatch) {
 // acquisition for the whole batch, and the same net effect as a loop of
 // single erases.
 TEST_F(ConcurrentTest, EraseBatchTakesWriterLockOncePerBatch) {
-  ConcurrentFastIndex batched(small_config(), *pca_, 2);
-  ConcurrentFastIndex looped(small_config(), *pca_, 2);
+  util::ThreadPool pool(2);
+  FastIndex batched(small_config(), *pca_);
+  FastIndex looped(small_config(), *pca_);
   std::vector<BatchImage> items;
   for (std::size_t i = 0; i < 16; ++i) {
     items.push_back(BatchImage{i, &dataset_->photos[i].image});
   }
-  batched.insert_batch(items);
-  looped.insert_batch(items);
+  batched.insert_batch(items, &pool);
+  looped.insert_batch(items, &pool);
 
   std::vector<std::uint64_t> victims = {0, 2, 4, 6, 99, 4};
   const std::size_t locks_before = batched.writer_lock_count();
@@ -232,21 +241,22 @@ TEST_F(ConcurrentTest, EraseBatchTakesWriterLockOncePerBatch) {
   EXPECT_EQ(erased, looped_erased);
   EXPECT_EQ(batched.size(), looped.size());
 
-  // Both facades exported the batch size to the shared registry.
+  // The batch path exported its size to the index's registry.
   const auto snapshot = batched.metrics().snapshot();
-  const auto it = snapshot.histograms.find("concurrent.erase_batch_size");
+  const auto it = snapshot.histograms.find("index.erase_batch_size");
   ASSERT_NE(it, snapshot.histograms.end());
   EXPECT_EQ(it->second.count, 1u);
 }
 
 TEST_F(ConcurrentTest, BatchMatchesPerImagePath) {
-  ConcurrentFastIndex batched(small_config(), *pca_, 2);
-  ConcurrentFastIndex sequential(small_config(), *pca_, 2);
+  util::ThreadPool pool(2);
+  FastIndex batched(small_config(), *pca_);
+  FastIndex sequential(small_config(), *pca_);
   std::vector<BatchImage> items;
   for (std::size_t i = 0; i < 12; ++i) {
     items.push_back(BatchImage{i, &dataset_->photos[i].image});
   }
-  batched.insert_batch(items);
+  batched.insert_batch(items, &pool);
   for (const auto& item : items) sequential.insert(item.id, *item.image);
   EXPECT_EQ(batched.size(), sequential.size());
 
@@ -254,7 +264,7 @@ TEST_F(ConcurrentTest, BatchMatchesPerImagePath) {
   for (std::size_t i = 0; i < 6; ++i) {
     queries.push_back(&dataset_->photos[i].image);
   }
-  const auto batch_results = batched.query_batch(queries, 3);
+  const auto batch_results = batched.query_batch(queries, 3, &pool);
   ASSERT_EQ(batch_results.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const QueryResult single = sequential.query(*queries[i], 3);
@@ -267,7 +277,8 @@ TEST_F(ConcurrentTest, BatchMatchesPerImagePath) {
 }
 
 TEST_F(ConcurrentTest, QueriesRaceBatchInsertsWithoutLosses) {
-  ConcurrentFastIndex index(small_config(), *pca_, 2);
+  util::ThreadPool pool(2);
+  FastIndex index(small_config(), *pca_);
   std::vector<BatchImage> items;
   for (std::size_t i = 0; i < dataset_->photos.size(); ++i) {
     items.push_back(BatchImage{i, &dataset_->photos[i].image});
@@ -284,7 +295,7 @@ TEST_F(ConcurrentTest, QueriesRaceBatchInsertsWithoutLosses) {
     for (std::size_t round = 0; round < 4; ++round) {
       std::vector<BatchImage> batch = items;
       for (auto& item : batch) item.id += round * 1000;
-      index.insert_batch(batch);
+      index.insert_batch(batch, &pool);
     }
     stop = true;
   });

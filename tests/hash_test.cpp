@@ -22,7 +22,6 @@
 #include "hash/flat_cuckoo_table.hpp"
 #include "hash/hashes.hpp"
 #include "hash/lsh_table_chained.hpp"
-#include "hash/ls_bloom_filter.hpp"
 #include "hash/minhash.hpp"
 #include "hash/multi_probe.hpp"
 #include "hash/pstable_lsh.hpp"
@@ -2132,47 +2131,6 @@ TEST_F(SlabIndexTest, ConcurrentQueriesMatchSequentialAnswers) {
     });
   }
   for (auto& r : readers) r.join();
-}
-
-// ---------- Locality-Sensitive Bloom Filter ----------
-
-TEST(Lsbf, InsertedVectorIsNear) {
-  LsbfConfig cfg;
-  cfg.lsh.dim = 16;
-  cfg.lsh.omega = 4.0;
-  cfg.threshold = 5;
-  LocalitySensitiveBloomFilter lsbf(cfg);
-  std::vector<float> v(16, 1.0f);
-  lsbf.insert(v);
-  EXPECT_TRUE(lsbf.maybe_near(v));
-  EXPECT_EQ(lsbf.near_score(v), 1.0);
-}
-
-TEST(Lsbf, FarVectorRejected) {
-  LsbfConfig cfg;
-  cfg.lsh.dim = 16;
-  cfg.lsh.omega = 0.5;
-  LocalitySensitiveBloomFilter lsbf(cfg);
-  std::vector<float> v(16, 0.0f);
-  lsbf.insert(v);
-  std::vector<float> far(16, 100.0f);
-  EXPECT_FALSE(lsbf.maybe_near(far));
-  EXPECT_LT(lsbf.near_score(far), 0.5);
-}
-
-TEST(Lsbf, NearbyVectorScoresHigherThanFar) {
-  LsbfConfig cfg;
-  cfg.lsh.dim = 8;
-  cfg.lsh.omega = 2.0;
-  cfg.lsh.tables = 32;
-  LocalitySensitiveBloomFilter lsbf(cfg);
-  std::vector<float> v{1, 2, 3, 4, 5, 6, 7, 8};
-  lsbf.insert(v);
-  std::vector<float> near = v;
-  near[0] += 0.05f;
-  std::vector<float> far = v;
-  for (auto& x : far) x += 50.0f;
-  EXPECT_GT(lsbf.near_score(near), lsbf.near_score(far));
 }
 
 }  // namespace

@@ -1,144 +1,13 @@
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include <gtest/gtest.h>
 
-#include "index/kd_tree.hpp"
-#include "index/linear_scan.hpp"
 #include "index/r_tree.hpp"
 #include "util/rng.hpp"
 
 namespace fast::index {
 namespace {
-
-std::vector<std::vector<float>> random_points(std::size_t n, std::size_t dim,
-                                              std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<std::vector<float>> points(n);
-  for (auto& p : points) {
-    p.resize(dim);
-    for (auto& x : p) x = static_cast<float>(rng.uniform(-10, 10));
-  }
-  return points;
-}
-
-// ---------- LinearScan ----------
-
-TEST(LinearScan, NearestOrdersByDistance) {
-  LinearScan scan;
-  scan.add(1, {0, 0});
-  scan.add(2, {1, 0});
-  scan.add(3, {5, 0});
-  const std::vector<float> q{0.4f, 0};
-  const auto nn = scan.nearest(q, 3);
-  ASSERT_EQ(nn.size(), 3u);
-  EXPECT_EQ(nn[0].id, 1u);
-  EXPECT_EQ(nn[1].id, 2u);
-  EXPECT_EQ(nn[2].id, 3u);
-  EXPECT_NEAR(nn[0].distance, 0.4, 1e-6);
-}
-
-TEST(LinearScan, KLargerThanSize) {
-  LinearScan scan;
-  scan.add(1, {0.f});
-  const auto nn = scan.nearest(std::vector<float>{1.f}, 10);
-  EXPECT_EQ(nn.size(), 1u);
-}
-
-TEST(LinearScan, WithinRadius) {
-  LinearScan scan;
-  scan.add(1, {0, 0});
-  scan.add(2, {3, 4});
-  scan.add(3, {10, 0});
-  const auto hits = scan.within(std::vector<float>{0.f, 0.f}, 6.0);
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0].id, 1u);
-  EXPECT_EQ(hits[1].id, 2u);
-}
-
-// ---------- KdTree ----------
-
-TEST(KdTree, EmptyTree) {
-  KdTree tree({}, {});
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.nearest(std::vector<float>{}, 3).empty());
-}
-
-TEST(KdTree, SinglePoint) {
-  KdTree tree({7}, {{1.f, 2.f}});
-  const auto nn = tree.nearest(std::vector<float>{0.f, 0.f}, 1);
-  ASSERT_EQ(nn.size(), 1u);
-  EXPECT_EQ(nn[0].id, 7u);
-  EXPECT_NEAR(nn[0].distance, std::sqrt(5.0), 1e-6);
-}
-
-TEST(KdTree, NearestMatchesLinearScan) {
-  const auto points = random_points(500, 4, 1);
-  std::vector<std::uint64_t> ids(points.size());
-  LinearScan scan;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ids[i] = i;
-    scan.add(i, points[i]);
-  }
-  KdTree tree(ids, points);
-  util::Rng rng(2);
-  for (int q = 0; q < 50; ++q) {
-    std::vector<float> query(4);
-    for (auto& x : query) x = static_cast<float>(rng.uniform(-10, 10));
-    const auto kd = tree.nearest(query, 5);
-    const auto ls = scan.nearest(query, 5);
-    ASSERT_EQ(kd.size(), ls.size());
-    for (std::size_t i = 0; i < kd.size(); ++i) {
-      EXPECT_EQ(kd[i].id, ls[i].id) << "query " << q << " rank " << i;
-      EXPECT_NEAR(kd[i].distance, ls[i].distance, 1e-5);
-    }
-  }
-}
-
-TEST(KdTree, WithinMatchesLinearScan) {
-  const auto points = random_points(300, 3, 3);
-  std::vector<std::uint64_t> ids(points.size());
-  LinearScan scan;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ids[i] = i;
-    scan.add(i, points[i]);
-  }
-  KdTree tree(ids, points);
-  util::Rng rng(4);
-  for (int q = 0; q < 20; ++q) {
-    std::vector<float> query(3);
-    for (auto& x : query) x = static_cast<float>(rng.uniform(-10, 10));
-    const auto kd = tree.within(query, 4.0);
-    const auto ls = scan.within(query, 4.0);
-    ASSERT_EQ(kd.size(), ls.size());
-    for (std::size_t i = 0; i < kd.size(); ++i) {
-      EXPECT_EQ(kd[i].id, ls[i].id);
-    }
-  }
-}
-
-TEST(KdTree, PrunesNodes) {
-  // Branch-and-bound must visit far fewer nodes than the full tree for a
-  // clustered query.
-  const auto points = random_points(2000, 3, 5);
-  std::vector<std::uint64_t> ids(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) ids[i] = i;
-  KdTree tree(ids, points);
-  std::size_t visited = 0;
-  tree.nearest(points[42], 1, &visited);
-  EXPECT_LT(visited, 2000u);
-  EXPECT_GT(visited, 0u);
-}
-
-TEST(KdTree, DuplicatePointsAllFound) {
-  std::vector<std::vector<float>> points(5, {1.f, 1.f});
-  KdTree tree({0, 1, 2, 3, 4}, points);
-  const auto nn = tree.nearest(std::vector<float>{1.f, 1.f}, 5);
-  std::set<std::uint64_t> got;
-  for (const auto& n : nn) got.insert(n.id);
-  EXPECT_EQ(got.size(), 5u);
-}
 
 // ---------- RTree ----------
 

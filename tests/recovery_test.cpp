@@ -722,8 +722,8 @@ FastConfig tiered_config() {
 void expect_same_tier_state(const TieredIndex& got, const TieredIndex& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::uint64_t id = 0; id < 64; ++id) {
-    const auto a = got.find_signature(id);
-    const auto b = want.find_signature(id);
+    const auto a = got.signature_of(id);
+    const auto b = want.signature_of(id);
     ASSERT_EQ(a.has_value(), b.has_value()) << "id " << id;
     if (a.has_value()) {
       EXPECT_EQ(a->set_bits(), b->set_bits()) << "id " << id;
@@ -899,7 +899,7 @@ TEST(TieredRecoveryTest, SnapshotRoundTripPreservesSegmentsAndTombstones) {
 
   // And the restored tier keeps working: mutations and seals continue.
   recovered.value()->insert_signature(40, make_signature(40, cfg.bloom_bits));
-  EXPECT_TRUE(recovered.value()->find_signature(40).has_value());
+  EXPECT_TRUE(recovered.value()->signature_of(40).has_value());
 }
 
 TEST(TieredRecoveryTest, SnapshotPlusChurnTailReplay) {
@@ -935,8 +935,8 @@ TEST(TieredRecoveryTest, SnapshotPlusChurnTailReplay) {
   EXPECT_TRUE(stats.loaded_snapshot);
   EXPECT_EQ(stats.snapshot_seq, 10u);
   EXPECT_EQ(stats.replayed_records, 3u);
-  EXPECT_FALSE(recovered.value()->find_signature(4).has_value());
-  ASSERT_TRUE(recovered.value()->find_signature(7).has_value());
+  EXPECT_FALSE(recovered.value()->signature_of(4).has_value());
+  ASSERT_TRUE(recovered.value()->signature_of(7).has_value());
   expect_same_tier_state(*recovered.value(), reference);
 }
 
@@ -1025,9 +1025,7 @@ class RecoveryFlavorTest : public ::testing::TestWithParam<Flavor> {
   }
 
   static bool holds(const QueryEngine& engine, std::uint64_t id) {
-    return engine.is_tiered()
-               ? engine.tiered().find_signature(id).has_value()
-               : engine.index().signature_of(id).has_value();
+    return engine.backend().signature_of(id).has_value();
   }
 
   /// Inserts id 1, then id 2 under a transient fault at the

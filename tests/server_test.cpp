@@ -296,7 +296,6 @@ TEST(EngineFacadeTest, FlatWritesBitIdenticalToDirect) {
   core::FastIndex direct = std::move(direct_opened).value();
   core::FastIndex routed_backend = std::move(routed_opened).value();
   core::QueryEngine engine(routed_backend);
-  ASSERT_TRUE(engine.writable());
 
   std::vector<core::EngineWrite> batch;
   for (std::uint64_t id = 1; id <= 40; ++id) {
@@ -313,7 +312,7 @@ TEST(EngineFacadeTest, FlatWritesBitIdenticalToDirect) {
 
   ASSERT_TRUE(direct.save_snapshot().ok());
   ASSERT_TRUE(engine.save_snapshot().ok());
-  ASSERT_EQ(engine.index().last_seq(), direct.last_seq());
+  ASSERT_EQ(engine.backend().last_seq(), direct.last_seq());
   const std::string name = storage::snapshot_file_name(direct.last_seq());
   const auto a = read_file(direct_opts.dir + "/" + name);
   const auto b = read_file(routed_opts.dir + "/" + name);
@@ -327,7 +326,6 @@ TEST(EngineFacadeTest, TieredWritesMatchDirect) {
   core::TieredIndex direct(cfg, pca);
   core::TieredIndex routed_backend(cfg, pca);
   core::QueryEngine engine(routed_backend);
-  ASSERT_TRUE(engine.writable());
 
   for (std::uint64_t id = 1; id <= 60; ++id) {
     const auto sig = make_signature(id, cfg.bloom_bits);
@@ -357,7 +355,6 @@ TEST(EngineFacadeTest, OpenYieldsWritableDurableEngine) {
   auto engine = core::QueryEngine::open(cfg, test::fake_pca(), opts);
   ASSERT_TRUE(engine.ok()) << engine.status().message();
   const std::unique_ptr<core::QueryEngine>& eng = engine.value();
-  EXPECT_TRUE(eng->writable());
   EXPECT_TRUE(eng->durable());
   eng->insert_signature(1, make_signature(1, cfg.bloom_bits));
   EXPECT_TRUE(eng->sync_wal().ok());
@@ -368,17 +365,12 @@ TEST(EngineFacadeTest, OpenYieldsWritableDurableEngine) {
 
 class ServerTest : public ::testing::Test {
  protected:
-  /// Starts a server over a fresh writable engine; returns the port.
+  /// Starts a server over an engine on a fresh backend; returns the port.
   void start(core::FastConfig cfg, ServerOptions options = {}) {
     cfg_ = cfg;
     pca_ = test::fake_pca();
-    if (cfg.tier.enabled) {
-      tiered_ = std::make_unique<core::TieredIndex>(cfg, pca_);
-      engine_ = std::make_unique<core::QueryEngine>(*tiered_);
-    } else {
-      flat_ = std::make_unique<core::FastIndex>(cfg, pca_);
-      engine_ = std::make_unique<core::QueryEngine>(*flat_);
-    }
+    engine_ = std::make_unique<core::QueryEngine>(
+        core::make_backend(cfg, pca_));
     options.port = 0;
     server_ = std::make_unique<Server>(*engine_, options);
     ASSERT_TRUE(server_->start().ok());
@@ -390,8 +382,6 @@ class ServerTest : public ::testing::Test {
 
   core::FastConfig cfg_;
   vision::PcaModel pca_;
-  std::unique_ptr<core::FastIndex> flat_;
-  std::unique_ptr<core::TieredIndex> tiered_;
   std::unique_ptr<core::QueryEngine> engine_;
   std::unique_ptr<Server> server_;
 };

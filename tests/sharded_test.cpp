@@ -7,6 +7,7 @@
 
 #include "core/fast_index.hpp"
 #include "core/sharded_index.hpp"
+#include "core/tiered_index.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 #include "workload/query_gen.hpp"
@@ -86,8 +87,8 @@ TEST_F(ShardedTest, QueryCostIncludesNetworkHops) {
 
 // The distributed insert is the local insert plus exactly one signature-
 // routing network hop — same FE + Bloom-hash + placement accounting as the
-// plain index underneath (the cost-parity contract shared with the
-// concurrent facade).
+// plain index underneath (the cost-parity contract every image-ingest
+// frontend keeps).
 TEST_F(ShardedTest, InsertCostIsPlainIndexPlusOneNetworkHop) {
   // One shard so the storage seed (and thus probe counts) match `plain`
   // exactly; the multi-shard batch path is covered by
@@ -423,11 +424,11 @@ TEST_F(ShardedTest, RoutingWorksOnTieredShards) {
   cfg_off.shard_routing_bits = 0;
   ShardedFastIndex routed(cfg, *pca_, 4, 2);
   ShardedFastIndex full(cfg_off, *pca_, 4, 2);
-  ASSERT_TRUE(routed.is_tiered());
+  ASSERT_NE(dynamic_cast<const TieredIndex*>(&routed.shard(0)), nullptr);
 
   std::vector<hash::SparseSignature> sigs;
   for (std::size_t i = 0; i < 20; ++i) {
-    sigs.push_back(routed.tiered_shard(0).summarize(dataset_->photos[i].image));
+    sigs.push_back(routed.shard(0).summarize(dataset_->photos[i].image));
     routed.insert_signature(i, sigs.back());
     full.insert_signature(i, sigs.back());
   }

@@ -1,5 +1,5 @@
 // Concurrency stress tests, built to run under TSan: a mixed
-// insert/query/erase/batch workload hammers ConcurrentFastIndex from many
+// insert/query/erase/batch workload hammers one FastIndex from many
 // threads at once, and ShardedFastIndex serves concurrent scatter-gather
 // queries between (single-writer) batch-ingest phases. Invariants checked
 // throughout: no crashes/races, scores stay in [0, 1], acknowledged inserts
@@ -13,9 +13,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/concurrent_index.hpp"
+#include "core/fast_index.hpp"
 #include "core/sharded_index.hpp"
 #include "test_helpers.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fast::core {
 namespace {
@@ -55,9 +56,10 @@ std::vector<hash::SparseSignature>* StressTest::sigs_ = nullptr;
 
 // The headline stress: one per-item writer (insert/erase), one batch writer
 // (insert_batch), readers mixing query_signature, query_batch and size()
-// probes, all racing on one ConcurrentFastIndex.
+// probes, all racing on one FastIndex (batch FE+SM on a shared pool).
 TEST_F(StressTest, MixedInsertQueryEraseBatchRace) {
-  ConcurrentFastIndex index(small_config(), *pca_, 2);
+  util::ThreadPool pool(2);
+  FastIndex index(small_config(), *pca_);
   const std::size_t n = sigs_->size();
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> violations{0};
@@ -84,7 +86,7 @@ TEST_F(StressTest, MixedInsertQueryEraseBatchRace) {
       for (std::size_t i = 0; i < items.size(); ++i) {
         items[i].id = 100000 + round * items.size() + i;
       }
-      const auto results = index.insert_batch(items);
+      const auto results = index.insert_batch(items, &pool);
       if (results.size() != items.size()) ++violations;
     }
   });
@@ -102,7 +104,7 @@ TEST_F(StressTest, MixedInsertQueryEraseBatchRace) {
           if (hit.score < 0.0 || hit.score > 1.0) ++violations;
         }
         if (qi % 7 == 0) {
-          const auto results = index.query_batch(batch, 3);
+          const auto results = index.query_batch(batch, 3, &pool);
           if (results.size() != batch.size()) ++violations;
         }
         if (qi % 11 == 0) (void)index.size();
@@ -133,14 +135,14 @@ TEST_F(StressTest, MixedInsertQueryEraseBatchRace) {
   const util::MetricsSnapshot snap = index.metrics().snapshot();
   EXPECT_EQ(snap.counters.at("index.inserts"), 8 * n + 6 * 12);
   EXPECT_EQ(snap.counters.at("index.erases"), 8 * (n / 2));
-  EXPECT_GE(snap.counters.at("concurrent.reader_locks"), 1u);
+  EXPECT_GE(snap.counters.at("index.reader_locks"), 1u);
 }
 
 // Re-inserting the same ids from many threads must never duplicate
 // membership or leak stale signatures (exercises the erase-then-insert
 // re-insert path under contention).
 TEST_F(StressTest, ConcurrentReinsertsConverge) {
-  ConcurrentFastIndex index(small_config(), *pca_, 2);
+  FastIndex index(small_config(), *pca_);
   const std::size_t n = 8;
   constexpr std::size_t kThreads = 4;
   std::vector<std::thread> writers;
@@ -157,12 +159,11 @@ TEST_F(StressTest, ConcurrentReinsertsConverge) {
   }
   for (auto& w : writers) w.join();
   EXPECT_EQ(index.size(), n);
-  const FastIndex& inner = index.unsafe_inner();
   // An id legitimately belongs to one group per aggregator table, but must
   // never appear twice within the same group (the duplicate-membership
   // re-insert bug).
-  for (std::size_t g = 0; g < inner.group_count(); ++g) {
-    const auto members = inner.group_members(g);
+  for (std::size_t g = 0; g < index.group_count(); ++g) {
+    const auto members = index.group_members(g);
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t appearances = static_cast<std::size_t>(
           std::count(members.begin(), members.end(), i));

@@ -16,11 +16,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/concurrent_index.hpp"
 #include "core/query_engine.hpp"
 #include "core/sharded_index.hpp"
 #include "core/tiered_index.hpp"
 #include "test_helpers.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fast::core {
 namespace {
@@ -140,7 +140,7 @@ TEST_F(TierTest, EraseAcrossSealLeavesTombstone) {
   EXPECT_FALSE(index.erase(3));  // already gone
   EXPECT_EQ(index.size(), 7u);
   EXPECT_GE(index.tombstone_count(), 1u);
-  EXPECT_FALSE(index.find_signature(3).has_value());
+  EXPECT_FALSE(index.signature_of(3).has_value());
   const QueryResult res = index.query_signature((*sigs_)[3], 8);
   for (const auto& hit : res.hits) {
     EXPECT_NE(hit.id, 3u);
@@ -204,8 +204,8 @@ TEST_F(TierTest, EraseBatchMatchesLoop) {
   // 99 is unknown and 3 repeats: only three distinct live ids go away.
   EXPECT_EQ(index.erase_batch(victims), 3u);
   EXPECT_EQ(index.size(), 17u);
-  EXPECT_FALSE(index.find_signature(3).has_value());
-  EXPECT_TRUE(index.find_signature(2).has_value());
+  EXPECT_FALSE(index.signature_of(3).has_value());
+  EXPECT_TRUE(index.signature_of(2).has_value());
 }
 
 TEST_F(TierTest, BloomSkipsColdSegments) {
@@ -249,33 +249,41 @@ TEST_F(TierTest, ExpositionCarriesTierMetrics) {
   EXPECT_NE(json.find("compaction.merge_entries"), std::string::npos);
 }
 
+// make_backend picks the layout from tier.enabled; both answer the batch
+// paths identically, and only the flat layout takes a global writer lock.
 TEST_F(TierTest, ConcurrentFacadeDispatchesToTier) {
-  FastConfig cfg = tiered_config();
-  ConcurrentFastIndex tiered(cfg, *pca_, 2);
-  ConcurrentFastIndex flat(flat_config(), *pca_, 2);
-  ASSERT_TRUE(tiered.is_tiered());
-  ASSERT_FALSE(flat.is_tiered());
+  util::ThreadPool pool(2);
+  const std::unique_ptr<Backend> tiered = make_backend(tiered_config(), *pca_);
+  const std::unique_ptr<Backend> flat = make_backend(flat_config(), *pca_);
+  ASSERT_NE(dynamic_cast<TieredIndex*>(tiered.get()), nullptr);
+  ASSERT_NE(dynamic_cast<FastIndex*>(flat.get()), nullptr);
 
   std::vector<BatchImage> items;
   for (std::size_t i = 0; i < 24; ++i) {
     items.push_back(BatchImage{i, &dataset_->photos[i].image});
   }
-  tiered.insert_batch(items);
-  flat.insert_batch(items);
-  EXPECT_EQ(tiered.size(), flat.size());
-  // The tiered facade adds no global writer lock — that is the point.
-  EXPECT_EQ(tiered.writer_lock_count(), 0u);
+  tiered->insert_batch(items, &pool);
+  flat->insert_batch(items, &pool);
+  EXPECT_EQ(tiered->size(), flat->size());
+  // The tiered layout has no global writer lock — that is the point.
+  const auto writer_locks = [](const Backend& b) {
+    const auto snap = b.metrics().snapshot();
+    const auto it = snap.counters.find("index.writer_locks");
+    return it == snap.counters.end() ? 0u : it->second;
+  };
+  EXPECT_EQ(writer_locks(*tiered), 0u);
+  EXPECT_EQ(writer_locks(*flat), 1u);
 
   const std::vector<std::uint64_t> victims = {0, 2, 4, 6};
-  EXPECT_EQ(tiered.erase_batch(victims), flat.erase_batch(victims));
-  EXPECT_EQ(tiered.size(), flat.size());
+  EXPECT_EQ(tiered->erase_batch(victims), flat->erase_batch(victims));
+  EXPECT_EQ(tiered->size(), flat->size());
 
   std::vector<const img::Image*> queries;
   for (std::size_t i = 0; i < 8; ++i) {
     queries.push_back(&dataset_->photos[i].image);
   }
-  const auto a = tiered.query_batch(queries, 5);
-  const auto b = flat.query_batch(queries, 5);
+  const auto a = tiered->query_batch(queries, 5, &pool);
+  const auto b = flat->query_batch(queries, 5, &pool);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     expect_same_hits(a[i], b[i]);
@@ -285,7 +293,7 @@ TEST_F(TierTest, ConcurrentFacadeDispatchesToTier) {
 TEST_F(TierTest, ShardedDeploymentRunsTieredShards) {
   ShardedFastIndex tiered(tiered_config(), *pca_, 2, 2);
   ShardedFastIndex flat(flat_config(), *pca_, 2, 2);
-  ASSERT_TRUE(tiered.is_tiered());
+  ASSERT_NE(dynamic_cast<const TieredIndex*>(&tiered.shard(0)), nullptr);
   EXPECT_EQ(tiered.shard_count(), 2u);
   for (std::size_t i = 0; i < 24; ++i) {
     tiered.insert_signature(i, (*sigs_)[i]);
@@ -302,7 +310,7 @@ TEST_F(TierTest, ShardedDeploymentRunsTieredShards) {
     expect_same_hits(a, b);
   }
   // The per-shard accessor reaches the tiered shard directly.
-  EXPECT_GT(tiered.tiered_shard(0).size() + tiered.tiered_shard(1).size(), 0u);
+  EXPECT_GT(tiered.shard(0).size() + tiered.shard(1).size(), 0u);
 }
 
 TEST_F(TierTest, QueryEngineServesTieredBackend) {
@@ -314,7 +322,7 @@ TEST_F(TierTest, QueryEngineServesTieredBackend) {
   }
   QueryEngine tiered_engine(tiered, 2);
   QueryEngine flat_engine(flat, 2);
-  ASSERT_TRUE(tiered_engine.is_tiered());
+  ASSERT_EQ(&tiered_engine.tiered(), &tiered);
 
   const BatchReport a = tiered_engine.run_batch(*sigs_);
   const BatchReport b = flat_engine.run_batch(*sigs_);
@@ -379,9 +387,9 @@ TEST_F(TierStressTest, ChurnWithBackgroundCompaction) {
   EXPECT_EQ(index.size(), kWriters * (kPerWriter - erased_per_writer));
   for (std::size_t w = 0; w < kWriters; ++w) {
     const std::uint64_t base = w * 100000;
-    EXPECT_FALSE(index.find_signature(base + 0).has_value());
-    EXPECT_TRUE(index.find_signature(base + 1).has_value());
-    EXPECT_TRUE(index.find_signature(base + kPerWriter - 1).has_value());
+    EXPECT_FALSE(index.signature_of(base + 0).has_value());
+    EXPECT_TRUE(index.signature_of(base + 1).has_value());
+    EXPECT_TRUE(index.signature_of(base + kPerWriter - 1).has_value());
   }
 }
 
@@ -446,7 +454,7 @@ TEST_F(TierTest, ShutdownUnderChurnPreservesAckedWrites) {
   index->wait_idle();
   EXPECT_EQ(index->size(), kWrites);
   for (std::size_t id = 1; id <= kWrites; id += 37) {
-    EXPECT_TRUE(index->find_signature(id).has_value()) << id;
+    EXPECT_TRUE(index->signature_of(id).has_value()) << id;
   }
 }
 

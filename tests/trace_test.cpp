@@ -1,7 +1,7 @@
 // Tests for the per-request tracing layer (util/trace.hpp): sampling
 // decisions, span nesting and ordering, attributes, the slow-query ring,
 // Chrome trace export, and — under TSan — concurrent traced pipeline
-// traffic through ConcurrentFastIndex.
+// traffic through one FastIndex.
 #include <algorithm>
 #include <cstdlib>
 #include <string>
@@ -10,10 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/concurrent_index.hpp"
 #include "core/fast_index.hpp"
 #include "core/tiered_index.hpp"
 #include "test_helpers.hpp"
+#include "util/metrics.hpp"
 #include "util/trace.hpp"
 
 namespace fast::util {
@@ -393,14 +393,14 @@ TEST_F(TraceTest, TieredChurnFeedsSlowRingWithBoundedCapacity) {
 }
 
 // Concurrent traced traffic (runs under TSan in CI): readers and writers
-// hammer one ConcurrentFastIndex while every request records spans, so the
+// hammer one FastIndex while every request records spans, so the
 // thread-buffer registration, sampling counters and profile/ring mutexes
 // all get exercised cross-thread.
 TEST_F(TraceTest, ConcurrentTracedInsertQueryEraseIsRaceFree) {
   configure(1.0, /*slow_s=*/0.0, /*ring=*/16, /*max_profiles=*/1 << 16);
   const vision::PcaModel pca = test::fake_pca();
-  core::ConcurrentFastIndex index(small_config(), pca, 2);
-  const std::size_t bits = index.unsafe_inner().config().bloom_bits;
+  core::FastIndex index(small_config(), pca);
+  const std::size_t bits = index.config().bloom_bits;
   constexpr std::uint64_t kIds = 64;
   for (std::uint64_t id = 0; id < kIds; ++id) {
     index.insert_signature(id, synthetic_signature(id, bits));

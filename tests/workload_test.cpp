@@ -8,7 +8,6 @@
 #include "workload/metadata.hpp"
 #include "workload/query_gen.hpp"
 #include "workload/scene_generator.hpp"
-#include "workload/tune.hpp"
 
 namespace fast::workload {
 namespace {
@@ -182,28 +181,6 @@ TEST(QueryGen, DupQueriesDeterministicInSeed) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].source, b[i].source);
   }
-}
-
-// ---------- Radius tuning ----------
-
-TEST(Tune, RadiusReflectsNeighborDistance) {
-  // Corpus on a grid with spacing 1: query NN distances are <= ~0.5.
-  std::vector<std::vector<float>> corpus;
-  for (int i = 0; i < 10; ++i) {
-    corpus.push_back({static_cast<float>(i), 0.f});
-  }
-  std::vector<std::vector<float>> queries{{2.4f, 0.f}, {5.5f, 0.f}};
-  const RadiusTuning t = tune_radius(corpus, queries);
-  EXPECT_GT(t.radius, 0.0);
-  EXPECT_LE(t.radius, 0.51);
-  EXPECT_GT(t.mean_nn_distance, 0.0);
-  EXPECT_GE(t.p90_nn_distance, t.mean_nn_distance - 1e-9);
-}
-
-TEST(Tune, ProximityChi) {
-  EXPECT_DOUBLE_EQ(proximity_chi(2.0, 2.0), 1.0);
-  EXPECT_DOUBLE_EQ(proximity_chi(3.0, 2.0), 1.5);
-  EXPECT_DOUBLE_EQ(proximity_chi(0.0, 0.0), 1.0);
 }
 
 // ---------- Metadata vectors ----------
