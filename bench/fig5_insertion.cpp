@@ -20,6 +20,7 @@
 #include "common.hpp"
 #include "core/tiered_index.hpp"
 #include "img/transform.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -154,6 +155,19 @@ double measure_ingest(core::Backend& index, std::size_t threads,
   return static_cast<double>(per_thread * threads) / wall;
 }
 
+/// The observations `now` holds beyond `before` (a snapshot of the same
+/// histogram taken earlier).
+util::MetricsSnapshot::HistogramData observed_since(
+    util::MetricsSnapshot::HistogramData now,
+    const util::MetricsSnapshot::HistogramData& before) {
+  for (std::size_t i = 0; i < now.counts.size(); ++i) {
+    now.counts[i] -= before.counts[i];
+  }
+  now.count -= before.count;
+  now.sum -= before.sum;
+  return now;
+}
+
 double percentile_of(std::vector<double> xs, double p) {
   if (xs.empty()) return 0.0;
   std::sort(xs.begin(), xs.end());
@@ -182,36 +196,49 @@ void run_churn(bool smoke) {
   }
 
   // --- Ingest sweep: one global writer lock vs hash-partitioned lanes ---
-  // Wall-clock columns are whatever this host can show; the modeled column
-  // projects the measured serial/parallel split to T true cores, in the
-  // same spirit as the SimClock numbers elsewhere in the suite. The flat
-  // layout serializes every placement behind one writer lock; the tiered
-  // path only serializes per-lane placement, so its model divides the
-  // critical section across lanes and the lock-free key derivation
-  // across T.
+  // Wall-clock columns are whatever this host can show, so each thread
+  // count runs `reps` times on fresh indexes and the table gives the median
+  // with the min-max spread. The modeled column projects the measured
+  // serial/parallel split to T true cores, in the same spirit as the
+  // SimClock numbers elsewhere in the suite. The flat layout serializes
+  // every placement behind one writer lock; the tiered path only
+  // serializes per-lane placement, so its model divides the critical
+  // section across lanes and the lock-free key derivation across T.
+  const std::size_t reps = smoke ? 3 : 5;
   const std::size_t lanes = churn_tiered_config().tier.lanes;
-  util::Table sweep({"threads", "mutable (ins/s)", "tiered (ins/s)",
-                     "wall speedup", "tiered modeled", "modeled speedup"});
-  double flat_rate_1 = 0.0;   // measured single-thread rates calibrate the
+  util::Table sweep({"threads", "mutable (ins/s)", "mutable min-max",
+                     "tiered (ins/s)", "tiered min-max", "wall speedup",
+                     "tiered modeled", "modeled speedup"});
+  double flat_rate_1 = 0.0;   // median single-thread rates calibrate the
   double insert_s_1 = 0.0;    // model: total insert time and its lock-free
   double keys_s_1 = 0.0;      // key-derivation share.
   double modeled_speedup_at_max = 0.0;
   double wall_speedup_at_max = 0.0;
   std::size_t max_threads = 0;
+  auto rate = [](double r) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.0f", r);
+    return std::string(buf);
+  };
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    core::FastIndex flat(churn_flat_config(), pca);
-    const double flat_rate = measure_ingest(flat, threads, sweep_inserts,
-                                            sigs);
-    core::TieredIndex tiered(churn_tiered_config(), pca);
-    const double tiered_rate = measure_ingest(tiered, threads, sweep_inserts,
-                                              sigs);
-    tiered.wait_idle();
+    std::vector<double> flat_rates, tiered_rates, keys_s;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      core::FastIndex flat(churn_flat_config(), pca);
+      flat_rates.push_back(measure_ingest(flat, threads, sweep_inserts, sigs));
+      core::TieredIndex tiered(churn_tiered_config(), pca);
+      tiered_rates.push_back(
+          measure_ingest(tiered, threads, sweep_inserts, sigs));
+      tiered.wait_idle();
+      const auto snap = tiered.metrics().snapshot();
+      keys_s.push_back(snap.histograms.at("sa.keys_wall_s").sum /
+                       static_cast<double>(sweep_inserts));
+    }
+    const double flat_rate = percentile_of(flat_rates, 50.0);
+    const double tiered_rate = percentile_of(tiered_rates, 50.0);
     if (threads == 1) {
       flat_rate_1 = flat_rate;
       insert_s_1 = 1.0 / tiered_rate;
-      const auto snap = tiered.metrics().snapshot();
-      keys_s_1 = snap.histograms.at("sa.keys_wall_s").sum /
-                 static_cast<double>(sweep_inserts);
+      keys_s_1 = percentile_of(keys_s, 50.0);
     }
     // Modeled wall at T cores: lock-free work divides by T, per-lane
     // critical sections divide by the lane count (hash-spread writers).
@@ -227,17 +254,21 @@ void run_churn(bool smoke) {
       modeled_speedup_at_max = modeled_speedup;
       wall_speedup_at_max = wall_speedup;
     }
-    char flat_s[32], tiered_s[32], wall_s[32], model_s[32], mratio_s[32];
-    std::snprintf(flat_s, sizeof(flat_s), "%.0f", flat_rate);
-    std::snprintf(tiered_s, sizeof(tiered_s), "%.0f", tiered_rate);
+    char wall_s[32], mratio_s[32];
     std::snprintf(wall_s, sizeof(wall_s), "%.2fx", wall_speedup);
-    std::snprintf(model_s, sizeof(model_s), "%.0f", modeled_rate);
     std::snprintf(mratio_s, sizeof(mratio_s), "%.2fx", modeled_speedup);
-    sweep.add_row({std::to_string(threads), flat_s, tiered_s, wall_s,
-                   model_s, mratio_s});
+    const auto [flat_min, flat_max] =
+        std::minmax_element(flat_rates.begin(), flat_rates.end());
+    const auto [tiered_min, tiered_max] =
+        std::minmax_element(tiered_rates.begin(), tiered_rates.end());
+    sweep.add_row({std::to_string(threads), rate(flat_rate),
+                   rate(*flat_min) + "-" + rate(*flat_max), rate(tiered_rate),
+                   rate(*tiered_min) + "-" + rate(*tiered_max), wall_s,
+                   rate(modeled_rate), mratio_s});
   }
   sweep.print("churn — multi-thread ingest sweep (" +
-              std::to_string(sweep_inserts) + " signature inserts, host has " +
+              std::to_string(sweep_inserts) + " signature inserts, median of " +
+              std::to_string(reps) + " runs, host has " +
               std::to_string(std::thread::hardware_concurrency()) +
               " core(s))");
   std::printf("tiered ingest speedup at %zu threads: wall %.2fx, "
@@ -257,17 +288,33 @@ void run_churn(bool smoke) {
   // Wall time is whatever a 2-writers-plus-reader schedule on this host
   // gives; the simulated cost is the index work a query actually did
   // (candidates gathered, buckets probed), immune to preemption noise.
-  auto timed_queries = [&](std::vector<double>& walls,
-                           std::vector<double>& sims) {
+  // Only the timing reader takes reader locks, so the growth of the
+  // lock.reader_wait_s sum across one query is the time that query spent
+  // blocked on lane locks (one acquisition per lane).
+  const util::Histogram& reader_wait =
+      index.metrics().latency_histogram("lock.reader_wait_s");
+  struct Timed {
+    std::vector<double> walls, sims, waits;
+  };
+  auto timed_queries = [&](Timed& out) {
     for (std::size_t q = 0; q < phase_queries; ++q) {
+      const double waited = reader_wait.sum();
       util::WallTimer timer;
       const core::QueryResult r = index.query_signature(sigs[q % kSigs], 10);
-      walls.push_back(timer.elapsed_seconds());
-      sims.push_back(r.cost.elapsed_s());
+      out.walls.push_back(timer.elapsed_seconds());
+      out.sims.push_back(r.cost.elapsed_s());
+      out.waits.push_back(reader_wait.sum() - waited);
     }
   };
-  std::vector<double> idle_walls, idle_sims;
-  timed_queries(idle_walls, idle_sims);
+  // Writers' lane-lock waits per acquisition: the histogram before and
+  // after each phase.
+  const auto writer_waits = [&] {
+    return index.metrics().snapshot().histograms.at("lock.writer_wait_s");
+  };
+  const auto before_idle = writer_waits();
+  Timed idle;
+  timed_queries(idle);
+  const auto after_idle = writer_waits();
 
   // Each writer keeps a sliding window of its own fresh ids live (erases
   // hit the mutable memtable) and retires preload ids by parity (erases
@@ -275,7 +322,7 @@ void run_churn(bool smoke) {
   // shadowing and compactions all fire while the reader times queries.
   constexpr std::uint64_t kWindow = 512;
   const std::uint64_t retire_per_writer = preload / 4;  // half, split by parity
-  std::vector<double> churn_walls, churn_sims;
+  Timed churn;
   std::vector<std::thread> writers;
   for (std::size_t w = 0; w < kChurnWriters; ++w) {
     writers.emplace_back([&, w] {
@@ -289,28 +336,36 @@ void run_churn(bool smoke) {
       }
     });
   }
-  std::thread reader([&] { timed_queries(churn_walls, churn_sims); });
+  std::thread reader([&] { timed_queries(churn); });
   for (auto& t : writers) t.join();
   reader.join();
+  const auto after_churn = writer_waits();
   index.wait_idle();
 
-  util::Table lat({"phase", "wall p50", "wall p99", "sim p50", "sim p99"});
-  lat.add_row({"idle", util::fmt_duration(percentile_of(idle_walls, 50.0)),
-               util::fmt_duration(percentile_of(idle_walls, 99.0)),
-               util::fmt_duration(percentile_of(idle_sims, 50.0)),
-               util::fmt_duration(percentile_of(idle_sims, 99.0))});
-  lat.add_row({"during churn",
-               util::fmt_duration(percentile_of(churn_walls, 50.0)),
-               util::fmt_duration(percentile_of(churn_walls, 99.0)),
-               util::fmt_duration(percentile_of(churn_sims, 50.0)),
-               util::fmt_duration(percentile_of(churn_sims, 99.0))});
+  util::Table lat({"phase", "wall p50", "wall p99", "sim p50", "sim p99",
+                   "reader-wait p50", "reader-wait p99", "writer-wait p99"});
+  const auto add_phase = [&](const std::string& phase, const Timed& t,
+                             const auto& before, const auto& after) {
+    const auto writer_wait = observed_since(after, before);
+    lat.add_row({phase, util::fmt_duration(percentile_of(t.walls, 50.0)),
+                 util::fmt_duration(percentile_of(t.walls, 99.0)),
+                 util::fmt_duration(percentile_of(t.sims, 50.0)),
+                 util::fmt_duration(percentile_of(t.sims, 99.0)),
+                 util::fmt_duration(percentile_of(t.waits, 50.0)),
+                 util::fmt_duration(percentile_of(t.waits, 99.0)),
+                 writer_wait.count == 0
+                     ? std::string("-")
+                     : util::fmt_duration(writer_wait.percentile(99.0))});
+  };
+  add_phase("idle", idle, before_idle, after_idle);
+  add_phase("during churn", churn, after_idle, after_churn);
   lat.print("churn — query latency, idle vs during compaction");
-  const double idle_sim_p99 = percentile_of(idle_sims, 99.0);
-  const double churn_sim_p99 = percentile_of(churn_sims, 99.0);
+  const double idle_sim_p99 = percentile_of(idle.sims, 99.0);
+  const double churn_sim_p99 = percentile_of(churn.sims, 99.0);
   std::printf("query p99 ratio churn/idle: wall %.2f, sim (index work) %.2f\n",
-              percentile_of(idle_walls, 99.0) > 0
-                  ? percentile_of(churn_walls, 99.0) /
-                        percentile_of(idle_walls, 99.0)
+              percentile_of(idle.walls, 99.0) > 0
+                  ? percentile_of(churn.walls, 99.0) /
+                        percentile_of(idle.walls, 99.0)
                   : 0.0,
               idle_sim_p99 > 0 ? churn_sim_p99 / idle_sim_p99 : 0.0);
 

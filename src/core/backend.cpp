@@ -48,6 +48,10 @@ Backend::Backend(FastConfig config,
   m_.chs_bucket_probes = &r.count_histogram("chs.bucket_probes_per_query");
   m_.chs_candidates = &r.count_histogram("chs.candidates_per_query");
   m_.index_size = &r.gauge("index.size");
+  m_.writer_locks = &r.counter("index.writer_locks");
+  m_.reader_locks = &r.counter("index.reader_locks");
+  m_.writer_wait_s = &r.latency_histogram("lock.writer_wait_s");
+  m_.reader_wait_s = &r.latency_histogram("lock.reader_wait_s");
   storage::DurableLog::register_metrics(r);
 }
 
@@ -129,6 +133,32 @@ std::vector<hash::SparseSignature> Backend::summarize_batch(
     }
   }
   return sigs;
+}
+
+std::unique_lock<std::shared_mutex> Backend::writer_lock(
+    const IndexMutex& mutex) const {
+  std::unique_lock lock(mutex.mutex_, std::defer_lock);
+  util::WallTimer timer;
+  {
+    util::TraceSpan wait("lock.writer_wait");
+    lock.lock();
+  }
+  m_.writer_wait_s->observe(timer.elapsed_seconds());
+  m_.writer_locks->add();
+  return lock;
+}
+
+std::shared_lock<std::shared_mutex> Backend::reader_lock(
+    const IndexMutex& mutex) const {
+  std::shared_lock lock(mutex.mutex_, std::defer_lock);
+  util::WallTimer timer;
+  {
+    util::TraceSpan wait("lock.reader_wait");
+    lock.lock();
+  }
+  m_.reader_wait_s->observe(timer.elapsed_seconds());
+  m_.reader_locks->add();
+  return lock;
 }
 
 std::vector<std::uint64_t> Backend::derive_keys(

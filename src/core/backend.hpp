@@ -7,11 +7,13 @@
 // once: the config, the Summarizer (FE+SM), the SemanticAggregator (SA),
 // the metrics registry with one instrument set, the image and batch entry
 // points, the timed SA key derivation, and the query finish (top-k, rank
-// cost, instruments, QueryProfile). A derived index supplies only what is
-// its own: where a placement lands (place/remove), how a query's probe keys
-// become scored candidates (gather), and its snapshot image. FastIndex is
-// the flat layout under one single-writer lock; TieredIndex is the
-// memtable-lanes-plus-segments layout with per-lane locks.
+// cost, instruments, QueryProfile), and the traced lock helper. A derived
+// index supplies only what is its own: where a placement lands
+// (place/remove), how a query's probe keys become scored candidates
+// (gather), and its snapshot image. Both layouts are built of
+// core::IndexLayer: FastIndex is one layer under one single-writer lock;
+// TieredIndex is lanes of memtable layers under per-lane locks plus frozen
+// segment layers.
 //
 // make_backend/open_backend pick the layout from config.tier.enabled; they
 // are the only place that choice is made. QueryEngine and ShardedFastIndex
@@ -21,7 +23,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <span>
 #include <vector>
 
@@ -57,6 +61,20 @@ struct BatchImage {
 struct EngineWrite {
   std::uint64_t id = 0;
   hash::SparseSignature signature;
+};
+
+/// An index lock: a shared_mutex that Backend::writer_lock/reader_lock
+/// take with the wait traced and counted. A move leaves it behind: the
+/// moved-to index starts with a fresh, unlocked one.
+class IndexMutex {
+ public:
+  IndexMutex() = default;
+  IndexMutex(IndexMutex&&) noexcept {}
+  IndexMutex& operator=(IndexMutex&&) noexcept { return *this; }
+
+ private:
+  friend class Backend;
+  mutable std::shared_mutex mutex_;
 };
 
 class Backend {
@@ -236,6 +254,10 @@ class Backend {
     util::Histogram* chs_bucket_probes = nullptr;
     util::Histogram* chs_candidates = nullptr;
     util::Gauge* index_size = nullptr;
+    util::Counter* writer_locks = nullptr;
+    util::Counter* reader_locks = nullptr;
+    util::Histogram* writer_wait_s = nullptr;
+    util::Histogram* reader_wait_s = nullptr;
   };
 
   /// Builds the shared front end and registers the scaffold instruments
@@ -266,6 +288,16 @@ class Backend {
   /// Restores state from a validated snapshot; false = undecodable content
   /// with the index left untouched (recovery falls back to an older one).
   virtual bool restore_snapshot(const storage::SnapshotFile& snapshot) = 0;
+
+  /// Takes `mutex` exclusively (writer) or shared (reader). The wait is a
+  /// lock.writer_wait / lock.reader_wait span — under contention exactly
+  /// the time this thread spent blocked — timed into lock.writer_wait_s /
+  /// lock.reader_wait_s, and the acquisition is counted in
+  /// index.writer_locks / index.reader_locks.
+  std::unique_lock<std::shared_mutex> writer_lock(
+      const IndexMutex& mutex) const;
+  std::shared_lock<std::shared_mutex> reader_lock(
+      const IndexMutex& mutex) const;
 
   /// SA key derivation under the "sa.keys" span, timed into sa.keys_wall_s.
   /// Reads only the aggregator, so callers run it outside their locks.

@@ -21,26 +21,22 @@
 // costs (see sim::CostModel) alongside its native execution.
 //
 // The flat layout of core::Backend (core/backend.hpp): the shared front end
-// lives in the base; this class owns the group store, the membership lists
-// and the signature slab, under one single-writer lock. FE+SM and SA key
-// derivation run outside the lock; queries share it for the probe and the
-// scoring; a write batch takes it exclusively once. Waits are traced as
-// lock.writer_wait / lock.reader_wait spans and acquisitions counted in
-// index.writer_locks / index.reader_locks.
+// lives in the base; this class is one core::IndexLayer — the group store,
+// the slot-holding membership lists and the signature slab — under one
+// single-writer lock. FE+SM and SA key derivation run outside the lock;
+// queries share it for the probe and the scoring; a write batch takes it
+// exclusively once. The lock is taken through Backend's traced helper.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/backend.hpp"
+#include "core/index_layer.hpp"
 #include "core/pipeline/group_store.hpp"
-#include "hash/signature_slab.hpp"
 
 namespace fast::core {
 
@@ -114,8 +110,6 @@ class FastIndex final : public Backend {
 
  private:
   struct LayoutMetrics {
-    util::Counter* writer_locks = nullptr;
-    util::Counter* reader_locks = nullptr;
     util::Counter* chs_group_hits = nullptr;
     util::Counter* chs_group_creates = nullptr;
     util::Counter* chs_rehash_events = nullptr;
@@ -129,20 +123,6 @@ class FastIndex final : public Backend {
     util::Gauge* index_groups = nullptr;
   };
 
-  /// A shared_mutex that a move leaves behind: the moved-to index starts
-  /// with a fresh, unlocked one.
-  struct Mutex {
-    mutable std::shared_mutex mutex;
-    Mutex() = default;
-    Mutex(Mutex&&) noexcept {}
-    Mutex& operator=(Mutex&&) noexcept { return *this; }
-  };
-
-  /// Acquisitions with the wait itself traced: under contention the
-  /// lock.*_wait span is exactly the time this thread spent blocked.
-  std::unique_lock<std::shared_mutex> writer_lock() const;
-  std::shared_lock<std::shared_mutex> reader_lock() const;
-
   /// Refreshes the CHS occupancy/kick gauges from the store (write paths).
   void publish_storage_gauges();
 
@@ -154,18 +134,12 @@ class FastIndex final : public Backend {
   /// Serializes the full index state at last_seq().
   storage::SnapshotFile build_snapshot() const;
 
-  std::unique_ptr<pipeline::GroupStore> store_;
-  // Group id -> member slots of slab_. Queries rank straight off the
-  // slots; slot_of_ maps ids to slots for the write, lookup and snapshot
-  // paths, never for a query.
-  std::vector<std::vector<std::uint32_t>> groups_;
-  hash::SignatureSlab slab_;
-  std::unordered_map<std::uint64_t, std::uint32_t> slot_of_;
+  IndexLayer layer_;
   std::size_t rehashes_ = 0;
   LayoutMetrics lm_;
   // Queries share it; mutations and snapshots hold it exclusively, so
   // appends never race a checkpoint.
-  Mutex mutex_;
+  IndexMutex mutex_;
 };
 
 }  // namespace fast::core

@@ -13,15 +13,16 @@ constexpr std::size_t kSegmentBloomHashes = 6;
 constexpr std::uint64_t kSegmentBloomSeed = 0x5e67;
 }  // namespace
 
-hash::BloomFilter ImmutableSegment::build_bloom(const MemtableIndex& state,
-                                                double bits_per_key) {
-  const std::size_t pairs = state.entries() * state.table_count();
+hash::BloomFilter ImmutableSegment::build_bloom(
+    std::span<const std::vector<std::uint64_t>> home_keys,
+    double bits_per_key) {
+  std::size_t pairs = 0;
+  for (const auto& keys : home_keys) pairs += keys.size();
   const std::size_t bits = std::max<std::size_t>(
       64, static_cast<std::size_t>(static_cast<double>(pairs) *
                                    std::max(bits_per_key, 1.0)));
   hash::BloomFilter bloom(bits, kSegmentBloomHashes, kSegmentBloomSeed);
-  for (const std::uint64_t id : state.sorted_ids()) {
-    const std::vector<std::uint64_t>& keys = *state.keys_of(id);
+  for (const auto& keys : home_keys) {
     for (std::size_t t = 0; t < keys.size(); ++t) {
       bloom.insert_u64(key_fingerprint(t, keys[t]));
     }
@@ -66,15 +67,15 @@ std::shared_ptr<const ImmutableSegment> ImmutableSegment::deserialize(
     bloom = hash::BloomFilter::from_state(bits, k, seed, std::move(words),
                                           inserted);
   }
-  auto state = std::make_shared<MemtableIndex>(config, tables);
-  if (!state->deserialize(in, config.bloom_bits)) return nullptr;
+  auto state = std::make_shared<IndexLayer>(config, tables);
+  if (!state->deserialize(in)) return nullptr;
   if (bloom.has_value()) {
     return std::make_shared<const ImmutableSegment>(
-        id, std::shared_ptr<const MemtableIndex>(std::move(state)),
+        id, std::shared_ptr<const IndexLayer>(std::move(state)),
         std::move(*bloom));
   }
   return std::make_shared<const ImmutableSegment>(
-      id, std::shared_ptr<const MemtableIndex>(std::move(state)));
+      id, std::shared_ptr<const IndexLayer>(std::move(state)));
 }
 
 }  // namespace fast::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -37,7 +36,7 @@ TieredIndex::TieredIndex(FastConfig config, vision::PcaModel pca,
   lanes_.reserve(lane_count);
   for (std::size_t l = 0; l < lane_count; ++l) {
     auto lane = std::make_unique<Lane>();
-    lane->mem = std::make_unique<MemtableIndex>(mem_config_, tables_);
+    lane->mem = std::make_unique<IndexLayer>(mem_config_, tables_);
     lane->segments.store(std::make_shared<const SegmentList>());
     lanes_.push_back(std::move(lane));
   }
@@ -80,7 +79,7 @@ std::size_t TieredIndex::tombstone_count() const {
                              0));
   for (const auto& lane : lanes_) {
     const auto list = lane->segments.load();
-    for (const auto& seg : *list) total += seg->tombstone_count();
+    for (const auto& seg : *list) total += seg->state().tombstone_count();
   }
   return total;
 }
@@ -89,7 +88,7 @@ std::size_t TieredIndex::index_bytes() const {
   std::size_t bytes = 0;
   for (const auto& lane : lanes_) {
     {
-      std::shared_lock<std::shared_mutex> lk(lane->mem_mutex);
+      std::shared_lock lk = reader_lock(lane->mem_mutex);
       bytes += lane->mem->bytes();
     }
     const auto list = lane->segments.load();
@@ -110,7 +109,9 @@ void TieredIndex::publish_tier_gauges() {
   for (const auto& lane : lanes_) {
     const auto list = lane->segments.load();
     segs += list->size();
-    for (const auto& seg : *list) seg_tombstones += seg->tombstone_count();
+    for (const auto& seg : *list) {
+      seg_tombstones += seg->state().tombstone_count();
+    }
   }
   tm_.segment_count->set(static_cast<double>(segs));
   tm_.tier_memtable_entries->set(static_cast<double>(
@@ -128,10 +129,24 @@ void TieredIndex::publish_tier_gauges() {
 bool TieredIndex::segments_contain_live(const Lane& lane, std::uint64_t id) {
   const auto list = lane.segments.load();
   for (const auto& seg : *list) {
-    if (seg->contains(id)) return true;
-    if (seg->tombstoned(id)) return false;
+    if (seg->state().contains(id)) return true;
+    if (seg->state().tombstoned(id)) return false;
   }
   return false;
+}
+
+void TieredIndex::evict(IndexLayer& layer, std::uint64_t id) const {
+  layer.remove(id, derive_keys(*layer.signature_of(id), nullptr));
+}
+
+std::vector<std::vector<std::uint64_t>> TieredIndex::home_keys(
+    const IndexLayer& layer) const {
+  std::vector<std::vector<std::uint64_t>> keys;
+  keys.reserve(layer.entries());
+  for (const auto& [id, slot] : layer.slots()) {
+    keys.push_back(derive_keys(layer.slab().unpack(slot), nullptr));
+  }
+  return keys;
 }
 
 void TieredIndex::place(std::span<Placement> batch) {
@@ -143,14 +158,13 @@ void TieredIndex::place(std::span<Placement> batch) {
 bool TieredIndex::place_one(Placement& p) {
   // Keys were derived outside any lock; the critical section below is pure
   // placement (this is the point of the memtable split).
-  hash::PackedSignature packed(*p.signature);
   const std::size_t lane_idx = lane_of(p.id);
   Lane& lane = *lanes_[lane_idx];
   bool sealed = false;
-  std::size_t slot_reads = 0;
+  IndexLayer::Placed placed;
   hash::ProbeProfile probe_profile;
   {
-    std::unique_lock<std::shared_mutex> lk(lane.mem_mutex);
+    std::unique_lock lk = writer_lock(lane.mem_mutex);
     // Log before apply (held lane lock keeps per-lane apply order equal to
     // sequence order); a throw leaves the memtable untouched. Recovery
     // replays through here before the log is attached, so nothing is
@@ -166,17 +180,16 @@ bool TieredIndex::place_one(Placement& p) {
     if (lane.mem->contains(p.id)) {
       // Re-insert replaces: evict the stale version from its groups first.
       was_live = true;
-      lane.mem->remove(p.id);
+      evict(*lane.mem, p.id);
     } else if (lane.mem->tombstoned(p.id)) {
       was_live = false;
     } else {
       was_live = segments_contain_live(lane, p.id);
     }
-    const std::size_t events = lane.mem->place(p.id, std::move(packed), p.keys,
-                                               &slot_reads, &probe_profile);
-    p.result.rehashes = events;
-    if (events > 0) p.result.ok = false;
-    p.result.cost.charge_ram(config_.cost.ram_access_s, slot_reads);
+    placed = lane.mem->place(p.id, *p.signature, p.keys, &probe_profile);
+    p.result.rehashes = placed.rehashes;
+    if (placed.rehashes > 0) p.result.ok = false;
+    p.result.cost.charge_ram(config_.cost.ram_access_s, placed.slot_reads);
     if (!was_live) live_.fetch_add(1, std::memory_order_relaxed);
     mem_entries_.fetch_add(
         static_cast<std::int64_t>(lane.mem->entries()) - e0,
@@ -186,7 +199,7 @@ bool TieredIndex::place_one(Placement& p) {
         std::memory_order_relaxed);
     sealed = maybe_seal_locked(lane, lane_idx);
   }
-  m_.chs_slot_reads->add(slot_reads);
+  m_.chs_slot_reads->add(placed.slot_reads);
   if (probe_profile.fingerprint_false_hits != 0) {
     m_.chs_fingerprint_false_hits->add(probe_profile.fingerprint_false_hits);
   }
@@ -210,7 +223,7 @@ std::pair<bool, bool> TieredIndex::erase_one(std::uint64_t id) {
   bool erased = false;
   bool sealed = false;
   {
-    std::unique_lock<std::shared_mutex> lk(lane.mem_mutex);
+    std::unique_lock lk = writer_lock(lane.mem_mutex);
     const std::int64_t e0 = static_cast<std::int64_t>(lane.mem->entries());
     const std::int64_t t0 =
         static_cast<std::int64_t>(lane.mem->tombstone_count());
@@ -222,7 +235,7 @@ std::pair<bool, bool> TieredIndex::erase_one(std::uint64_t id) {
       storage::throw_if_error(log_->append(storage::kWalRecordErase, id, {}));
     }
     if (in_memtable) {
-      lane.mem->remove(id);
+      evict(*lane.mem, id);
       // A stale live copy below must not resurrect after the memtable
       // seals away.
       if (segments_contain_live(lane, id)) lane.mem->add_tombstone(id);
@@ -266,11 +279,11 @@ void TieredIndex::seal_locked(Lane& lane, std::size_t lane_idx) {
       std::memory_order_relaxed);
   // O(1) seal: the memtable becomes the segment's frozen state by move; the
   // bloom summary is built later, off the writer path.
-  auto frozen = std::make_shared<MemtableIndex>(std::move(*lane.mem));
-  lane.mem = std::make_unique<MemtableIndex>(mem_config_, tables_);
+  auto frozen = std::make_shared<IndexLayer>(std::move(*lane.mem));
+  lane.mem = std::make_unique<IndexLayer>(mem_config_, tables_);
   auto segment = std::make_shared<const ImmutableSegment>(
       next_segment_id_.fetch_add(1, std::memory_order_relaxed),
-      std::shared_ptr<const MemtableIndex>(std::move(frozen)));
+      std::shared_ptr<const IndexLayer>(std::move(frozen)));
   {
     std::lock_guard<std::mutex> pub(lane.publish_mutex);
     const auto current = lane.segments.load();
@@ -288,7 +301,7 @@ void TieredIndex::seal_active() {
   bool sealed_any = false;
   for (std::size_t l = 0; l < lanes_.size(); ++l) {
     Lane& lane = *lanes_[l];
-    std::unique_lock<std::shared_mutex> lk(lane.mem_mutex);
+    std::unique_lock lk = writer_lock(lane.mem_mutex);
     if (lane.mem->empty()) continue;
     seal_locked(lane, l);
     sealed_any = true;
@@ -366,9 +379,9 @@ void TieredIndex::finalize_blooms(Lane& lane) {
     if (seg->finalized()) continue;
     util::TraceSpan span("seal.finalize");
     span.attr("segment", static_cast<double>(seg->id()));
-    span.attr("entries", static_cast<double>(seg->entries()));
+    span.attr("entries", static_cast<double>(seg->state().entries()));
     hash::BloomFilter bloom = ImmutableSegment::build_bloom(
-        seg->state(), config_.tier.bloom_bits_per_key);
+        home_keys(seg->state()), config_.tier.bloom_bits_per_key);
     span.attr("bloom_bits", static_cast<double>(bloom.bit_count()));
     // The upgraded segment SHARES the frozen state; only the summary is new.
     auto upgraded = std::make_shared<const ImmutableSegment>(
@@ -394,7 +407,7 @@ bool TieredIndex::try_compact_lane(Lane& lane) {
     std::size_t weight = 0;
     for (std::size_t i = 0; i < fanin; ++i) {
       const auto& seg = (*list)[start + i];
-      weight += seg->entries() + seg->tombstone_count();
+      weight += seg->state().entries() + seg->state().tombstone_count();
     }
     if (weight <= best_weight) {
       best_weight = weight;
@@ -405,7 +418,8 @@ bool TieredIndex::try_compact_lane(Lane& lane) {
 
   util::TraceSpan span("compact.merge");
   util::WallTimer timer;
-  MemtableIndex merged(mem_config_, tables_);
+  IndexLayer merged(mem_config_, tables_);
+  std::vector<std::vector<std::uint64_t>> merged_keys;
   std::unordered_set<std::uint64_t> seen;
   std::size_t entries_in = 0;
   std::size_t dropped_tombstones = 0;
@@ -414,7 +428,7 @@ bool TieredIndex::try_compact_lane(Lane& lane) {
   // are placed in sorted-id order per segment.
   for (std::size_t i = 0; i < fanin; ++i) {
     const ImmutableSegment& seg = *(*list)[best_start + i];
-    entries_in += seg.entries();
+    entries_in += seg.state().entries();
     for (const std::uint64_t id : seg.state().tombstones()) {
       if (!seen.insert(id).second) continue;
       if (includes_oldest) {
@@ -425,22 +439,24 @@ bool TieredIndex::try_compact_lane(Lane& lane) {
     }
     for (const std::uint64_t id : seg.state().sorted_ids()) {
       if (!seen.insert(id).second) continue;
-      merged.place(id, *seg.signature_of(id), *seg.state().keys_of(id),
-                   nullptr);
+      const hash::SparseSignature signature = *seg.state().signature_of(id);
+      std::vector<std::uint64_t> keys = derive_keys(signature, nullptr);
+      merged.place(id, signature, keys, nullptr);
+      merged_keys.push_back(std::move(keys));
     }
   }
 
   std::shared_ptr<const ImmutableSegment> replacement;
   if (!merged.empty()) {
     hash::BloomFilter bloom = ImmutableSegment::build_bloom(
-        merged, config_.tier.bloom_bits_per_key);
+        merged_keys, config_.tier.bloom_bits_per_key);
     replacement = std::make_shared<const ImmutableSegment>(
         next_segment_id_.fetch_add(1, std::memory_order_relaxed),
-        std::make_shared<const MemtableIndex>(std::move(merged)),
+        std::make_shared<const IndexLayer>(std::move(merged)),
         std::move(bloom));
   }
   const std::size_t entries_out =
-      replacement == nullptr ? 0 : replacement->entries();
+      replacement == nullptr ? 0 : replacement->state().entries();
   splice_segments(lane, (*list)[best_start]->id(), fanin,
                   std::move(replacement));
 
@@ -485,13 +501,19 @@ void TieredIndex::gather(std::span<const std::uint64_t> keys,
   hash::ProbeProfile probe_profile;
   std::size_t segments_probed = 0;
   std::size_t segments_skipped = 0;
+  // Segment candidates not shadowed by the memtable: slots of (*list)[si]
+  // for each run {si, end} over seg_slots. Reused across lanes.
+  std::vector<std::uint32_t> seg_slots;
+  std::vector<std::pair<std::size_t, std::size_t>> seg_runs;
+  std::vector<double> scores;
   for (const auto& lane_ptr : lanes_) {
     const Lane& lane = *lane_ptr;
     std::shared_ptr<const SegmentList> list;
-    std::vector<std::unordered_set<std::uint64_t>> per_seg;
-    std::unordered_map<std::uint64_t, bool> mem_shadowed;
+    seg_slots.clear();
+    seg_runs.clear();
     {
-      std::shared_lock<std::shared_mutex> lk(lane.mem_mutex);
+      std::shared_lock lk = reader_lock(lane.mem_mutex);
+      const IndexLayer& mem = *lane.mem;
       // Pin the segment list under the memtable lock: seal publishes its
       // segment before dropping the exclusive lock, so this list and the
       // memtable form a consistent cut. Loading the list outside would
@@ -499,11 +521,21 @@ void TieredIndex::gather(std::span<const std::uint64_t> keys,
       // query never sees (missed hits, resurrected erases).
       list = lane.segments.load();
 
-      // 1) Segments: candidate collection stays in the critical section
-      //    because the shadow decisions below must come from the
-      //    memtable of the same cut. A finalized bloom that rejects
-      //    every probe key skips the segment.
-      per_seg.resize(list->size());
+      // 1) Memtable: probe and score (its slab changes under writers, so
+      //    scoring stays inside the lock).
+      {
+        CandidateSlots candidates(mem.slab().slot_limit());
+        mem.collect(keys, probes, candidates, out.table_slot_reads,
+                    &out.bucket_probes, &probe_profile);
+        util::WallTimer mem_score_timer;
+        mem.score(scorer, candidates.slots(), candidates.scores(), out.scored);
+        out.score_s += mem_score_timer.elapsed_seconds();
+      }
+
+      // 2) Segments: candidate collection stays in the critical section
+      //    because the memtable shadow decisions must come from the same
+      //    cut. A finalized bloom that rejects every probe key skips the
+      //    segment.
       for (std::size_t si = 0; si < list->size(); ++si) {
         const ImmutableSegment& seg = *(*list)[si];
         bool touch = false;
@@ -524,62 +556,39 @@ void TieredIndex::gather(std::span<const std::uint64_t> keys,
           continue;
         }
         ++segments_probed;
-        for (std::size_t t = 0; t < keys.size(); ++t) {
-          ++out.bucket_probes;
-          seg.state().collect(t, keys[t], per_seg[si],
-                              &out.table_slot_reads[t], &probe_profile);
-          for (const std::uint64_t pk : probes[t]) {
-            ++out.bucket_probes;
-            seg.state().collect(t, pk, per_seg[si], &out.table_slot_reads[t],
-                                &probe_profile);
+        CandidateSlots candidates(seg.state().slab().slot_limit());
+        seg.state().collect(keys, probes, candidates, out.table_slot_reads,
+                            &out.bucket_probes, &probe_profile);
+        for (const std::uint32_t slot : candidates.slots()) {
+          if (!mem.shadows(seg.state().slab().id(slot))) {
+            seg_slots.push_back(slot);
           }
         }
-      }
-
-      // 2) Memtable: probe, score (the signature map can rehash under
-      //    writers, so scoring stays inside the lock), and take the
-      //    shadow decisions segment candidates need.
-      std::unordered_set<std::uint64_t> mem_ids;
-      for (std::size_t t = 0; t < keys.size(); ++t) {
-        ++out.bucket_probes;
-        lane.mem->collect(t, keys[t], mem_ids, &out.table_slot_reads[t],
-                          &probe_profile);
-        for (const std::uint64_t pk : probes[t]) {
-          ++out.bucket_probes;
-          lane.mem->collect(t, pk, mem_ids, &out.table_slot_reads[t],
-                            &probe_profile);
-        }
-      }
-      util::WallTimer mem_score_timer;
-      for (const std::uint64_t id : mem_ids) {
-        out.scored.push_back(
-            ScoredId{id, scorer.score(*lane.mem->signature_of(id))});
-      }
-      out.score_s += mem_score_timer.elapsed_seconds();
-      for (const auto& ids : per_seg) {
-        for (const std::uint64_t id : ids) {
-          if (mem_shadowed.find(id) == mem_shadowed.end()) {
-            mem_shadowed.emplace(id, lane.mem->shadows(id));
-          }
-        }
+        seg_runs.emplace_back(si, seg_slots.size());
       }
     }
 
     // 3) Segment candidates, scored lock-free off the pinned immutable
-    //    list: the newest unshadowed mention owns the id (drops
-    //    tombstoned ids and stale duplicates in one rule).
+    //    list: the newest unshadowed mention owns the id (drops tombstoned
+    //    ids and stale duplicates in one rule).
     util::WallTimer seg_score_timer;
-    for (std::size_t si = 0; si < per_seg.size(); ++si) {
-      for (const std::uint64_t id : per_seg[si]) {
-        if (mem_shadowed[id]) continue;
+    std::size_t begin = 0;
+    for (const auto& [si, end] : seg_runs) {
+      const IndexLayer& layer = (*list)[si]->state();
+      std::size_t kept = begin;
+      for (std::size_t c = begin; c < end; ++c) {
+        const std::uint64_t id = layer.slab().id(seg_slots[c]);
         bool shadowed = false;
         for (std::size_t sj = 0; sj < si && !shadowed; ++sj) {
-          shadowed = (*list)[sj]->shadows(id);
+          shadowed = (*list)[sj]->state().shadows(id);
         }
-        if (shadowed) continue;
-        out.scored.push_back(
-            ScoredId{id, scorer.score(*(*list)[si]->signature_of(id))});
+        if (!shadowed) seg_slots[kept++] = seg_slots[c];
       }
+      const std::span<const std::uint32_t> slots(seg_slots.data() + begin,
+                                                 kept - begin);
+      scores.resize(slots.size());
+      layer.score(scorer, slots, scores, out.scored);
+      begin = end;
     }
     out.score_s += seg_score_timer.elapsed_seconds();
   }
@@ -588,18 +597,19 @@ void TieredIndex::gather(std::span<const std::uint64_t> keys,
   probe_span.attr("segments_skipped", static_cast<double>(segments_skipped));
   tm_.tier_segment_skips->add(segments_skipped);
 }
+
 std::optional<hash::SparseSignature> TieredIndex::signature_of(
     std::uint64_t id) const {
   const Lane& lane = *lanes_[lane_of(id)];
   {
-    std::shared_lock<std::shared_mutex> lk(lane.mem_mutex);
-    if (const auto* sig = lane.mem->signature_of(id)) return sig->unpack();
+    std::shared_lock lk = reader_lock(lane.mem_mutex);
+    if (auto sig = lane.mem->signature_of(id)) return sig;
     if (lane.mem->tombstoned(id)) return std::nullopt;
   }
   const auto list = lane.segments.load();
   for (const auto& seg : *list) {
-    if (const auto* sig = seg->signature_of(id)) return sig->unpack();
-    if (seg->tombstoned(id)) return std::nullopt;
+    if (auto sig = seg->state().signature_of(id)) return sig;
+    if (seg->state().tombstoned(id)) return std::nullopt;
   }
   return std::nullopt;
 }
@@ -616,17 +626,17 @@ void TieredIndex::for_each_live(
       // Pin the segment list under the memtable lock (same ordering as the
       // query path) so a concurrent seal cannot drop entries between the
       // memtable walk and the list load.
-      std::shared_lock<std::shared_mutex> lk(lane.mem_mutex);
-      for (const auto& [id, sig] : lane.mem->signatures()) {
+      std::shared_lock lk = reader_lock(lane.mem_mutex);
+      for (const auto& [id, slot] : lane.mem->slots()) {
         seen.insert(id);
-        fn(id, sig.unpack());
+        fn(id, lane.mem->slab().unpack(slot));
       }
       for (const std::uint64_t id : lane.mem->tombstones()) seen.insert(id);
       list = lane.segments.load();
     }
     for (const auto& seg : *list) {  // newest -> oldest
-      for (const auto& [id, sig] : seg->state().signatures()) {
-        if (seen.insert(id).second) fn(id, sig.unpack());
+      for (const auto& [id, slot] : seg->state().slots()) {
+        if (seen.insert(id).second) fn(id, seg->state().slab().unpack(slot));
       }
       for (const std::uint64_t id : seg->state().tombstones()) seen.insert(id);
     }
@@ -699,7 +709,7 @@ storage::Status TieredIndex::save_snapshot() {
   // advance without a lane lock held, so last_seq() is stable below.
   std::vector<std::unique_lock<std::shared_mutex>> locks;
   locks.reserve(lanes_.size());
-  for (auto& lane : lanes_) locks.emplace_back(lane->mem_mutex);
+  for (auto& lane : lanes_) locks.push_back(writer_lock(lane->mem_mutex));
   return log_->checkpoint(build_snapshot_locked());
 }
 
@@ -726,7 +736,7 @@ bool TieredIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
   }
   if (!mr.ok()) return false;
 
-  std::vector<std::unique_ptr<MemtableIndex>> mems(lane_count);
+  std::vector<std::unique_ptr<IndexLayer>> mems(lane_count);
   std::unordered_map<std::uint64_t, std::shared_ptr<const ImmutableSegment>>
       segs;
   for (const auto& section : snapshot.sections) {
@@ -736,8 +746,8 @@ bool TieredIndex::restore_snapshot(const storage::SnapshotFile& snapshot) {
       if (!in.ok() || l >= lane_count || mems[l] != nullptr) return false;
       // mem_config_, not config_: restored memtables should start at the
       // same pre-expanded capacity the seal path hands out.
-      auto mem = std::make_unique<MemtableIndex>(mem_config_, tables_);
-      if (!mem->deserialize(in, config_.bloom_bits)) return false;
+      auto mem = std::make_unique<IndexLayer>(mem_config_, tables_);
+      if (!mem->deserialize(in)) return false;
       mems[l] = std::move(mem);
     } else if (section.id == storage::kSectionTierSegment) {
       util::ByteReader in{std::span(section.payload)};
@@ -803,11 +813,11 @@ std::size_t TieredIndex::count_live() const {
     live += lane->mem->entries();
     const auto list = lane->segments.load();
     for (std::size_t si = 0; si < list->size(); ++si) {
-      for (const std::uint64_t id : (*list)[si]->state().sorted_ids()) {
+      for (const auto& [id, slot] : (*list)[si]->state().slots()) {
         if (lane->mem->shadows(id)) continue;
         bool shadowed = false;
         for (std::size_t sj = 0; sj < si && !shadowed; ++sj) {
-          shadowed = (*list)[sj]->shadows(id);
+          shadowed = (*list)[sj]->state().shadows(id);
         }
         if (!shadowed) ++live;
       }

@@ -2,16 +2,21 @@
 // (DESIGN.md §3f).
 //
 // Layout: ids are hash-partitioned across a few independent LANES. Each
-// lane holds one small mutable MemtableIndex guarded by its own
-// shared_mutex, plus a newest-first list of ImmutableSegments published
-// as one shared_ptr that is swapped whole. Inserts derive bucket keys
+// lane holds one small mutable memtable — a core::IndexLayer, the same
+// class the flat index is made of — guarded by its own lock, plus a
+// newest-first list of ImmutableSegments (frozen layers) published as one
+// shared_ptr that is swapped whole. Inserts derive bucket keys
 // OUTSIDE any lock, then take only their lane's mutex for the bounded
 // placement work; once a memtable reaches tier.seal_threshold mentions it
 // is sealed — an O(1) move into a frozen segment — off the hot path.
-// Queries take each lane's mutex in shared mode only for the memtable
-// probe; segments are read off a pinned copy of the list pointer (taken
-// under a mutex held only for that copy), and a per-segment bloom
-// summary skips segments that cannot contain any probe key. A background
+// Queries take each lane's lock in shared mode for the memtable probe and
+// scoring and for the shadow decisions; segment candidates are scored off
+// a pinned copy of the list pointer (taken under a mutex held only for
+// that copy), and a per-segment bloom summary skips segments that cannot
+// contain any probe key. Every layer ranks its candidates straight off its
+// own signature slab, as the flat index does. Lane locks go through
+// Backend's traced helper, so both layouts report the same lock.* spans,
+// wait histograms and index.*_locks counters. A background
 // thread finalizes segment blooms and merges adjacent segment runs under a
 // size-tiered policy (tier.compact_fanin / compact_trigger) without ever
 // blocking readers: merges build a fresh frozen state aside and swap the
@@ -24,6 +29,8 @@
 // query results are identical to a single flat FastIndex holding the same
 // live set — tier_test asserts hit-and-score equality.
 //
+// Layers cache no bucket keys: removal, bloom finalization and compaction
+// re-derive an entry's keys from its slab slot through Backend::derive_keys.
 // The shared front end (FE+SM, SA key derivation, the query finish and the
 // instruments) lives in core::Backend; this class supplies placement,
 // candidate gathering and its snapshot image.
@@ -40,13 +47,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/backend.hpp"
-#include "core/memtable_index.hpp"
+#include "core/index_layer.hpp"
 #include "core/segment.hpp"
 
 namespace fast::core {
@@ -135,8 +141,8 @@ class TieredIndex final : public Backend {
   };
 
   struct Lane {
-    mutable std::shared_mutex mem_mutex;
-    std::unique_ptr<MemtableIndex> mem;
+    IndexMutex mem_mutex;
+    std::unique_ptr<IndexLayer> mem;
     /// Replaced under publish_mutex (seal prepend, bloom upgrade,
     /// compaction splice).
     SegmentListCell segments;
@@ -171,6 +177,11 @@ class TieredIndex final : public Backend {
 
   /// Newest segment mention of `id` in the lane is a live signature.
   static bool segments_contain_live(const Lane& lane, std::uint64_t id);
+  /// Removes live `id` from `layer` under keys re-derived from its summary.
+  void evict(IndexLayer& layer, std::uint64_t id) const;
+  /// Every live entry's home keys, re-derived from the layer's slab.
+  std::vector<std::vector<std::uint64_t>> home_keys(
+      const IndexLayer& layer) const;
 
   /// Caller holds lane.mem_mutex exclusively.
   bool maybe_seal_locked(Lane& lane, std::size_t lane_idx);

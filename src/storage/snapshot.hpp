@@ -41,13 +41,20 @@ inline constexpr std::uint32_t kSectionStore = 4;
 // segment per lane; each memtable and each sealed segment is one section so
 // a damaged section fails the whole image's CRC and recovery falls back.
 inline constexpr std::uint32_t kSectionTierManifest = 5;
-inline constexpr std::uint32_t kSectionTierMemtable = 6;
-inline constexpr std::uint32_t kSectionTierSegment = 7;
+// Retired ids of the tiered memtable and segment sections as id-keyed maps
+// with a home-key column. Nothing writes them; a reader finds no memtable
+// in such an image and falls back past it as past a damaged one.
+inline constexpr std::uint32_t kSectionTierMemtableKeyed = 6;
+inline constexpr std::uint32_t kSectionTierSegmentKeyed = 7;
 // CHS store serialized by the fingerprint-compressed compact backend. A
 // distinct id (on top of the chs_backend config-fingerprint gate) so
 // readers built before the compact backend reject such snapshots outright
 // instead of misreading the section as a full-key store.
 inline constexpr std::uint32_t kSectionStoreCompact = 8;
+// A tiered memtable or segment as one core::IndexLayer codec payload
+// (signatures, tombstones, groups, store), with no key column.
+inline constexpr std::uint32_t kSectionTierMemtable = 9;
+inline constexpr std::uint32_t kSectionTierSegment = 10;
 
 struct SnapshotSection {
   std::uint32_t id = 0;

@@ -190,12 +190,21 @@ TEST_P(BackendContractTest, RegistersEverySharedInstrument) {
         "index.erase_batch_size", "index.size", "sa.keys_derived",
         "sa.insert_hash_ops", "sa.keys_wall_s", "sa.probe_keys_per_query",
         "rank.wall_s", "chs.slot_reads", "chs.fingerprint_false_hits",
-        "chs.bucket_probes_per_query", "chs.candidates_per_query"}) {
+        "chs.bucket_probes_per_query", "chs.candidates_per_query",
+        "index.writer_locks", "index.reader_locks", "lock.writer_wait_s",
+        "lock.reader_wait_s"}) {
     EXPECT_TRUE(names.contains(want)) << "missing " << want;
   }
   EXPECT_EQ(snap.histograms.at("query.wall_s").count, kQueries);
   EXPECT_EQ(snap.histograms.at("rank.wall_s").count, kQueries);
   EXPECT_EQ(snap.counters.at("index.queries"), kQueries);
+  // Every lock acquisition, on either layout, is timed once.
+  EXPECT_GE(snap.counters.at("index.reader_locks"), kQueries);
+  EXPECT_GT(snap.counters.at("index.writer_locks"), 0u);
+  EXPECT_EQ(snap.histograms.at("lock.reader_wait_s").count,
+            snap.counters.at("index.reader_locks"));
+  EXPECT_EQ(snap.histograms.at("lock.writer_wait_s").count,
+            snap.counters.at("index.writer_locks"));
   // 36 inserts + 10 re-inserts/replacements; 8 + 3 acknowledged erases.
   EXPECT_EQ(snap.counters.at("index.inserts"), 46u);
   EXPECT_EQ(snap.counters.at("index.erases"), 11u);

@@ -29,6 +29,7 @@
 #include "hash/sparse_signature.hpp"
 #include "test_helpers.hpp"
 #include "util/codec.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "workload/query_gen.hpp"
 
@@ -1854,21 +1855,36 @@ TEST_F(PackedRankingTest, TieredIndexMatchesPairwiseReference) {
   EXPECT_GT(sparse, 0u);
 }
 
-// ---------- FastIndex over the signature slab ----------
+// ---------- Both layouts over the signature slab ----------
 
-// FastIndex keeps its summaries in a SignatureSlab and its groups hold
-// slots. These run the real-summary corpus through histories that free and
-// reuse slots of both forms, and check every answer against references
-// that know nothing of slots.
+// Every index layer keeps its summaries in a SignatureSlab and its groups
+// hold slots: the flat index is one layer, the tiered index a memtable
+// layer per lane plus frozen segment layers. These run the real-summary
+// corpus through histories that free and reuse slots of both forms, on
+// both layouts, and check every answer against references that know
+// nothing of slots. The tiered layout seals every few mentions and
+// compacts inline, so its histories cross seals and compactions.
 class SlabIndexTest : public PackedRankingTest {
  protected:
   static constexpr std::uint64_t kFreshBase = 5000;
+
+  static std::vector<core::FastConfig> layouts(const core::FastConfig& flat) {
+    core::FastConfig tiered = tiered_config();
+    tiered.minhash_multiprobe = flat.minhash_multiprobe;
+    // A lane keeps two segments between merges, so at query time a newer
+    // segment's mention shadows an older one's.
+    tiered.tier.compact_trigger = 3;
+    return {flat, tiered};
+  }
+  static std::string layout_name(const core::FastConfig& cfg) {
+    return cfg.tier.enabled ? "tiered" : "flat";
+  }
 
   /// Inserts the corpus, then erases, replaces and re-inserts so that
   /// freed bitmap and list slots are reused, often by the other form.
   /// Returns the live id -> signature map.
   static std::map<std::uint64_t, SparseSignature> churn(
-      core::FastIndex& index) {
+      core::Backend& index) {
     std::map<std::uint64_t, SparseSignature> live(*corpus_);
     for (const auto& [id, sig] : live) index.insert_signature(id, sig);
     std::vector<std::uint64_t> ids;
@@ -1928,13 +1944,18 @@ class SlabIndexTest : public PackedRankingTest {
     return candidates;
   }
 
+  /// Same hits and candidates; with `same_work`, also the same probe work
+  /// and simulated cost.
   static void expect_same_answer(const core::QueryResult& a,
-                                 const core::QueryResult& b) {
+                                 const core::QueryResult& b,
+                                 bool same_work = true) {
     ASSERT_EQ(a.candidates, b.candidates);
-    ASSERT_EQ(a.bucket_probes, b.bucket_probes);
-    ASSERT_EQ(a.parallel_tasks, b.parallel_tasks);
-    ASSERT_EQ(a.cost.elapsed_s(), b.cost.elapsed_s());
-    ASSERT_EQ(a.cost.hash_ops(), b.cost.hash_ops());
+    if (same_work) {
+      ASSERT_EQ(a.bucket_probes, b.bucket_probes);
+      ASSERT_EQ(a.parallel_tasks, b.parallel_tasks);
+      ASSERT_EQ(a.cost.elapsed_s(), b.cost.elapsed_s());
+      ASSERT_EQ(a.cost.hash_ops(), b.cost.hash_ops());
+    }
     ASSERT_EQ(a.hits.size(), b.hits.size());
     for (std::size_t h = 0; h < a.hits.size(); ++h) {
       ASSERT_EQ(a.hits[h].id, b.hits[h].id) << "hit " << h;
@@ -1945,116 +1966,151 @@ class SlabIndexTest : public PackedRankingTest {
 
 // After churn, every query gathers exactly the brute-force candidates and
 // ranks them exactly as the pairwise merge does. A fresh index built from
-// the surviving summaries answers identically, simulated cost and
-// parallel tasks included (flat addressing reads a fixed number of slots
-// per lookup, so cost does not depend on the churned table layout).
+// the surviving summaries answers identically. On the flat layout that
+// includes simulated cost and parallel tasks (flat addressing reads a fixed
+// number of slots per lookup, so cost does not depend on the churned table
+// layout); a tiered index probes once per layer, so its probe work follows
+// its seal history and only hits and candidates must match.
 TEST_F(SlabIndexTest, ChurnedIndexMatchesPairwiseReference) {
   for (const bool multiprobe : {false, true}) {
-    SCOPED_TRACE(multiprobe ? "multiprobe" : "home buckets only");
-    core::FastConfig cfg = flat_config();
-    cfg.minhash_multiprobe = multiprobe;
-    core::FastIndex index(cfg, test::fake_pca());
-    const auto live = churn(index);
-    core::FastIndex fresh(cfg, test::fake_pca());
-    for (const auto& [id, sig] : live) fresh.insert_signature(id, sig);
-    const auto aggregator = core::pipeline::make_aggregator(cfg);
+    core::FastConfig flat = flat_config();
+    flat.minhash_multiprobe = multiprobe;
+    for (const core::FastConfig& cfg : layouts(flat)) {
+      SCOPED_TRACE(layout_name(cfg) +
+                   (multiprobe ? ", multiprobe" : ", home buckets only"));
+      const auto index = core::make_backend(cfg, test::fake_pca());
+      const auto live = churn(*index);
+      const auto fresh = core::make_backend(cfg, test::fake_pca());
+      for (const auto& [id, sig] : live) fresh->insert_signature(id, sig);
+      const auto aggregator = core::pipeline::make_aggregator(cfg);
+      const bool flat_layout = !cfg.tier.enabled;
 
-    std::size_t gathered = 0;
-    for (const SparseSignature& query : *queries_) {
-      std::size_t bucket_probes = 0;
-      const std::set<std::uint64_t> candidates =
-          reference_candidates(*aggregator, live, query, &bucket_probes);
-      const core::QueryResult result =
-          index.query_signature(query, live.size());
-      ASSERT_EQ(result.candidates, candidates.size());
-      ASSERT_EQ(result.bucket_probes, bucket_probes);
-      std::vector<core::ScoredId> want;
-      for (const std::uint64_t id : candidates) {
-        want.push_back({id, SparseSignature::jaccard(query, live.at(id))});
+      std::size_t gathered = 0;
+      for (const SparseSignature& query : *queries_) {
+        std::size_t bucket_probes = 0;
+        const std::set<std::uint64_t> candidates =
+            reference_candidates(*aggregator, live, query, &bucket_probes);
+        const core::QueryResult result =
+            index->query_signature(query, live.size());
+        ASSERT_EQ(result.candidates, candidates.size());
+        if (flat_layout) {
+          ASSERT_EQ(result.bucket_probes, bucket_probes);
+        }
+        std::vector<core::ScoredId> want;
+        for (const std::uint64_t id : candidates) {
+          want.push_back({id, SparseSignature::jaccard(query, live.at(id))});
+        }
+        std::sort(want.begin(), want.end(),
+                  [](const core::ScoredId& a, const core::ScoredId& b) {
+                    if (a.score != b.score) return a.score > b.score;
+                    return a.id < b.id;
+                  });
+        ASSERT_EQ(result.hits.size(), want.size());
+        for (std::size_t h = 0; h < want.size(); ++h) {
+          ASSERT_EQ(result.hits[h].id, want[h].id) << "hit " << h;
+          ASSERT_EQ(result.hits[h].score, want[h].score) << "hit " << h;
+        }
+        expect_same_answer(result, fresh->query_signature(query, live.size()),
+                           flat_layout);
+        expect_same_answer(index->query_signature(query, 10),
+                           fresh->query_signature(query, 10), flat_layout);
+        gathered += result.candidates;
       }
-      std::sort(want.begin(), want.end(),
-                [](const core::ScoredId& a, const core::ScoredId& b) {
-                  if (a.score != b.score) return a.score > b.score;
-                  return a.id < b.id;
-                });
-      ASSERT_EQ(result.hits.size(), want.size());
-      for (std::size_t h = 0; h < want.size(); ++h) {
-        ASSERT_EQ(result.hits[h].id, want[h].id) << "hit " << h;
-        ASSERT_EQ(result.hits[h].score, want[h].score) << "hit " << h;
+      EXPECT_GT(gathered, queries_->size());
+      if (!flat_layout) {
+        const auto snap = index->metrics().snapshot();
+        EXPECT_GT(snap.counters.at("tier.seals"), 0u);
+        EXPECT_GT(snap.counters.at("compaction.runs"), 0u);
       }
-      expect_same_answer(result, fresh.query_signature(query, live.size()));
-      expect_same_answer(index.query_signature(query, 10),
-                         fresh.query_signature(query, 10));
-      gathered += result.candidates;
     }
-    EXPECT_GT(gathered, queries_->size());
   }
 }
 
 // An erased id's slot is handed to the next insert. The newcomer must join
-// only its own groups: none of the erased id's groups may list it.
+// only its own groups: none of the erased id's groups may list it, and no
+// query through the erased id's buckets may reach it. The group lists are
+// the flat layout's; on the tiered layout the victim is re-inserted first,
+// so it lives in a memtable whose slot the erase frees.
 TEST_F(SlabIndexTest, ReusedSlotNeverJoinsTheErasedIdsGroups) {
-  const core::FastConfig cfg = flat_config();
-  core::FastIndex index(cfg, test::fake_pca());
-  for (const auto& [id, sig] : *corpus_) index.insert_signature(id, sig);
-  const auto aggregator = core::pipeline::make_aggregator(cfg);
-  const std::size_t tables = aggregator->table_count();
+  for (const core::FastConfig& cfg : layouts(flat_config())) {
+    SCOPED_TRACE(layout_name(cfg));
+    const auto backend = core::make_backend(cfg, test::fake_pca());
+    for (const auto& [id, sig] : *corpus_) backend->insert_signature(id, sig);
+    const auto* flat = dynamic_cast<const core::FastIndex*>(backend.get());
+    const auto aggregator = core::pipeline::make_aggregator(cfg);
+    const std::size_t tables = aggregator->table_count();
 
-  // A bitmap victim replaced by a list newcomer, then the reverse.
-  for (const std::uint64_t victim : {std::uint64_t{3}, kThinnedBase + 4}) {
-    SCOPED_TRACE("victim " + std::to_string(victim));
-    const std::vector<std::uint64_t> victim_keys =
-        aggregator->keys(corpus_->at(victim), nullptr);
-    // The newcomer's summary is of the other form and shares no bucket
-    // key with the victim's in any table.
-    const SparseSignature* newcomer_sig = nullptr;
-    for (const auto& [id, sig] : *corpus_) {
-      if ((id >= kThinnedBase) == (victim >= kThinnedBase)) continue;
-      const std::vector<std::uint64_t> keys = aggregator->keys(sig, nullptr);
-      bool disjoint = true;
-      for (std::size_t t = 0; t < tables; ++t) {
-        disjoint = disjoint && keys[t] != victim_keys[t];
+    // A bitmap victim replaced by a list newcomer, then the reverse.
+    for (const std::uint64_t victim : {std::uint64_t{3}, kThinnedBase + 4}) {
+      SCOPED_TRACE("victim " + std::to_string(victim));
+      const std::vector<std::uint64_t> victim_keys =
+          aggregator->keys(corpus_->at(victim), nullptr);
+      // The newcomer's summary is of the other form and shares no bucket
+      // key with the victim's in any table.
+      const SparseSignature* newcomer_sig = nullptr;
+      for (const auto& [id, sig] : *corpus_) {
+        if ((id >= kThinnedBase) == (victim >= kThinnedBase)) continue;
+        const std::vector<std::uint64_t> keys = aggregator->keys(sig, nullptr);
+        bool disjoint = true;
+        for (std::size_t t = 0; t < tables; ++t) {
+          disjoint = disjoint && keys[t] != victim_keys[t];
+        }
+        if (disjoint) {
+          newcomer_sig = &sig;
+          break;
+        }
       }
-      if (disjoint) {
-        newcomer_sig = &sig;
-        break;
+      ASSERT_NE(newcomer_sig, nullptr);
+
+      std::vector<std::size_t> victim_groups;
+      if (flat != nullptr) {
+        for (std::size_t g = 0; g < flat->group_count(); ++g) {
+          const auto members = flat->group_members(g);
+          if (std::find(members.begin(), members.end(), victim) !=
+              members.end()) {
+            victim_groups.push_back(g);
+          }
+        }
+        ASSERT_EQ(victim_groups.size(), tables);
+      } else {
+        backend->insert_signature(victim, corpus_->at(victim));
       }
-    }
-    ASSERT_NE(newcomer_sig, nullptr);
 
-    std::vector<std::size_t> victim_groups;
-    for (std::size_t g = 0; g < index.group_count(); ++g) {
-      const auto members = index.group_members(g);
-      if (std::find(members.begin(), members.end(), victim) != members.end()) {
-        victim_groups.push_back(g);
+      ASSERT_TRUE(backend->erase(victim));
+      const std::uint64_t newcomer = kFreshBase + victim;
+      backend->insert_signature(newcomer, *newcomer_sig);
+
+      if (flat != nullptr) {
+        for (const std::size_t g : victim_groups) {
+          const auto members = flat->group_members(g);
+          EXPECT_EQ(std::count(members.begin(), members.end(), newcomer), 0)
+              << "group " << g;
+          EXPECT_EQ(std::count(members.begin(), members.end(), victim), 0)
+              << "group " << g;
+        }
+        std::size_t appearances = 0;
+        for (std::size_t g = 0; g < flat->group_count(); ++g) {
+          const auto members = flat->group_members(g);
+          appearances += static_cast<std::size_t>(
+              std::count(members.begin(), members.end(), newcomer));
+        }
+        EXPECT_EQ(appearances, tables);
       }
-    }
-    ASSERT_EQ(victim_groups.size(), tables);
-
-    ASSERT_TRUE(index.erase(victim));
-    const std::uint64_t newcomer = kFreshBase + victim;
-    index.insert_signature(newcomer, *newcomer_sig);
-
-    for (const std::size_t g : victim_groups) {
-      const auto members = index.group_members(g);
-      EXPECT_EQ(std::count(members.begin(), members.end(), newcomer), 0)
-          << "group " << g;
-      EXPECT_EQ(std::count(members.begin(), members.end(), victim), 0)
-          << "group " << g;
-    }
-    std::size_t appearances = 0;
-    for (std::size_t g = 0; g < index.group_count(); ++g) {
-      const auto members = index.group_members(g);
-      appearances += static_cast<std::size_t>(
-          std::count(members.begin(), members.end(), newcomer));
-    }
-    EXPECT_EQ(appearances, tables);
-    // Through the victim's old buckets, no query reaches the newcomer.
-    const core::QueryResult result =
-        index.query_signature(corpus_->at(victim), corpus_->size() + 2);
-    for (const auto& hit : result.hits) {
-      EXPECT_NE(hit.id, newcomer);
-      EXPECT_NE(hit.id, victim);
+      // Through the victim's old buckets, no query reaches the newcomer.
+      const core::QueryResult result = backend->query_signature(
+          corpus_->at(victim), corpus_->size() + 2);
+      for (const auto& hit : result.hits) {
+        EXPECT_NE(hit.id, newcomer);
+        EXPECT_NE(hit.id, victim);
+      }
+      // Through its own, every query does.
+      const core::QueryResult own =
+          backend->query_signature(*newcomer_sig, corpus_->size() + 2);
+      EXPECT_EQ(std::count_if(own.hits.begin(), own.hits.end(),
+                              [&](const core::ScoredId& hit) {
+                                return hit.id == newcomer;
+                              }),
+                1);
     }
   }
 }
@@ -2063,74 +2119,85 @@ TEST_F(SlabIndexTest, ReusedSlotNeverJoinsTheErasedIdsGroups) {
 // onto them; the recovered index must answer exactly like the live one
 // whose slots were numbered by its churn history.
 TEST_F(SlabIndexTest, SnapshotRecoveryAnswersLikeLive) {
-  const core::FastConfig cfg = flat_config();
-  const std::string dir = ::testing::TempDir() + "fast_slab_snapshot";
-  std::filesystem::remove_all(dir);
-  core::DurabilityOptions opts;
-  opts.dir = dir;
-  auto opened = core::FastIndex::open_or_recover(cfg, test::fake_pca(), opts);
-  ASSERT_TRUE(opened.ok()) << opened.status().to_string();
-  core::FastIndex live = std::move(opened).value();
-  churn(live);
-  ASSERT_TRUE(live.save_snapshot().ok());
-  // A WAL tail past the snapshot: an erase, a replacement, a new id.
-  ASSERT_TRUE(live.erase(1));
-  live.insert_signature(2, corpus_->at(kThinnedBase + 9));
-  live.insert_signature(kFreshBase + 999, corpus_->at(7));
+  for (const core::FastConfig& cfg : layouts(flat_config())) {
+    SCOPED_TRACE(layout_name(cfg));
+    const std::string dir =
+        ::testing::TempDir() + "fast_slab_snapshot_" + layout_name(cfg);
+    std::filesystem::remove_all(dir);
+    core::DurabilityOptions opts;
+    opts.dir = dir;
+    auto opened = core::open_backend(cfg, test::fake_pca(), opts);
+    ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+    const std::unique_ptr<core::Backend> live = std::move(opened).value();
+    churn(*live);
+    ASSERT_TRUE(live->save_snapshot().ok());
+    // A WAL tail past the snapshot: an erase, a replacement, a new id.
+    ASSERT_TRUE(live->erase(1));
+    live->insert_signature(2, corpus_->at(kThinnedBase + 9));
+    live->insert_signature(kFreshBase + 999, corpus_->at(7));
 
-  core::RecoveryStats stats;
-  auto recovered =
-      core::FastIndex::open_or_recover(cfg, test::fake_pca(), opts, &stats);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
-  EXPECT_TRUE(stats.loaded_snapshot);
-  const core::FastIndex& back = recovered.value();
-  ASSERT_EQ(back.size(), live.size());
-  ASSERT_EQ(back.group_count(), live.group_count());
-  EXPECT_EQ(back.index_bytes(), live.index_bytes());
-  for (std::size_t g = 0; g < live.group_count(); ++g) {
-    ASSERT_EQ(back.group_members(g), live.group_members(g)) << "group " << g;
+    core::RecoveryStats stats;
+    auto recovered = core::open_backend(cfg, test::fake_pca(), opts, &stats);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+    EXPECT_TRUE(stats.loaded_snapshot);
+    const core::Backend& back = *recovered.value();
+    ASSERT_EQ(back.size(), live->size());
+    EXPECT_EQ(back.index_bytes(), live->index_bytes());
+    const auto* flat_back = dynamic_cast<const core::FastIndex*>(&back);
+    const auto* flat_live = dynamic_cast<const core::FastIndex*>(live.get());
+    if (flat_back != nullptr) {
+      ASSERT_EQ(flat_back->group_count(), flat_live->group_count());
+      for (std::size_t g = 0; g < flat_live->group_count(); ++g) {
+        ASSERT_EQ(flat_back->group_members(g), flat_live->group_members(g))
+            << "group " << g;
+      }
+    }
+    for (const SparseSignature& query : *queries_) {
+      expect_same_answer(back.query_signature(query, 10),
+                         live->query_signature(query, 10));
+      expect_same_answer(back.query_signature(query, corpus_->size()),
+                         live->query_signature(query, corpus_->size()));
+    }
+    std::filesystem::remove_all(dir);
   }
-  for (const SparseSignature& query : *queries_) {
-    expect_same_answer(back.query_signature(query, 10),
-                       live.query_signature(query, 10));
-    expect_same_answer(back.query_signature(query, corpus_->size()),
-                       live.query_signature(query, corpus_->size()));
-  }
-  std::filesystem::remove_all(dir);
 }
 
 // Concurrent readers each dedupe through their own thread's scratch, and
-// one thread's scratch serves indexes of different sizes in turn: four
+// one thread's scratch serves layers of different sizes in turn: four
 // threads alternating between the churned and a small index must answer
-// every query as a lone caller does.
+// every query as a lone caller does. On the tiered layout each query walks
+// several memtable and segment layers, the segments' slabs shared by every
+// reader.
 TEST_F(SlabIndexTest, ConcurrentQueriesMatchSequentialAnswers) {
-  const core::FastConfig cfg = flat_config();
-  core::FastIndex index(cfg, test::fake_pca());
-  churn(index);
-  core::FastIndex small(cfg, test::fake_pca());
-  for (std::uint64_t id = 0; id < 6; ++id) {
-    small.insert_signature(id, corpus_->at(id));
-  }
-  std::vector<core::QueryResult> want_index, want_small;
-  for (const SparseSignature& query : *queries_) {
-    want_index.push_back(index.query_signature(query, 10));
-    want_small.push_back(small.query_signature(query, 10));
-  }
-  std::vector<std::thread> readers;
-  for (std::size_t t = 0; t < 4; ++t) {
-    readers.emplace_back([&, t] {
-      for (std::size_t round = 0; round < 3; ++round) {
-        for (std::size_t i = 0; i < queries_->size(); ++i) {
-          const std::size_t q = (i + t * 7) % queries_->size();
-          expect_same_answer(index.query_signature((*queries_)[q], 10),
-                             want_index[q]);
-          expect_same_answer(small.query_signature((*queries_)[q], 10),
-                             want_small[q]);
+  for (const core::FastConfig& cfg : layouts(flat_config())) {
+    SCOPED_TRACE(layout_name(cfg));
+    const auto index = core::make_backend(cfg, test::fake_pca());
+    churn(*index);
+    const auto small = core::make_backend(cfg, test::fake_pca());
+    for (std::uint64_t id = 0; id < 6; ++id) {
+      small->insert_signature(id, corpus_->at(id));
+    }
+    std::vector<core::QueryResult> want_index, want_small;
+    for (const SparseSignature& query : *queries_) {
+      want_index.push_back(index->query_signature(query, 10));
+      want_small.push_back(small->query_signature(query, 10));
+    }
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < 4; ++t) {
+      readers.emplace_back([&, t] {
+        for (std::size_t round = 0; round < 3; ++round) {
+          for (std::size_t i = 0; i < queries_->size(); ++i) {
+            const std::size_t q = (i + t * 7) % queries_->size();
+            expect_same_answer(index->query_signature((*queries_)[q], 10),
+                               want_index[q]);
+            expect_same_answer(small->query_signature((*queries_)[q], 10),
+                               want_small[q]);
+          }
         }
-      }
-    });
+      });
+    }
+    for (auto& r : readers) r.join();
   }
-  for (auto& r : readers) r.join();
 }
 
 }  // namespace

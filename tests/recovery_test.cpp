@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fast_index.hpp"
+#include "core/pipeline/factory.hpp"
 #include "core/query_engine.hpp"
 #include "core/tiered_index.hpp"
 #include "storage/io.hpp"
@@ -938,6 +939,116 @@ TEST(TieredRecoveryTest, SnapshotPlusChurnTailReplay) {
   EXPECT_FALSE(recovered.value()->signature_of(4).has_value());
   ASSERT_TRUE(recovered.value()->signature_of(7).has_value());
   expect_same_tier_state(*recovered.value(), reference);
+}
+
+/// A tiered memtable or segment section rewritten in the layout before
+/// memtables and segments moved onto the signature slab: every signature
+/// entry is followed by its per-table home keys, under the retired id.
+storage::SnapshotSection to_keyed_layout(
+    const storage::SnapshotSection& section,
+    const pipeline::SemanticAggregator& aggregator) {
+  util::ByteReader in{std::span(section.payload)};
+  util::ByteWriter out;
+  out.u64(in.u64());  // lane
+  const bool segment = section.id == storage::kSectionTierSegment;
+  if (segment) {
+    out.u64(in.u64());  // segment id
+    const std::uint8_t has_bloom = in.u8();
+    out.u8(has_bloom);
+    if (has_bloom != 0) {
+      for (int i = 0; i < 4; ++i) out.u64(in.u64());  // geometry, count
+      const std::uint64_t words = in.u64();
+      out.u64(words);
+      out.bytes(in.bytes(words * 8));
+    }
+  }
+  const std::uint64_t count = in.u64();
+  out.u64(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    out.u64(in.u64());
+    const auto encoded = in.blob();
+    out.blob(encoded);
+    const auto sig = hash::SparseSignature::decode(encoded);
+    for (const std::uint64_t key : aggregator.keys(sig, nullptr)) out.u64(key);
+  }
+  // Tombstones, groups and store kept the same encoding.
+  out.bytes(in.bytes(in.remaining()));
+  EXPECT_TRUE(in.ok());
+  return {segment ? storage::kSectionTierSegmentKeyed
+                  : storage::kSectionTierMemtableKeyed,
+          out.take()};
+}
+
+// A tiered image of the layout before memtables and segments moved onto
+// the signature slab carries the retired memtable/segment section ids. A
+// reader must never decode it as the current layout: recovery either falls
+// back past it and replays the WAL to every acked record, or fails with a
+// Status error. It never opens with acked records missing. With one such
+// image, the retained generation behind it and the WAL cover every record;
+// with two, the WAL no longer reaches back to an image recovery can use.
+TEST(TieredRecoveryTest, RetiredSectionIdsNeverOpenWithRecordsMissing) {
+  const FastConfig cfg = tiered_config();
+  const vision::PcaModel pca = test::fake_pca();
+  storage::Env& env = storage::Env::posix();
+  for (const std::size_t retired_images : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(retired_images) + " retired image(s)");
+    DurabilityOptions opts;
+    opts.dir = fresh_dir("tier_retired_ids_" + std::to_string(retired_images));
+    TieredIndex reference(cfg, pca);
+    std::vector<std::uint64_t> snapshot_seqs;
+    {
+      auto opened = open_backend(cfg, pca, opts);
+      ASSERT_TRUE(opened.ok());
+      const std::unique_ptr<Backend> durable = std::move(opened).value();
+      for (std::uint64_t id = 0; id < 30; ++id) {
+        const auto sig = make_signature(id, cfg.bloom_bits);
+        durable->insert_signature(id, sig);
+        reference.insert_signature(id, sig);
+        if (id % 3 == 2) {
+          EXPECT_TRUE(durable->erase(id - 2));
+          EXPECT_TRUE(reference.erase(id - 2));
+        }
+        if (id % 9 == 8) {
+          ASSERT_TRUE(durable->save_snapshot().ok());
+          snapshot_seqs.push_back(durable->last_seq());
+        }
+      }
+    }
+    ASSERT_EQ(snapshot_seqs.size(), 3u);
+
+    // The newest images, their memtables and segments in the retired
+    // layout.
+    const auto aggregator = pipeline::make_aggregator(cfg);
+    for (std::size_t i = 0; i < retired_images; ++i) {
+      const std::uint64_t seq = snapshot_seqs[snapshot_seqs.size() - 1 - i];
+      auto snapshot = storage::read_snapshot(
+          env, opts.dir + "/" + storage::snapshot_file_name(seq));
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status().to_string();
+      storage::SnapshotFile retired = std::move(snapshot).value();
+      std::size_t rewritten = 0;
+      for (auto& section : retired.sections) {
+        if (section.id == storage::kSectionTierMemtable ||
+            section.id == storage::kSectionTierSegment) {
+          section = to_keyed_layout(section, *aggregator);
+          ++rewritten;
+        }
+      }
+      ASSERT_GE(rewritten, cfg.tier.lanes);
+      ASSERT_TRUE(storage::write_snapshot(env, opts.dir, retired).ok());
+    }
+
+    RecoveryStats stats;
+    auto recovered = open_backend(cfg, pca, opts, &stats);
+    if (!recovered.ok()) {
+      EXPECT_EQ(retired_images, 2u) << recovered.status().to_string();
+      continue;
+    }
+    EXPECT_GE(stats.snapshots_skipped, retired_images);
+    const auto* tiered =
+        dynamic_cast<const TieredIndex*>(recovered.value().get());
+    ASSERT_NE(tiered, nullptr);
+    expect_same_tier_state(*tiered, reference);
+  }
 }
 
 TEST(TieredRecoveryTest, FlatDirectoryRejectedByTieredConfig) {

@@ -250,7 +250,9 @@ TEST_F(TierTest, ExpositionCarriesTierMetrics) {
 }
 
 // make_backend picks the layout from tier.enabled; both answer the batch
-// paths identically, and only the flat layout takes a global writer lock.
+// paths identically. Both count writer-lock acquisitions in one
+// instrument: the flat layout takes its global lock once per batch, the
+// tiered layout only its lanes' locks, once per item.
 TEST_F(TierTest, ConcurrentFacadeDispatchesToTier) {
   util::ThreadPool pool(2);
   const std::unique_ptr<Backend> tiered = make_backend(tiered_config(), *pca_);
@@ -267,11 +269,9 @@ TEST_F(TierTest, ConcurrentFacadeDispatchesToTier) {
   EXPECT_EQ(tiered->size(), flat->size());
   // The tiered layout has no global writer lock — that is the point.
   const auto writer_locks = [](const Backend& b) {
-    const auto snap = b.metrics().snapshot();
-    const auto it = snap.counters.find("index.writer_locks");
-    return it == snap.counters.end() ? 0u : it->second;
+    return b.metrics().snapshot().counters.at("index.writer_locks");
   };
-  EXPECT_EQ(writer_locks(*tiered), 0u);
+  EXPECT_EQ(writer_locks(*tiered), items.size());
   EXPECT_EQ(writer_locks(*flat), 1u);
 
   const std::vector<std::uint64_t> victims = {0, 2, 4, 6};
