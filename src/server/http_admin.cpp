@@ -146,7 +146,7 @@ constexpr std::string_view kIndexBody =
     "  /healthz  liveness\n"
     "  /readyz   readiness (503 while draining)\n"
     "  /metrics  Prometheus text exposition\n"
-    "  /varz     JSON counters + windowed rates\n"
+    "  /varz     JSON counters, gauges, histograms + windowed rates\n"
     "  /statusz  build/config/engine status\n"
     "  /tracez   slow queries + sampled spans (Chrome trace JSON)\n";
 
@@ -382,6 +382,16 @@ std::string HttpAdmin::varz_body() {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"" + json_escape(name) + "\": " + fmt_double(value);
+  }
+  out += "\n  },\n  \"histograms\": {";
+  first = true;
+  for (const auto& [name, h] : snapshot.histograms) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "    \"" + json_escape(name) + "\": {\"count\": " +
+           std::to_string(h.count) + ", \"p50\": " +
+           fmt_double(h.percentile(50)) + ", \"p99\": " +
+           fmt_double(h.percentile(99)) + "}";
   }
   out += "\n  },\n  \"rates\": {";
   first = true;

@@ -13,8 +13,9 @@
 //                  connections ahead of the cutoff
 //   GET /metrics   Prometheus text exposition (version 0.0.4) of the
 //                  engine registry, process gauges freshly sampled
-//   GET /varz      JSON counters + gauges + windowed rates (10s/60s),
-//                  computed at scrape from a CounterRateTracker
+//   GET /varz      JSON counters + gauges + histogram count/p50/p99 +
+//                  windowed rates (10s/60s), computed at scrape from a
+//                  CounterRateTracker
 //   GET /statusz   build info, uptime, config fingerprint, backend and
 //                  tier selection, engine size — one JSON object
 //   GET /tracez    tracer stats + slow-query ring + sampled spans as

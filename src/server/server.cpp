@@ -150,6 +150,8 @@ Server::Server(core::QueryEngine& engine, ServerOptions options)
   m_bad_requests_ = &r.counter("server.bad_requests");
   m_bytes_in_ = &r.counter("server.bytes_in");
   m_bytes_out_ = &r.counter("server.bytes_out");
+  m_replies_direct_ = &r.counter("server.replies_direct");
+  m_replies_deferred_ = &r.counter("server.replies_deferred");
   m_lane_executed_[0] = &r.counter("server.lane.query.executed");
   m_lane_executed_[1] = &r.counter("server.lane.bulk.executed");
   m_connections_ = &r.gauge("server.connections");
@@ -161,6 +163,7 @@ Server::Server(core::QueryEngine& engine, ServerOptions options)
       static_cast<std::uint8_t>(ServerState::kStarting)));
   m_request_wall_s_ = &r.latency_histogram("server.request_wall_s");
   m_queue_wait_s_ = &r.latency_histogram("server.queue_wait_s");
+  m_flush_wait_s_ = &r.latency_histogram("server.flush_wait_s");
   m_retry_after_ms_ = &r.histogram(
       "server.retry_after_ms",
       {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000});
@@ -269,17 +272,20 @@ void Server::stop() {
   // 1. Stop admitting: new frames answer kShuttingDown, and the I/O thread
   //    closes the listen socket at its next wakeup. A test-held worker
   //    pool is released — drain must always make progress.
-  draining_.store(true, std::memory_order_release);
+  //    The store and the admitted_ reads below are seq_cst: they pair
+  //    with handle_frame's count-then-check admission.
+  draining_.store(true);
   {
     std::lock_guard<std::mutex> lk(work_mutex_);
     workers_held_ = false;
   }
   work_cv_.notify_all();
   kick();
-  // 2. Drain: every admitted request executes and queues its response.
+  // 2. Drain: every admitted request executes and its response is sent or
+  //    buffered.
   {
     std::unique_lock<std::mutex> lk(drain_mutex_);
-    while (admitted_.load(std::memory_order_acquire) != 0) {
+    while (admitted_.load() != 0) {
       drain_cv_.wait_for(lk, std::chrono::milliseconds(50));
     }
   }
@@ -524,13 +530,16 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn,
   peek_header(body, &reject.op, &reject.seq);
   const Lane lane = lane_of(reject.op);
   const std::size_t lane_idx = static_cast<std::size_t>(lane);
-  if (draining_.load(std::memory_order_acquire)) {
+  const auto reject_draining = [&] {
     reject.status = Status::kShuttingDown;
     reject.retry_after_ms = current_retry_after_ms(lane);
     reject.text = "shutting down";
     m_rejected_draining_->add();
     m_retry_after_ms_->observe(static_cast<double>(reject.retry_after_ms));
     send_response(conn, reject);
+  };
+  if (draining_.load(std::memory_order_acquire)) {
+    reject_draining();
     return;
   }
   // kHello binds the connection's tenant inline on the I/O thread: it is
@@ -568,11 +577,23 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn,
     send_response(conn, reject);
     return;
   }
+  // Count the request into the drain before the final draining_ check.
+  // stop() stores draining_ before it reads admitted_, all four accesses
+  // seq_cst, so either stop() waits for this request or the check below
+  // sees the drain; a request admitted after stop() stopped waiting would
+  // never run and never be answered.
+  const std::size_t inflight = admitted_.fetch_add(1) + 1;
+  if (draining_.load()) {
+    if (admitted_.fetch_sub(1) == 1) {
+      std::lock_guard<std::mutex> lk(drain_mutex_);
+      drain_cv_.notify_all();
+    }
+    reject_draining();
+    return;
+  }
+  m_inflight_->set(static_cast<double>(inflight));
   conn->inflight.fetch_add(1, std::memory_order_relaxed);
   tenant.inflight.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t inflight =
-      admitted_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  m_inflight_->set(static_cast<double>(inflight));
   const std::size_t depth =
       lane_depth_[lane_idx].fetch_add(1, std::memory_order_acq_rel) + 1;
   m_lane_depth_[lane_idx]->set(static_cast<double>(depth));
@@ -676,9 +697,9 @@ void Server::worker_loop() {
       bits.store(std::bit_cast<std::uint64_t>(next),
                  std::memory_order_relaxed);
     }
-    // Queue the response bytes BEFORE dropping the inflight/drain counts:
-    // once stop() observes a drained server, every admitted request's
-    // response is already in an output buffer.
+    // Send or buffer the response BEFORE dropping the inflight/drain
+    // counts: once stop() observes a drained server, every admitted
+    // request's response is on the wire or in an output buffer.
     send_response(item.conn, response);
     item.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
     item.tenant->inflight.fetch_sub(1, std::memory_order_relaxed);
@@ -770,8 +791,40 @@ void Server::send_response(const std::shared_ptr<Conn>& conn,
   {
     std::lock_guard<std::mutex> lk(conn->mu);
     if (conn->closed) return;  // client went away; nothing to ack
-    conn->out.insert(conn->out.end(), framed.begin(), framed.end());
+    // Nothing queued ahead: send straight from this thread, so an idle
+    // I/O thread is not woken just to call send(). close_conn marks the
+    // connection closed under this lock before it closes the fd, so the fd
+    // is still ours here.
+    std::size_t sent = 0;
+    if (conn->out_off == conn->out.size()) {
+      while (sent < framed.size()) {
+        const ssize_t n =
+            ::send(conn->fd, framed.data() + sent, framed.size() - sent,
+                   MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (n > 0) {
+          sent += static_cast<std::size_t>(n);
+        } else if (n < 0 && errno == EINTR) {
+          continue;
+        } else {
+          break;  // EAGAIN or an error: the I/O thread handles the rest
+        }
+      }
+      if (sent > 0) m_bytes_out_->add(sent);
+      if (sent == framed.size()) {
+        m_replies_direct_->add();
+        return;
+      }
+    }
+    // Queue the unsent tail behind whatever is already buffered; the I/O
+    // thread flushes it, arms EPOLLOUT or drops the connection.
+    conn->out.insert(conn->out.end(),
+                     framed.begin() + static_cast<std::ptrdiff_t>(sent),
+                     framed.end());
+    if (conn->deferred_at == std::chrono::steady_clock::time_point{}) {
+      conn->deferred_at = std::chrono::steady_clock::now();
+    }
   }
+  m_replies_deferred_->add();
   {
     std::lock_guard<std::mutex> lk(wake_mutex_);
     pending_flush_.push_back(conn);
@@ -793,6 +846,13 @@ void Server::flush_conn(const std::shared_ptr<Conn>& conn) {
       if (n > 0) {
         conn->out_off += static_cast<std::size_t>(n);
         m_bytes_out_->add(static_cast<std::uint64_t>(n));
+        if (conn->deferred_at != std::chrono::steady_clock::time_point{}) {
+          m_flush_wait_s_->observe(
+              std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - conn->deferred_at)
+                  .count());
+          conn->deferred_at = {};
+        }
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {

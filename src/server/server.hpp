@@ -1,14 +1,19 @@
 // fast::server — the network front door (DESIGN.md §3g, QoS §3i).
 //
-// One epoll I/O thread owns every socket: it accepts connections, splits
-// the byte stream into length-prefixed frames (protocol.hpp), makes the
-// admission decision per frame, and flushes response bytes. Admitted
-// requests are executed by a pool of worker threads against the
-// QueryEngine mutating facade; workers never touch sockets — they append
-// serialized responses to the connection's output buffer and kick the I/O
-// thread through an eventfd. Request order is preserved per lane for
-// admitted requests, while rejections are answered immediately from the
-// I/O thread, ahead of the queues.
+// One epoll I/O thread owns the epoll set and every socket's lifetime: it
+// accepts connections, reads and splits the byte stream into length-
+// prefixed frames (protocol.hpp), makes the admission decision per frame,
+// and closes connections. Admitted requests are executed by a pool of
+// worker threads against the QueryEngine mutating facade. Whoever produces
+// a reply (a worker, or the I/O thread for a rejection) sends it itself
+// with a nonblocking send() under the connection's lock when nothing is
+// buffered ahead of it; only a reply the socket does not fully take
+// leaves its unsent tail in the connection's output buffer and kicks the
+// I/O thread through an eventfd, which flushes it, arms EPOLLOUT or drops
+// the connection. Per-connection byte order holds because a direct send
+// happens only while the buffer is empty. Request order is preserved per
+// lane for admitted requests, while rejections are answered immediately
+// from the I/O thread, ahead of the queues.
 //
 // Multi-tenant QoS (DESIGN.md §3i):
 //   - Tenancy: a kHello frame binds the connection to a tenant id;
@@ -32,7 +37,8 @@
 // Graceful shutdown (stop(), also the SIGTERM path of fast_server):
 //   1. stop accepting; answer new frames kShuttingDown with an adaptive
 //      retry hint (counted as server.rejected_draining);
-//   2. drain — every admitted request executes and its response is queued;
+//   2. drain — every admitted request executes and its response is sent
+//      or buffered;
 //   3. workers join; the I/O thread flushes every output buffer;
 //   4. the WAL is fsynced through the engine facade, so every
 //      acknowledged write is durable before the process exits (the
@@ -219,9 +225,13 @@ class Server {
     std::shared_ptr<TenantState> tenant;
     /// Negotiated capability bits (kHello; I/O thread only, like tenant).
     std::uint32_t caps = 0;
-    std::mutex mu;                    ///< guards out/out_off/closed
+    /// Guards out/out_off/deferred_at/closed, and every send() on fd.
+    std::mutex mu;
     std::vector<std::uint8_t> out;    ///< serialized, unsent response bytes
     std::size_t out_off = 0;
+    /// When a deferred reply first found no buffered bytes ahead of it
+    /// (epoch = nothing deferred since the I/O thread last sent).
+    std::chrono::steady_clock::time_point deferred_at{};
     bool closed = false;
     bool want_write = false;          ///< EPOLLOUT armed (I/O thread only)
   };
@@ -261,7 +271,9 @@ class Server {
   /// worker shutdown.
   bool pop_work(WorkItem* item);
 
-  /// Appends a serialized response and wakes the I/O thread (any thread).
+  /// Sends a serialized response when nothing is buffered ahead of it;
+  /// otherwise, or for whatever the socket did not take, buffers the tail
+  /// and wakes the I/O thread (any thread).
   void send_response(const std::shared_ptr<Conn>& conn,
                      const Response& response);
   /// Flushes the output buffer; arms/disarms EPOLLOUT (I/O thread).
@@ -277,7 +289,9 @@ class Server {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd the workers kick after queuing output
+  /// eventfd kicked after buffering a reply the socket did not take, and
+  /// by stop(); the I/O thread then flushes the posted connections.
+  int wake_fd_ = -1;
 
   std::thread io_thread_;
   std::vector<std::thread> workers_;
@@ -310,7 +324,8 @@ class Server {
   // in their WorkItem.
   std::unordered_map<std::uint16_t, std::shared_ptr<TenantState>> tenants_;
 
-  // Connections needing a flush, posted by workers (guarded by wake_mutex_).
+  // Connections with a buffered tail to flush, posted by whoever deferred
+  // a reply (guarded by wake_mutex_).
   std::mutex wake_mutex_;
   std::vector<std::weak_ptr<Conn>> pending_flush_;
 
@@ -333,6 +348,8 @@ class Server {
   util::Counter* m_bad_requests_ = nullptr;
   util::Counter* m_bytes_in_ = nullptr;
   util::Counter* m_bytes_out_ = nullptr;
+  util::Counter* m_replies_direct_ = nullptr;    ///< sent whole at once
+  util::Counter* m_replies_deferred_ = nullptr;  ///< tail left to I/O thread
   util::Counter* m_lane_executed_[2] = {nullptr, nullptr};
   util::Gauge* m_connections_ = nullptr;
   util::Gauge* m_inflight_ = nullptr;
@@ -340,6 +357,8 @@ class Server {
   util::Gauge* m_state_ = nullptr;  ///< ServerState as a number
   util::Histogram* m_request_wall_s_ = nullptr;
   util::Histogram* m_queue_wait_s_ = nullptr;
+  /// Deferred reply's kick to the I/O thread's next send of that buffer.
+  util::Histogram* m_flush_wait_s_ = nullptr;
   util::Histogram* m_retry_after_ms_ = nullptr;
 
   /// Single writer for state_ + its gauge mirror (start/stop/drain paths).

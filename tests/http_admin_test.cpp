@@ -324,6 +324,34 @@ TEST_F(HttpAdminTest, VarzRatesAppearAcrossScrapes) {
   EXPECT_NE(body.find("\"rate_60s\""), std::string::npos);
 }
 
+/// The reply-path split is visible from the admin plane alone: replies
+/// sent by the thread that produced them, replies left to the I/O thread,
+/// and the deferred replies' wait for that thread's send. Lock-step pings
+/// on an idle socket are always sent directly.
+TEST_F(HttpAdminTest, ExportsReplyPathSplit) {
+  start_both();
+  Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server_->port()).ok());
+  for (int i = 0; i < 32; ++i) ASSERT_TRUE(client.ping().ok());
+  util::MetricsRegistry& r = engine_->metrics();
+  EXPECT_GE(r.counter("server.replies_direct").value(), 32u);
+
+  int status = 0;
+  const std::string metrics = get("/metrics", &status);
+  ASSERT_EQ(status, 200);
+  EXPECT_NE(metrics.find("server_replies_direct "), std::string::npos);
+  EXPECT_NE(metrics.find("server_replies_deferred "), std::string::npos);
+  EXPECT_NE(metrics.find("server_flush_wait_s_count "), std::string::npos);
+
+  const std::string varz = get("/varz", &status);
+  ASSERT_EQ(status, 200);
+  EXPECT_NE(varz.find("\"server.replies_direct\": "), std::string::npos);
+  EXPECT_NE(varz.find("\"server.replies_deferred\": "), std::string::npos);
+  EXPECT_NE(varz.find("\"histograms\""), std::string::npos);
+  EXPECT_NE(varz.find("\"server.flush_wait_s\": {\"count\": "),
+            std::string::npos);
+}
+
 /// The lifecycle ordering the whole readiness story hinges on: entering
 /// draining flips /readyz to 503 while the data listener is still up and
 /// answering — so a balancer drains routing before the cutoff — and the

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -487,46 +488,59 @@ TEST_F(QosServerTest, LegacyClientWithoutHelloIsServed) {
 /// Regression (draining rejections): a frame arriving during stop() is
 /// answered kShuttingDown with the adaptive hint attached and counted as
 /// server.rejected_draining — not dropped, not given a bare status.
+///
+/// Both orderings are pinned, not raced. The two 200 ms pings that hold
+/// the drain open are admitted (lane depth 2 under held workers) before
+/// stop() begins; a client send() returning only means the bytes left the
+/// client, so without that wait stop() could reject them and drain at
+/// once. The probe goes out only after the listener refuses connections:
+/// the I/O thread closes it once it has seen draining_, so the probe can
+/// only be rejected, and it lands while the held pings (400 ms of work)
+/// still keep the I/O thread alive.
 TEST_F(QosServerTest, DrainingRejectionCarriesHintAndIsCounted) {
   ServerOptions options;
   options.workers = 1;
   options.retry_after_ms = 8;
   options.retry_max_ms = 500;
-  options.debug_request_delay_us = 100000;  // 100ms: holds the drain open
+  options.debug_request_delay_us = 200000;  // 200ms each: holds the drain
+  options.debug_hold_workers = true;        // stop() releases the hold
   start(options);
 
   Client client;
   ASSERT_TRUE(client.connect("127.0.0.1", server_->port()).ok());
-  // Two admitted requests keep the server draining for ~200ms.
   ASSERT_TRUE(client.send(encode_ping(600)).ok());
   ASSERT_TRUE(client.send(encode_ping(601)).ok());
+  ASSERT_TRUE(wait_for_lane_depth(*server_, Lane::kQuery, 2));
 
   std::thread stopper([this] { server_->stop(); });
-  while (server_->running()) std::this_thread::yield();
-
-  bool saw_draining = false;
-  for (std::uint64_t attempt = 0; attempt < 10 && !saw_draining; ++attempt) {
-    const std::uint64_t seq = 700 + attempt;
-    if (!client.send(encode_ping(seq)).ok()) break;
-    Response response;
-    bool got_ours = false;
-    while (!got_ours) {
-      if (!client.recv(&response).ok()) break;
-      got_ours = response.seq == seq;
-    }
-    if (!got_ours) break;
-    if (response.status == Status::kShuttingDown) {
-      saw_draining = true;
-      EXPECT_GE(response.retry_after_ms, options.retry_after_ms);
-      EXPECT_LE(response.retry_after_ms, options.retry_max_ms);
-    } else {
-      // Lost the running_->draining_ store race: the ping was admitted.
-      EXPECT_EQ(response.status, Status::kOk);
+  bool listener_closed = false;
+  for (int i = 0; i < 5000 && !listener_closed; ++i) {
+    Client knock;
+    listener_closed = !knock.connect("127.0.0.1", server_->port()).ok();
+    if (!listener_closed) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
+  ASSERT_TRUE(listener_closed);
+
+  ASSERT_TRUE(client.send(encode_ping(700)).ok());
+  // Every frame is answered exactly once before the server closes: the
+  // held pings kOk, the probe kShuttingDown with the adaptive hint.
+  std::map<std::uint64_t, Response> answered;
+  Response response;
+  while (client.recv(&response).ok()) {
+    EXPECT_TRUE(answered.emplace(response.seq, response).second)
+        << "seq " << response.seq << " answered twice";
+  }
   stopper.join();
-  EXPECT_TRUE(saw_draining);
-  EXPECT_GE(counter("server.rejected_draining"), 1.0);
+  ASSERT_EQ(answered.size(), 3u);
+  EXPECT_EQ(answered[600].status, Status::kOk);
+  EXPECT_EQ(answered[601].status, Status::kOk);
+  const Response& probe = answered[700];
+  EXPECT_EQ(probe.status, Status::kShuttingDown);
+  EXPECT_GE(probe.retry_after_ms, options.retry_after_ms);
+  EXPECT_LE(probe.retry_after_ms, options.retry_max_ms);
+  EXPECT_EQ(counter("server.rejected_draining"), 1.0);
   EXPECT_FALSE(server_->running());
 }
 

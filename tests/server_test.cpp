@@ -8,11 +8,16 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 
+#include <array>
+#include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +29,7 @@
 #include "server/server.hpp"
 #include "storage/snapshot.hpp"
 #include "test_helpers.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace fast::server {
@@ -615,6 +621,180 @@ TEST_F(ServerTest, ShutdownAnswersInFlightRequests) {
   // issued for dropped work.
   EXPECT_EQ(engine_->size(), static_cast<std::size_t>(ok));
   EXPECT_FALSE(server_->running());
+}
+
+/// A raw loopback connection with a tiny receive buffer and a bounded
+/// recv timeout: the server's socket refuses bytes after a few replies,
+/// and a test that waits on a reply never hangs.
+int connect_slow_reader(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  timeval timeout{};
+  timeout.tv_sec = 30;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_all(int fd, const std::vector<std::uint8_t>& bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Fixture for clients that pipeline large replies without reading: 128
+/// ids share one signature, so a 16-query batch at k = 128 answers with
+/// about 32 KB while its request is a few KB.
+class SlowReaderServerTest : public ServerTest {
+ protected:
+  static constexpr std::uint32_t kK = 128;
+
+  void start_loaded(ServerOptions options) {
+    options.workers = 1;        // one worker: replies leave in seq order
+    options.queue_depth = 4096;  // never reject: every seq gets its reply
+    start(flat_config(), options);
+    sig_ = make_signature(7, cfg_.bloom_bits);
+    for (std::uint64_t id = 1; id <= kK; ++id) {
+      engine_->insert_signature(id, sig_);
+    }
+    batch_.assign(16, sig_);
+  }
+
+  std::vector<std::uint8_t> request(std::uint64_t seq) const {
+    return frame(encode_query_batch(seq, kK, batch_));
+  }
+
+  /// The exact framed bytes the server must answer `seq` with.
+  std::vector<std::uint8_t> expected_reply(std::uint64_t seq) const {
+    Response want;
+    want.op = Op::kQueryBatch;
+    want.seq = seq;
+    for (const auto& sig : batch_) {
+      want.results.push_back(engine_->query_signature(sig, kK).hits);
+    }
+    return frame(encode_response(want));
+  }
+
+  std::uint64_t counter(const std::string& name) const {
+    return engine_->metrics().counter(name).value();
+  }
+
+  /// Replies the server has sent or buffered so far.
+  std::uint64_t replies() const {
+    return counter("server.replies_direct") +
+           counter("server.replies_deferred");
+  }
+
+  /// Bounded wait for `done`; false on timeout.
+  template <typename Pred>
+  static bool wait_until(Pred done) {
+    for (int i = 0; i < 30000; ++i) {
+      if (done()) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  }
+
+  hash::SparseSignature sig_;
+  std::vector<hash::SparseSignature> batch_;
+};
+
+/// The fallback path: the client pipelines large replies without reading
+/// until the server's socket refuses bytes, so replies go to the output
+/// buffer and the I/O thread flushes them on EPOLLOUT. Reading everything
+/// back must yield every seq byte-exactly and in order — direct sends
+/// never overtake a buffered tail.
+TEST_F(SlowReaderServerTest, DeferredRepliesArriveWholeAndInOrder) {
+  start_loaded(ServerOptions{});
+  const std::vector<std::uint8_t> reply0 = expected_reply(0);
+  ASSERT_GT(reply0.size(), 16u * 1024u);
+  const int fd = connect_slow_reader(server_->port());
+  ASSERT_GE(fd, 0);
+
+  // One request at a time, each answered (sent or buffered) before the
+  // next, until the socket has refused part of a reply and several more
+  // replies have queued behind the buffered tail.
+  std::vector<std::uint8_t> want;
+  std::uint64_t sent = 0;
+  while (counter("server.replies_deferred") < 8) {
+    ASSERT_LT(sent, 2000u) << "server socket never refused a reply";
+    ASSERT_TRUE(send_all(fd, request(sent)));
+    const std::vector<std::uint8_t> reply = expected_reply(sent);
+    want.insert(want.end(), reply.begin(), reply.end());
+    ++sent;
+    ASSERT_TRUE(wait_until([&] { return replies() == sent; }));
+  }
+
+  std::vector<std::uint8_t> got(want.size());
+  std::size_t off = 0;
+  while (off < got.size()) {
+    const ssize_t n = ::recv(fd, got.data() + off, got.size() - off, 0);
+    ASSERT_GT(n, 0) << "stream ended after " << off << " of " << got.size();
+    off += static_cast<std::size_t>(n);
+  }
+  EXPECT_TRUE(got == want) << "reply stream differs from the expected bytes";
+  ::close(fd);
+
+  EXPECT_EQ(counter("server.replies_direct") +
+                counter("server.replies_deferred"),
+            sent);
+  // The I/O thread flushed the buffered replies and timed the wait.
+  const auto snap = engine_->metrics().snapshot();
+  EXPECT_GE(snap.histograms.at("server.flush_wait_s").count, 1u);
+}
+
+/// The same slow reader against a small max_outbuf_bytes: once the
+/// buffered replies pass the limit the server drops the connection rather
+/// than buffering without bound or hanging, and keeps serving others.
+TEST_F(SlowReaderServerTest, PastOutbufLimitConnectionIsDropped) {
+  ServerOptions options;
+  options.max_outbuf_bytes = 64u << 10;
+  start_loaded(options);
+  const int fd = connect_slow_reader(server_->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(wait_until([&] { return server_->connection_count() == 1; }));
+
+  std::uint64_t sent = 0;
+  while (server_->connection_count() > 0) {
+    ASSERT_LT(sent, 2000u) << "slow reader never dropped";
+    if (!send_all(fd, request(sent))) break;  // reset by the drop
+    ++sent;
+    ASSERT_TRUE(wait_until([&] {
+      return replies() == sent || server_->connection_count() == 0;
+    }));
+  }
+  ASSERT_TRUE(wait_until([&] { return server_->connection_count() == 0; }));
+  EXPECT_GE(counter("server.replies_deferred"), 1u);
+
+  // The client sees the stream end (EOF or reset), not a stall.
+  std::array<std::uint8_t, 65536> buf;
+  ssize_t n = 0;
+  do {
+    n = ::recv(fd, buf.data(), buf.size(), 0);
+  } while (n > 0);
+  EXPECT_TRUE(n == 0 || errno == ECONNRESET) << std::strerror(errno);
+  ::close(fd);
+
+  Client other;
+  ASSERT_TRUE(other.connect("127.0.0.1", server_->port()).ok());
+  const auto pong = other.ping();
+  ASSERT_TRUE(pong.ok());
+  EXPECT_EQ(pong.value().status, Status::kOk);
 }
 
 /// Capability negotiation end to end: a connection that asks for

@@ -166,6 +166,50 @@ TEST_F(TierTest, ReinsertShadowsSealedVersion) {
   }
 }
 
+/// Shadowing between sealed segments, with no memtable version to hide
+/// the stale one: id 7 lives in three segments of one lane (inserted,
+/// then erased, then re-inserted with another signature), and
+/// compact_trigger > compact_fanin keeps all three unmerged. A query for
+/// the old signature must not resurrect it: the two newer segments shadow
+/// the oldest one, so both queries match a flat index holding only the
+/// newest version, score for score.
+TEST_F(TierTest, NewerSegmentShadowsOlderSegmentVersion) {
+  FastConfig cfg = tiered_config();
+  cfg.tier.lanes = 1;
+  cfg.tier.compact_fanin = 2;
+  cfg.tier.compact_trigger = 8;
+  TieredIndex tiered(cfg, *pca_);
+  FastIndex flat(flat_config(), *pca_);
+  for (std::size_t i = 20; i < 24; ++i) {
+    tiered.insert_signature(i, (*sigs_)[i]);
+    flat.insert_signature(i, (*sigs_)[i]);
+  }
+  tiered.insert_signature(7, (*sigs_)[7]);
+  tiered.seal_active();
+  EXPECT_TRUE(tiered.erase(7));
+  tiered.seal_active();
+  tiered.insert_signature(7, (*sigs_)[8]);
+  tiered.seal_active();
+  flat.insert_signature(7, (*sigs_)[8]);
+  ASSERT_EQ(tiered.segment_count(), 3u);
+  ASSERT_EQ(tiered.size(), flat.size());
+
+  const QueryResult stale = tiered.query_signature((*sigs_)[7], 10);
+  expect_same_hits(stale, flat.query_signature((*sigs_)[7], 10));
+  const double newest_score =
+      hash::SparseSignature::jaccard((*sigs_)[7], (*sigs_)[8]);
+  for (const auto& hit : stale.hits) {
+    if (hit.id == 7) {
+      EXPECT_DOUBLE_EQ(hit.score, newest_score);
+    }
+  }
+  const QueryResult fresh = tiered.query_signature((*sigs_)[8], 10);
+  expect_same_hits(fresh, flat.query_signature((*sigs_)[8], 10));
+  ASSERT_FALSE(fresh.hits.empty());
+  EXPECT_EQ(fresh.hits.front().id, 7u);
+  EXPECT_DOUBLE_EQ(fresh.hits.front().score, 1.0);
+}
+
 TEST_F(TierTest, CompactionPreservesContentAndDropsTombstones) {
   TieredIndex tiered(tiered_config(), *pca_);
   FastIndex flat(flat_config(), *pca_);
