@@ -49,7 +49,8 @@ void run(const workload::DatasetSpec& spec, std::size_t queries) {
     util::OnlineStats latency;
     std::size_t agree = 0, recall = 0;
     for (std::size_t qi = 0; qi < qsigs.size(); ++qi) {
-      const core::QueryResult sharded = index.query_signature(qsigs[qi], 5);
+      const core::ShardedQueryResult sharded =
+          index.query_signature(qsigs[qi], 5);
       const core::QueryResult ref = single->query_signature(qsigs[qi], 5);
       latency.add(sharded.cost.elapsed_s());
       if (!sharded.hits.empty() && !ref.hits.empty() &&
@@ -107,8 +108,8 @@ bool run_skew(const workload::DatasetSpec& spec, std::size_t queries,
   bool identical = true;
   for (std::size_t d = 0; d < draws; ++d) {
     const hash::SparseSignature& q = qsigs[zipf(rng) - 1];
-    const core::QueryResult a = off.query_signature(q, 5);
-    const core::QueryResult b = on.query_signature(q, 5);
+    const core::ShardedQueryResult a = off.query_signature(q, 5);
+    const core::ShardedQueryResult b = on.query_signature(q, 5);
     lat_off.add(a.cost.elapsed_s());
     lat_on.add(b.cost.elapsed_s());
     identical &= a.hits.size() == b.hits.size();

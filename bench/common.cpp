@@ -88,7 +88,10 @@ Schemes build_schemes(const DatasetEnv& env, const SchemeConfig& cfg) {
                            ->insert(photo.id, photo.geo_x, photo.geo_y,
                                     photo.landmark, photo.view)
                            .cost);
-    s.fast_build.merge(s.fast->insert(photo.id, photo.image).cost);
+    const hash::SparseSignature sig = s.fast->summarize(photo.image);
+    const core::InsertResult placed = s.fast->insert_signature(photo.id, sig);
+    s.fast_build.merge(
+        core::sim_cost::insert(*s.fast, sig, placed, /*from_image=*/true));
   }
   return s;
 }

@@ -13,6 +13,7 @@
 #include "baseline/rnpe.hpp"
 #include "baseline/sift_baseline.hpp"
 #include "core/fast_index.hpp"
+#include "core/sim_cost.hpp"
 #include "util/metrics.hpp"
 #include "vision/pca.hpp"
 #include "vision/pca_sift.hpp"

@@ -58,8 +58,12 @@ void run_dataset(const workload::DatasetSpec& spec, std::size_t stream_n) {
                      src.geo_y + rng.gaussian(0, 0.2), src.landmark, src.view)
             .cost.elapsed_s() -
         extract.rnpe_s);
-    fast_cost.push_back(schemes.fast->insert(id, shot).cost.elapsed_s() -
-                        fast_fe);
+    const hash::SparseSignature sig = schemes.fast->summarize(shot);
+    const core::InsertResult placed = schemes.fast->insert_signature(id, sig);
+    fast_cost.push_back(
+        core::sim_cost::insert(*schemes.fast, sig, placed, /*from_image=*/true)
+            .elapsed_s() -
+        fast_fe);
   }
 
   auto mean = [](const std::vector<double>& xs) {
@@ -300,9 +304,12 @@ void run_churn(bool smoke) {
     for (std::size_t q = 0; q < phase_queries; ++q) {
       const double waited = reader_wait.sum();
       util::WallTimer timer;
-      const core::QueryResult r = index.query_signature(sigs[q % kSigs], 10);
+      const hash::SparseSignature& sig = sigs[q % kSigs];
+      const core::QueryResult r = index.query_signature(sig, 10);
       out.walls.push_back(timer.elapsed_seconds());
-      out.sims.push_back(r.cost.elapsed_s());
+      out.sims.push_back(
+          core::sim_cost::query(index, sig, r, /*from_image=*/false)
+              .clock.elapsed_s());
       out.waits.push_back(reader_wait.sum() - waited);
     }
   };

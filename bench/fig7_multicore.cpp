@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "core/query_engine.hpp"
+#include "sim/cluster_model.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -23,17 +23,19 @@ void run_dataset(const workload::DatasetSpec& spec, std::size_t queries) {
     index->insert(photo.id, photo.image);
   }
 
-  std::vector<core::QueryResult> results;
+  std::vector<core::sim_cost::QueryPrice> prices;
   for (const auto& q : env.queries) {
-    results.push_back(index->query(q.image, 10));
+    const hash::SparseSignature sig = index->summarize(q.image);
+    prices.push_back(core::sim_cost::query(
+        *index, sig, index->query_signature(sig, 10), /*from_image=*/true));
   }
 
   util::Table table({"cores", "mean latency", "speedup vs 1 core"});
   double base = 0;
   for (std::size_t cores : {1, 2, 4, 8, 16, 32}) {
     util::OnlineStats lat;
-    for (const auto& r : results) {
-      lat.add(core::QueryEngine::simulated_query_latency(r, cores));
+    for (const auto& price : prices) {
+      lat.add(sim::ClusterModel::makespan(price.tasks, cores));
     }
     if (cores == 1) base = lat.mean();
     table.add_row({std::to_string(cores), util::fmt_duration(lat.mean()),

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/result.hpp"
+#include "sim/sim_clock.hpp"
 
 namespace fast::baseline {
 

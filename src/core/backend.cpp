@@ -32,14 +32,11 @@ Backend::Backend(FastConfig config,
   m_.inserts = &r.counter("index.inserts");
   m_.erases = &r.counter("index.erases");
   m_.queries = &r.counter("index.queries");
-  m_.insert_sim_s = &r.latency_histogram("index.insert_sim_s");
-  m_.query_sim_s = &r.latency_histogram("index.query_sim_s");
   m_.query_wall_s = &r.latency_histogram("query.wall_s");
   m_.insert_batch_size = &r.count_histogram("index.insert_batch_size");
   m_.query_batch_size = &r.count_histogram("index.query_batch_size");
   m_.erase_batch_size = &r.count_histogram("index.erase_batch_size");
   m_.sa_keys_derived = &r.counter("sa.keys_derived");
-  m_.sa_insert_hash_ops = &r.counter("sa.insert_hash_ops");
   m_.sa_keys_wall_s = &r.latency_histogram("sa.keys_wall_s");
   m_.sa_probe_keys = &r.count_histogram("sa.probe_keys_per_query");
   m_.rank_wall_s = &r.latency_histogram("rank.wall_s");
@@ -68,15 +65,6 @@ hash::SparseSignature Backend::summarize(const img::Image& image) const {
   m_.fe_sm_images->add();
   m_.fe_sm_summarize_s->observe(timer.elapsed_seconds());
   return sig;
-}
-
-sim::SimClock Backend::frontend_insert_cost() const noexcept {
-  sim::SimClock clock;
-  clock.charge(config_.feature_extract_s);
-  // Bloom hashing cost: k hash ops per descriptor group.
-  clock.charge_hash(config_.cost.hash_op_s,
-                    config_.max_keypoints * config_.bloom_hashes);
-  return clock;
 }
 
 void Backend::calibrate_scale(
@@ -189,31 +177,13 @@ void Backend::prepare(Placement& p, std::uint64_t id,
   FAST_CHECK(signature.bit_count() == config_.bloom_bits);
   p.id = id;
   p.signature = &signature;
-  // SA hashing cost: p-stable projections or minwise passes, in the
-  // aggregator's cost domain.
-  const std::size_t sa_ops = aggregator_->insert_hash_ops(signature);
-  if (aggregator_->cost_domain() ==
-      pipeline::SemanticAggregator::CostDomain::kFlops) {
-    p.result.cost.charge_flops(config_.cost.flop_s, sa_ops);
-  } else {
-    p.result.cost.charge_hash(config_.cost.mix_op_s, sa_ops);
-  }
   p.keys = derive_keys(signature, nullptr);
   m_.sa_keys_derived->add(p.keys.size());
-  m_.sa_insert_hash_ops->add(sa_ops);
-}
-
-void Backend::finish(const Placement& p) const {
-  m_.inserts->add();
-  m_.insert_sim_s->observe(p.result.cost.elapsed_s());
 }
 
 InsertResult Backend::insert(std::uint64_t id, const img::Image& image) {
   util::TraceSpan span("insert.image");
-  const hash::SparseSignature sig = summarize(image);
-  InsertResult stored = insert_signature(id, sig);
-  stored.cost.merge(frontend_insert_cost());
-  return stored;
+  return insert_signature(id, summarize(image));
 }
 
 InsertResult Backend::insert_signature(std::uint64_t id,
@@ -222,7 +192,7 @@ InsertResult Backend::insert_signature(std::uint64_t id,
   Placement p;
   prepare(p, id, signature);
   place(std::span<Placement>(&p, 1));
-  finish(p);
+  m_.inserts->add();
   span.attr("rehash_events", static_cast<double>(p.result.rehashes));
   return std::move(p.result);
 }
@@ -237,12 +207,10 @@ std::vector<InsertResult> Backend::insert_signatures(
     prepare(batch[i], writes[i].id, writes[i].signature);
   }
   place(batch);
+  m_.inserts->add(batch.size());
   std::vector<InsertResult> results;
   results.reserve(batch.size());
-  for (Placement& p : batch) {
-    finish(p);
-    results.push_back(std::move(p.result));
-  }
+  for (Placement& p : batch) results.push_back(p.result);
   return results;
 }
 
@@ -250,7 +218,7 @@ std::vector<InsertResult> Backend::insert_batch(
     std::span<const BatchImage> items, util::ThreadPool* pool) {
   // Stage split: FE+SM for the whole batch first (embarrassingly parallel,
   // no index state touched), then placement in item order — the same final
-  // state and per-item costs as sequential insert() calls.
+  // state and per-item results as sequential insert() calls.
   std::vector<const img::Image*> images(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) images[i] = items[i].image;
   std::vector<hash::SparseSignature> sigs = summarize_batch(images, pool);
@@ -258,10 +226,7 @@ std::vector<InsertResult> Backend::insert_batch(
   for (std::size_t i = 0; i < items.size(); ++i) {
     writes[i] = EngineWrite{items[i].id, std::move(sigs[i])};
   }
-  std::vector<InsertResult> results = insert_signatures(writes);
-  const sim::SimClock frontend = frontend_insert_cost();
-  for (InsertResult& r : results) r.cost.merge(frontend);
-  return results;
+  return insert_signatures(writes);
 }
 
 bool Backend::erase(std::uint64_t id) {
@@ -285,21 +250,7 @@ std::size_t Backend::erase_batch(std::span<const std::uint64_t> ids) {
 
 QueryResult Backend::query(const img::Image& image, std::size_t k) const {
   util::TraceSpan span("query.image");
-  return query_summarized(summarize(image), k);
-}
-
-QueryResult Backend::query_summarized(const hash::SparseSignature& signature,
-                                      std::size_t k) const {
-  QueryResult result = query_signature(signature, k);
-  result.cost.merge(frontend_insert_cost());
-  // Feature extraction parallelizes across interest points: expose it as
-  // max_keypoints independent task chunks for the multicore model.
-  const double fe_chunk =
-      config_.feature_extract_s / static_cast<double>(config_.max_keypoints);
-  for (std::size_t i = 0; i < config_.max_keypoints; ++i) {
-    result.parallel_tasks.push_back(fe_chunk);
-  }
-  return result;
+  return query_signature(summarize(image), k);
 }
 
 std::vector<QueryResult> Backend::query_batch(
@@ -343,15 +294,6 @@ QueryResult Backend::query_signature(const hash::SparseSignature& signature,
   m_.sa_keys_derived->add(keys.size());
   m_.sa_probe_keys->observe(static_cast<double>(probe_keys));
 
-  // SA hashing is per table, independent of how the layout probes.
-  const std::size_t per_table_ops =
-      aggregator_->query_hash_ops_per_table(signature);
-  const double hash_cost =
-      aggregator_->cost_domain() ==
-              pipeline::SemanticAggregator::CostDomain::kFlops
-          ? config_.cost.flop_s * static_cast<double>(per_table_ops)
-          : config_.cost.mix_op_s * static_cast<double>(per_table_ops);
-
   // Built once, before the layout takes any lock: every candidate is scored
   // against the query's bitmap.
   util::WallTimer scorer_timer;
@@ -364,15 +306,7 @@ QueryResult Backend::query_signature(const hash::SparseSignature& signature,
   {
     util::TraceSpan probe_span("chs.probe");
     gather(keys, probes, scorer, gathered, probe_span);
-    // Per-table cost and the Fig. 7 task shape: each table's hashing and
-    // bounded slot reads are an independent unit of parallel work.
-    for (std::size_t t = 0; t < keys.size(); ++t) {
-      const std::size_t reads = gathered.table_slot_reads[t];
-      const double probe_cost =
-          config_.cost.ram_access_s * static_cast<double>(reads);
-      result.cost.charge(hash_cost);
-      result.cost.charge_ram(config_.cost.ram_access_s, reads);
-      result.parallel_tasks.push_back(hash_cost + probe_cost);
+    for (const std::size_t reads : gathered.table_slot_reads) {
       slot_reads_total += reads;
     }
     probe_span.attr("bucket_probes",
@@ -386,18 +320,13 @@ QueryResult Backend::query_signature(const hash::SparseSignature& signature,
   }
   result.bucket_probes = gathered.bucket_probes;
   result.candidates = gathered.scored.size();
+  result.table_slot_reads = std::move(gathered.table_slot_reads);
   rank_s += gathered.score_s;
 
   util::WallTimer topk_timer;
   {
     util::TraceSpan rank_span("rank");
     result.hits = std::move(gathered.scored);
-    // Ranking cost: one sparse-overlap merge per candidate. Each merge is an
-    // independent unit of parallel work (Fig. 7).
-    result.cost.charge_ram(config_.cost.ram_access_s, result.candidates);
-    for (std::size_t c = 0; c < result.candidates; ++c) {
-      result.parallel_tasks.push_back(config_.cost.ram_access_s);
-    }
     const std::size_t keep = std::min(k, result.hits.size());
     std::partial_sort(result.hits.begin(),
                       result.hits.begin() + static_cast<std::ptrdiff_t>(keep),
@@ -415,7 +344,6 @@ QueryResult Backend::query_signature(const hash::SparseSignature& signature,
   m_.queries->add();
   m_.chs_bucket_probes->observe(static_cast<double>(result.bucket_probes));
   m_.chs_candidates->observe(static_cast<double>(result.candidates));
-  m_.query_sim_s->observe(result.cost.elapsed_s());
   const double wall_s = wall_timer.elapsed_seconds();
   m_.query_wall_s->observe(wall_s);
 

@@ -6,14 +6,16 @@
 // The base class owns the front end both index layouts share, written
 // once: the config, the Summarizer (FE+SM), the SemanticAggregator (SA),
 // the metrics registry with one instrument set, the image and batch entry
-// points, the timed SA key derivation, and the query finish (top-k, rank
-// cost, instruments, QueryProfile), and the traced lock helper. A derived
-// index supplies only what is its own: where a placement lands
-// (place/remove), how a query's probe keys become scored candidates
-// (gather), and its snapshot image. Both layouts are built of
-// core::IndexLayer: FastIndex is one layer under one single-writer lock;
-// TieredIndex is lanes of memtable layers under per-lane locks plus frozen
-// segment layers.
+// points, the timed SA key derivation, the query finish (top-k,
+// instruments, QueryProfile), and the traced lock helper. A derived index
+// supplies only what is its own: where a placement lands (place/remove),
+// how a query's probe keys become scored candidates (gather), and its
+// snapshot image. Both layouts are built of core::IndexLayer: FastIndex is
+// one layer under one single-writer lock; TieredIndex is lanes of memtable
+// layers under per-lane locks plus frozen segment layers.
+//
+// Results report the work a call did and never price it: core::sim_cost
+// turns that work into the simulated platform's time for the figures.
 //
 // make_backend/open_backend pick the layout from config.tier.enabled; they
 // are the only place that choice is made. QueryEngine and ShardedFastIndex
@@ -85,6 +87,11 @@ class Backend {
 
   const FastConfig& config() const noexcept { return config_; }
 
+  /// The SA stage; core::sim_cost reads its modeled op counts.
+  const pipeline::SemanticAggregator& aggregator() const noexcept {
+    return *aggregator_;
+  }
+
   /// Per-stage observability (metric names in DESIGN.md §3b). The shared
   /// scaffold registers the same instruments in every backend; a layout
   /// adds its own next to them. Thread-safe to read and update.
@@ -94,11 +101,6 @@ class Backend {
 
   /// Runs feature extraction + Bloom summarization for one image.
   hash::SparseSignature summarize(const img::Image& image) const;
-
-  /// Simulated frontend cost every image-ingest path charges on top of
-  /// insert_signature: feature extraction plus the k Bloom hash ops per
-  /// descriptor group.
-  sim::SimClock frontend_insert_cost() const noexcept;
 
   /// Tunes the LSH input scale from sample queries against a corpus sample
   /// (the paper's R-selection procedure, §IV-A2): the median query-to-
@@ -123,7 +125,7 @@ class Backend {
 
   /// Batch ingest: FE+SM runs for all items first — fanned across `pool`
   /// when provided, with no lock held — then placement proceeds in item
-  /// order, so the final state and per-item costs match sequential
+  /// order, so the final state and per-item results match sequential
   /// insert() calls.
   std::vector<InsertResult> insert_batch(std::span<const BatchImage> items,
                                          util::ThreadPool* pool = nullptr);
@@ -152,12 +154,6 @@ class Backend {
   /// candidate gathering, then the shared top-k finish.
   QueryResult query_signature(const hash::SparseSignature& signature,
                               std::size_t k) const;
-
-  /// query() minus summarization: costs for a query whose signature was
-  /// just extracted from an image (FE charge + Bloom hash ops + parallel FE
-  /// task chunks).
-  QueryResult query_summarized(const hash::SparseSignature& signature,
-                               std::size_t k) const;
 
   /// Batch query: complete queries (FE+SM+probe+rank) fan across `pool`
   /// when provided. Results are identical to per-item query() calls.
@@ -206,7 +202,7 @@ class Backend {
 
  protected:
   /// One insert as the scaffold hands it to place(): its SA home keys are
-  /// already derived (outside any lock) and its SA cost already charged.
+  /// already derived (outside any lock).
   struct Placement {
     std::uint64_t id = 0;
     const hash::SparseSignature* signature = nullptr;
@@ -215,8 +211,7 @@ class Backend {
   };
 
   /// A query's candidates as gather() hands them back: every live
-  /// candidate scored against the query (any order), plus what the probe
-  /// cost.
+  /// candidate scored against the query (any order), plus the probe work.
   struct Gathered {
     std::vector<ScoredId> scored;
     std::vector<std::size_t> table_slot_reads;  ///< per SA table
@@ -233,18 +228,13 @@ class Backend {
     util::Counter* inserts = nullptr;
     util::Counter* erases = nullptr;
     util::Counter* queries = nullptr;
-    util::Histogram* insert_sim_s = nullptr;
-    util::Histogram* query_sim_s = nullptr;
     util::Histogram* query_wall_s = nullptr;
     util::Histogram* insert_batch_size = nullptr;
     util::Histogram* query_batch_size = nullptr;
     util::Histogram* erase_batch_size = nullptr;
     util::Counter* sa_keys_derived = nullptr;
-    util::Counter* sa_insert_hash_ops = nullptr;
-    // Native wall time of one aggregator keys() call. Deliberately
-    // separate from sa.insert_hash_ops: the ops counter charges the paper's
-    // dense L*M*dim flop model to the simulated platform, while this
-    // histogram tracks what the real (sparse) kernel actually costs.
+    // Native wall time of one aggregator keys() call: what the real
+    // (sparse) kernel costs, not the paper's dense flop model.
     util::Histogram* sa_keys_wall_s = nullptr;
     util::Histogram* sa_probe_keys = nullptr;
     // Candidate scoring + top-k selection per query.
@@ -270,7 +260,7 @@ class Backend {
 
   /// Applies `batch` in order as one unit: logs each record before its
   /// in-memory change on a durable backend and fills its result's
-  /// placement cost and rehash events.
+  /// placement work and rehash events.
   virtual void place(std::span<Placement> batch) = 0;
 
   /// Erases `ids` in order as one unit, logging each known id; returns how
@@ -323,11 +313,9 @@ class Backend {
   std::unique_ptr<storage::DurableLog> log_;
 
  private:
-  /// Charges SA cost and derives home keys for one insert.
+  /// Derives home keys for one insert.
   void prepare(Placement& p, std::uint64_t id,
                const hash::SparseSignature& signature) const;
-  /// Counts a placed insert in the scaffold instruments.
-  void finish(const Placement& p) const;
   /// Runs FE+SM for `images`, fanned across `pool` when provided.
   std::vector<hash::SparseSignature> summarize_batch(
       std::span<const img::Image* const> images, util::ThreadPool* pool) const;

@@ -86,8 +86,10 @@ void FastIndex::apply_insert(Placement& p) {
 
   InsertResult& result = p.result;
   hash::ProbeProfile probe_profile;
-  const IndexLayer::Placed placed = layer_.place(
-      p.id, *p.signature, p.keys, &probe_profile, &result.cost);
+  const IndexLayer::Placed placed =
+      layer_.place(p.id, *p.signature, p.keys, &probe_profile);
+  result.slot_reads += placed.slot_reads;
+  result.store_writes += placed.store_writes;
   m_.chs_slot_reads->add(placed.slot_reads);
   result.rehashes += placed.rehashes;
   rehashes_ += placed.rehashes;

@@ -17,8 +17,9 @@
 // injected directly) instead of being hard-wired here. Queries are O(1):
 // L tables x (1 + probes) x bounded slot reads, all constants under flat
 // addressing, followed by ranking the (small) candidate set by sparse-
-// signature Jaccard similarity. Every operation reports simulated platform
-// costs (see sim::CostModel) alongside its native execution.
+// signature Jaccard similarity. Every operation reports the work it did
+// (slot reads, candidates); core::sim_cost prices that work on the
+// simulated evaluation platform.
 //
 // The flat layout of core::Backend (core/backend.hpp): the shared front end
 // lives in the base; this class is one core::IndexLayer — the group store,

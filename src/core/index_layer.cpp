@@ -12,7 +12,7 @@ IndexLayer::IndexLayer(const FastConfig& config, std::size_t tables)
 
 IndexLayer::IndexLayer(const FastConfig& config,
                        std::unique_ptr<pipeline::GroupStore> store)
-    : ram_access_s_(config.cost.ram_access_s), store_(std::move(store)),
+    : store_(std::move(store)),
       slab_(static_cast<std::uint32_t>(config.bloom_bits)) {}
 
 std::vector<std::uint64_t> IndexLayer::sorted_ids() const {
@@ -28,8 +28,7 @@ std::vector<std::uint64_t> IndexLayer::sorted_ids() const {
 IndexLayer::Placed IndexLayer::place(std::uint64_t id,
                                      const hash::SparseSignature& signature,
                                      std::span<const std::uint64_t> keys,
-                                     hash::ProbeProfile* profile,
-                                     sim::SimClock* cost) {
+                                     hash::ProbeProfile* profile) {
   FAST_CHECK(keys.size() == store_->table_count());
   FAST_CHECK_MSG(!contains(id), "place() on a live id; remove() it first");
   Placed placed;
@@ -40,7 +39,6 @@ IndexLayer::Placed IndexLayer::place(std::uint64_t id,
     std::size_t lookup_probes = 0;
     const auto group = store_->find(t, keys[t], &lookup_probes, profile);
     placed.slot_reads += lookup_probes;
-    if (cost != nullptr) cost->charge_ram(ram_access_s_, lookup_probes);
     if (group) {
       groups_[*group].push_back(slot);
       ++placed.group_hits;
@@ -49,9 +47,7 @@ IndexLayer::Placed IndexLayer::place(std::uint64_t id,
       groups_.emplace_back(std::vector<std::uint32_t>{slot});
       placed.rehashes += store_->place(t, keys[t], group_id);
       ++placed.group_creates;
-      if (cost != nullptr) {
-        cost->charge_ram(ram_access_s_, store_->lookup_cost_probes(t));
-      }
+      placed.store_writes += store_->lookup_cost_probes(t);
     }
   }
   return placed;

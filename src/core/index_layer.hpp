@@ -29,7 +29,6 @@
 #include "core/result.hpp"
 #include "hash/signature_slab.hpp"
 #include "hash/sparse_signature.hpp"
-#include "sim/sim_clock.hpp"
 #include "util/check.hpp"
 #include "util/codec.hpp"
 
@@ -101,6 +100,9 @@ class IndexLayer {
   /// What one place() did to the group store.
   struct Placed {
     std::size_t slot_reads = 0;  ///< modeled slot reads of the lookups
+    /// Modeled slot accesses of the store writes: one lookup's worth
+    /// (GroupStore::lookup_cost_probes) per group created.
+    std::size_t store_writes = 0;
     std::size_t group_hits = 0;
     std::size_t group_creates = 0;
     std::size_t rehashes = 0;
@@ -156,12 +158,10 @@ class IndexLayer {
   std::vector<std::uint64_t> sorted_ids() const;
 
   /// Stores `id` (absent here) under its per-table home keys and drops any
-  /// tombstone for it. The lookups' probe work goes to *profile. When
-  /// `cost` is given, each lookup and each new group's store write is
-  /// charged to it as one RAM access per slot read, table by table.
+  /// tombstone for it. The lookups' probe work goes to *profile.
   Placed place(std::uint64_t id, const hash::SparseSignature& signature,
                std::span<const std::uint64_t> keys,
-               hash::ProbeProfile* profile, sim::SimClock* cost = nullptr);
+               hash::ProbeProfile* profile);
   /// Removes a live id whose home keys are `keys` (re-derived by the
   /// caller from its stored summary). An emptied group releases its bucket
   /// key so queries stop probing it.
@@ -206,7 +206,6 @@ class IndexLayer {
   bool deserialize(util::ByteReader& in);
 
  private:
-  double ram_access_s_ = 0;
   std::unique_ptr<pipeline::GroupStore> store_;
   // Group id -> member slots of slab_. Queries rank straight off the
   // slots; slot_of_ maps ids to slots for the write, lookup and snapshot

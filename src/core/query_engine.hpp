@@ -1,12 +1,9 @@
 // Parallel query execution — and the mutating facade the network server
 // routes through — over one core::Backend (flat or tiered; the engine never
-// asks which).
-//
-// Native side: a thread pool fans independent queries (and their probe
-// work) across host cores. Simulated side: per-query probe tasks are
-// scheduled onto the modeled cluster/multicore (sim::ClusterModel) to
-// produce the latency series of Fig. 4 (concurrent request batches) and
-// Fig. 7 (per-query latency vs. core count).
+// asks which). A thread pool fans independent queries (and their probe
+// work) across host cores. The engine reports results and native wall
+// time only; the figures' simulated latencies come from core::sim_cost
+// and sim::ClusterModel, called by the benches themselves.
 //
 // Write facade: insert/erase passthroughs route to the backend, preserving
 // WAL durability; engine-routed writes are bit-identical to calling the
@@ -23,24 +20,13 @@
 #include "core/backend.hpp"
 #include "core/fast_index.hpp"
 #include "core/tiered_index.hpp"
-#include "sim/cluster_model.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fast::core {
 
-struct BatchOptions {
-  std::size_t top_k = 10;
-  /// Parallel slots of the simulated platform serving the batch
-  /// (nodes * cores_per_node of the paper's cluster by default — set from
-  /// the index's CostModel when 0).
-  std::size_t sim_slots = 0;
-};
-
 struct BatchReport {
   std::vector<QueryResult> results;
-  double sim_mean_latency_s = 0;  ///< mean request completion time
-  double sim_makespan_s = 0;      ///< batch completion time
-  double native_wall_s = 0;       ///< host wall-clock for the whole batch
+  double native_wall_s = 0;  ///< host wall-clock for the whole batch
 };
 
 class QueryEngine {
@@ -65,20 +51,9 @@ class QueryEngine {
   /// segment_count, ...). FAST_CHECKs that the backend is tiered.
   const TieredIndex& tiered() const;
 
-  /// Runs a batch of signature queries in parallel and computes the
-  /// simulated batch latency under `options.sim_slots` parallel servers.
+  /// Runs a batch of top-`k` signature queries in parallel.
   BatchReport run_batch(std::span<const hash::SparseSignature> queries,
-                        const BatchOptions& options = {});
-
-  /// Full-pipeline variant: raw images enter the batch path, so FE+SM fans
-  /// across the pool alongside the probe/rank work (query_batch).
-  BatchReport run_image_batch(std::span<const img::Image* const> images,
-                              const BatchOptions& options = {});
-
-  /// Simulated latency of one already-executed query on a `cores`-way
-  /// multicore: the makespan of its independent probe/rank tasks (Fig. 7).
-  static double simulated_query_latency(const QueryResult& result,
-                                        std::size_t cores);
+                        std::size_t k = 10);
 
   // --- Mutating facade ---
 
@@ -101,7 +76,7 @@ class QueryEngine {
   }
 
   /// One signature query through the backend — the server's unit of work
-  /// (run_batch is the bench-facing batch path). Safe to call concurrently
+  /// (run_batch fans many across the pool). Safe to call concurrently
   /// with the mutating facade.
   QueryResult query_signature(const hash::SparseSignature& signature,
                               std::size_t k) const {
@@ -127,8 +102,6 @@ class QueryEngine {
   storage::Status save_snapshot() { return backend_.save_snapshot(); }
 
  private:
-  /// Fills the simulated-latency fields from the executed results.
-  void finish_report(BatchReport& report, std::size_t sim_slots) const;
 
   /// Set only when the engine owns its backend; declared first so it is
   /// destroyed last, after the pool's workers have stopped.
@@ -138,8 +111,6 @@ class QueryEngine {
   util::Counter* batches_ = nullptr;
   util::Histogram* batch_size_ = nullptr;
   util::Histogram* batch_wall_s_ = nullptr;
-  util::Gauge* last_sim_mean_s_ = nullptr;
-  util::Gauge* last_sim_makespan_s_ = nullptr;
 };
 
 }  // namespace fast::core

@@ -1,11 +1,10 @@
-// Result records returned by the FAST index operations, carrying both the
-// answers and the simulated-cost accounting that drives the figures.
+// Result records returned by the FAST index operations: the answers plus
+// the work the operation did. Work is counted, never priced; core::sim_cost
+// turns it into the simulated platform's time for the paper's figures.
 #pragma once
 
 #include <cstdint>
 #include <vector>
-
-#include "sim/sim_clock.hpp"
 
 namespace fast::core {
 
@@ -18,16 +17,17 @@ struct QueryResult {
   std::vector<ScoredId> hits;      ///< ranked, best first
   std::size_t candidates = 0;      ///< ids inspected before ranking
   std::size_t bucket_probes = 0;   ///< cuckoo probes across tables
-  sim::SimClock cost;              ///< simulated platform cost
-  /// Per-table probe costs (seconds): the independent work units that a
-  /// multicore can execute in parallel (Fig. 7).
-  std::vector<double> parallel_tasks;
+  /// Modeled slot reads of each SA table's lookups (home + probe keys).
+  std::vector<std::size_t> table_slot_reads;
 };
 
 struct InsertResult {
   bool ok = true;              ///< false if cuckoo placement failed (rehash)
   std::size_t rehashes = 0;    ///< rehash events triggered by this insert
-  sim::SimClock cost;
+  std::size_t slot_reads = 0;  ///< modeled slot reads of the placement lookups
+  /// Modeled slot accesses of the group-store writes (one lookup's worth
+  /// per correlation group the insert created).
+  std::size_t store_writes = 0;
 };
 
 }  // namespace fast::core

@@ -4,6 +4,7 @@
 
 #include "core/pipeline/factory.hpp"
 #include "core/segment.hpp"
+#include "core/sim_cost.hpp"
 #include "util/check.hpp"
 #include "util/trace.hpp"
 
@@ -200,24 +201,9 @@ std::size_t ShardedFastIndex::size() const noexcept {
 
 InsertResult ShardedFastIndex::insert(std::uint64_t id,
                                       const img::Image& image) {
-  inserts_->add();
-  scatter_msgs_->add();
-  const std::size_t s = shard_map_.shard_of(id);
-  InsertResult r;
-  if (routing_enabled()) {
-    // Summarize at the coordinator (same FE+SM work the shard would do) so
-    // the summary can track the placed signature; cost accounting matches
-    // the direct shard->insert path exactly.
-    const hash::SparseSignature sig = front().summarize(image);
-    routing_replace(s, id, sig);
-    r = shards_[s]->insert_signature(id, sig);
-    r.cost.merge(front().frontend_insert_cost());
-  } else {
-    r = shards_[s]->insert(id, image);
-  }
-  // Routing the signature to the owner node: one network hop.
-  r.cost.charge(config_.cost.net_transfer_s(512));
-  return r;
+  // FE+SM at the coordinator is the same work the shard would do, and the
+  // routing summary can then track the placed signature.
+  return insert_signature(id, front().summarize(image));
 }
 
 InsertResult ShardedFastIndex::insert_signature(
@@ -226,9 +212,7 @@ InsertResult ShardedFastIndex::insert_signature(
   scatter_msgs_->add();
   const std::size_t s = shard_map_.shard_of(id);
   if (routing_enabled()) routing_replace(s, id, signature);
-  InsertResult r = shards_[s]->insert_signature(id, signature);
-  r.cost.charge(config_.cost.net_transfer_s(signature.storage_bytes()));
-  return r;
+  return shards_[s]->insert_signature(id, signature);
 }
 
 bool ShardedFastIndex::erase(std::uint64_t id) {
@@ -269,7 +253,6 @@ std::vector<InsertResult> ShardedFastIndex::insert_batch(
   for (const auto& sub : by_shard) {
     shard_batch_items_->observe(static_cast<double>(sub.size()));
   }
-  const sim::SimClock frontend = front().frontend_insert_cost();
   std::vector<InsertResult> results(items.size());
   pool_.parallel_for(ns, [&](std::size_t s) {
     util::TraceSpan shard_span("shard.place");
@@ -279,16 +262,13 @@ std::vector<InsertResult> ShardedFastIndex::insert_batch(
       // Summary writes are race-free here: each task touches only its own
       // shard's summary, mirroring the shard-disjoint placement below.
       if (routing_enabled()) routing_replace(s, items[i].id, sigs[i]);
-      InsertResult stored = shards_[s]->insert_signature(items[i].id, sigs[i]);
-      stored.cost.merge(frontend);
-      stored.cost.charge(config_.cost.net_transfer_s(512));
-      results[i] = std::move(stored);
+      results[i] = shards_[s]->insert_signature(items[i].id, sigs[i]);
     }
   });
   return results;
 }
 
-std::vector<QueryResult> ShardedFastIndex::query_batch(
+std::vector<ShardedQueryResult> ShardedFastIndex::query_batch(
     std::span<const img::Image* const> images, std::size_t k) const {
   std::vector<hash::SparseSignature> sigs(images.size());
   pool_.parallel_for(images.size(), [&](std::size_t i) {
@@ -332,17 +312,18 @@ std::vector<QueryResult> ShardedFastIndex::query_batch(
     per_query[cell.q][cell.slot] = shards_[cell.s]->query_signature(sigs[cell.q], k);
   });
 
-  std::vector<QueryResult> results;
+  std::vector<ShardedQueryResult> results;
   results.reserve(images.size());
-  for (auto& per_shard : per_query) {
+  for (std::size_t q = 0; q < images.size(); ++q) {
     results.push_back(
-        gather(std::move(per_shard), k, config_.feature_extract_s));
+        gather(std::move(per_query[q]), sigs[q], k, /*from_image=*/true));
   }
   return results;
 }
 
-QueryResult ShardedFastIndex::gather(std::vector<QueryResult> per_shard,
-                                     std::size_t k, double fe_cost) const {
+ShardedQueryResult ShardedFastIndex::gather(
+    std::vector<QueryResult> per_shard, const hash::SparseSignature& signature,
+    std::size_t k, bool from_image) const {
   util::TraceSpan span("sharded.gather");
   span.attr("shards", static_cast<double>(per_shard.size()));
   queries_->add();
@@ -350,26 +331,13 @@ QueryResult ShardedFastIndex::gather(std::vector<QueryResult> per_shard,
   gather_msgs_->add(per_shard.size());
   shards_probed_->observe(static_cast<double>(per_shard.size()));
   routing_skips_->add(shard_map_.shard_count() - per_shard.size());
-  QueryResult merged;
-  merged.cost.charge(fe_cost);
-  double slowest_shard = 0;
-  for (QueryResult& r : per_shard) {
-    slowest_shard = std::max(slowest_shard, r.cost.elapsed_s());
+  ShardedQueryResult merged;
+  merged.cost =
+      sim_cost::sharded_query(front(), signature, per_shard, k, from_image);
+  for (const QueryResult& r : per_shard) {
     merged.candidates += r.candidates;
     merged.bucket_probes += r.bucket_probes;
-    for (const ScoredId& hit : r.hits) merged.hits.push_back(hit);
-    for (double t : r.parallel_tasks) merged.parallel_tasks.push_back(t);
-  }
-  // Scatter (signature to every probed shard) + parallel shard work +
-  // gather (top-k id/score pairs back). When routing skipped every shard
-  // there are no hops to charge.
-  if (!per_shard.empty()) {
-    const std::size_t scatter_bytes = 512;
-    const std::size_t gather_bytes =
-        k * (sizeof(std::uint64_t) + sizeof(float));
-    merged.cost.charge(config_.cost.net_transfer_s(scatter_bytes));
-    merged.cost.charge(slowest_shard);
-    merged.cost.charge(config_.cost.net_transfer_s(gather_bytes));
+    merged.hits.insert(merged.hits.end(), r.hits.begin(), r.hits.end());
   }
 
   std::sort(merged.hits.begin(), merged.hits.end(),
@@ -382,19 +350,20 @@ QueryResult ShardedFastIndex::gather(std::vector<QueryResult> per_shard,
   return merged;
 }
 
-QueryResult ShardedFastIndex::query(const img::Image& image,
-                                    std::size_t k) const {
+ShardedQueryResult ShardedFastIndex::query(const img::Image& image,
+                                           std::size_t k) const {
   // Summarize once at the front end; only the signature travels.
-  const hash::SparseSignature sig = front().summarize(image);
-  QueryResult r = query_signature(sig, k);
-  // Account the front-end extraction in the merged cost.
-  QueryResult with_fe = std::move(r);
-  with_fe.cost.charge(config_.feature_extract_s);
-  return with_fe;
+  return scatter(front().summarize(image), k, /*from_image=*/true);
 }
 
-QueryResult ShardedFastIndex::query_signature(
+ShardedQueryResult ShardedFastIndex::query_signature(
     const hash::SparseSignature& signature, std::size_t k) const {
+  return scatter(signature, k, /*from_image=*/false);
+}
+
+ShardedQueryResult ShardedFastIndex::scatter(
+    const hash::SparseSignature& signature, std::size_t k,
+    bool from_image) const {
   util::TraceSpan span("sharded.query");
   std::vector<std::size_t> targets;
   if (routing_enabled()) {
@@ -410,7 +379,7 @@ QueryResult ShardedFastIndex::query_signature(
     shard_span.attr("shard", static_cast<double>(targets[i]));
     per_shard[i] = shards_[targets[i]]->query_signature(signature, k);
   });
-  return gather(std::move(per_shard), k, 0.0);
+  return gather(std::move(per_shard), signature, k, from_image);
 }
 
 std::size_t ShardedFastIndex::index_bytes() const {

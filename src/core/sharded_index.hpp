@@ -5,10 +5,10 @@
 // laid out per config.tier.enabled (make_backend), so a churn-heavy
 // deployment can keep per-node ingest off the query path. Queries
 // scatter the ~hundreds-of-bytes signature to all shards — not the image —
-// gather the per-shard top-k and merge. Per-query simulated cost models the
-// scatter/gather network hops plus the slowest shard's local probe (shards
-// work in parallel), which is what keeps the distributed query latency flat
-// as nodes are added.
+// gather the per-shard top-k and merge. Each query carries its simulated
+// price (core::sim_cost::sharded_query): the scatter/gather network hops
+// plus the slowest shard's local probe (shards work in parallel), which is
+// what keeps the distributed query latency flat as nodes are added.
 // Bloofi-style routing (DESIGN.md §3h): when config.shard_routing_bits > 0
 // the facade keeps one counting-bloom summary per shard over the
 // fingerprints of every resident signature's (table, home-key) pairs,
@@ -26,11 +26,18 @@
 
 #include "core/backend.hpp"
 #include "hash/counting_bloom.hpp"
+#include "sim/sim_clock.hpp"
 #include "storage/shard.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fast::core {
+
+/// A merged scatter-gather answer (candidates and bucket probes summed over
+/// the probed shards) and its simulated price.
+struct ShardedQueryResult : QueryResult {
+  sim::SimClock cost;
+};
 
 class ShardedFastIndex {
  public:
@@ -63,7 +70,8 @@ class ShardedFastIndex {
     return shard_map_.shard_of(id);
   }
 
-  /// Inserts into the owning shard (plus the scatter network hop).
+  /// Summarizes at the coordinator and inserts the signature into the
+  /// owning shard; only the signature travels.
   InsertResult insert(std::uint64_t id, const img::Image& image);
   InsertResult insert_signature(std::uint64_t id,
                                 const hash::SparseSignature& signature);
@@ -71,7 +79,7 @@ class ShardedFastIndex {
   /// Batch ingest: FE+SM for the whole batch fans across the native pool,
   /// then each shard places its sub-batch — shards are independent, so the
   /// placement phase itself runs shard-parallel. Per-item results match
-  /// insert()'s accounting; results[i] corresponds to items[i].
+  /// insert(); results[i] corresponds to items[i].
   std::vector<InsertResult> insert_batch(std::span<const BatchImage> items);
 
   /// Erases from the owning shard; false when no shard held the id.
@@ -79,15 +87,16 @@ class ShardedFastIndex {
 
   /// Scatter-gather query across all shards; shards probe in parallel
   /// (native threads) and the merged top-k is returned. The simulated cost
-  /// is scatter + max over shards + gather.
-  QueryResult query(const img::Image& image, std::size_t k) const;
-  QueryResult query_signature(const hash::SparseSignature& signature,
-                              std::size_t k) const;
+  /// is scatter + max over shards + gather, plus the front end for an
+  /// image.
+  ShardedQueryResult query(const img::Image& image, std::size_t k) const;
+  ShardedQueryResult query_signature(const hash::SparseSignature& signature,
+                                     std::size_t k) const;
 
   /// Batch scatter-gather: summarization and the (query x shard) probe
   /// matrix both fan across the native pool; results match per-item
   /// query() calls.
-  std::vector<QueryResult> query_batch(
+  std::vector<ShardedQueryResult> query_batch(
       std::span<const img::Image* const> images, std::size_t k) const;
 
   /// Sum of all shards' in-memory index bytes.
@@ -111,8 +120,14 @@ class ShardedFastIndex {
                    std::vector<std::unique_ptr<Backend>> shards,
                    std::size_t threads);
 
-  QueryResult gather(std::vector<QueryResult> per_shard, std::size_t k,
-                     double fe_cost) const;
+  /// Merges the probed shards' answers to `signature` into the top-k and
+  /// prices the scatter-gather.
+  ShardedQueryResult gather(std::vector<QueryResult> per_shard,
+                            const hash::SparseSignature& signature,
+                            std::size_t k, bool from_image) const;
+  /// Probes the shards routing selects for `signature`, in parallel.
+  ShardedQueryResult scatter(const hash::SparseSignature& signature,
+                             std::size_t k, bool from_image) const;
 
   // --- Bloofi-style routing (no-ops when routing_enabled() is false) ---
 

@@ -189,7 +189,8 @@ bool TieredIndex::place_one(Placement& p) {
     placed = lane.mem->place(p.id, *p.signature, p.keys, &probe_profile);
     p.result.rehashes = placed.rehashes;
     if (placed.rehashes > 0) p.result.ok = false;
-    p.result.cost.charge_ram(config_.cost.ram_access_s, placed.slot_reads);
+    p.result.slot_reads = placed.slot_reads;
+    p.result.store_writes = placed.store_writes;
     if (!was_live) live_.fetch_add(1, std::memory_order_relaxed);
     mem_entries_.fetch_add(
         static_cast<std::int64_t>(lane.mem->entries()) - e0,

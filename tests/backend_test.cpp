@@ -139,32 +139,37 @@ TEST_P(BackendContractTest, ScriptAnswersLikeFlatIndex) {
   EXPECT_GT(multi_hit, 0u);  // the script exercises real candidate sets
 }
 
+// The image, batch and signature entry points report the same work for
+// the same photos, so core::sim_cost prices them alike.
 TEST_P(BackendContractTest, ImagePathsChargeLikeSignaturePaths) {
   const workload::Dataset dataset = test::small_dataset(8);
-  const std::unique_ptr<Backend> backend =
+  const std::unique_ptr<Backend> batched =
+      make_backend(config(), test::fake_pca());
+  const std::unique_ptr<Backend> single =
+      make_backend(config(), test::fake_pca());
+  const std::unique_ptr<Backend> split =
       make_backend(config(), test::fake_pca());
   util::ThreadPool pool(2);
   std::vector<BatchImage> items;
   for (std::size_t i = 0; i < 4; ++i) {
     items.push_back(BatchImage{i, &dataset.photos[i].image});
   }
-  const std::vector<InsertResult> batch = backend->insert_batch(items, &pool);
+  const std::vector<InsertResult> batch = batched->insert_batch(items, &pool);
   for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::uint64_t id = 100 + i;
-    const InsertResult single = backend->insert(id, *items[i].image);
-    // Same signature, same frontend charge: the batch and single paths
-    // bill FE + Bloom hashing identically.
-    EXPECT_EQ(batch[i].cost.hash_ops(), single.cost.hash_ops()) << i;
-    InsertResult split =
-        backend->insert_signature(id + 100, backend->summarize(*items[i].image));
-    split.cost.merge(backend->frontend_insert_cost());
-    EXPECT_EQ(split.cost.hash_ops(), single.cost.hash_ops()) << i;
+    const InsertResult a = single->insert(i, *items[i].image);
+    const InsertResult b =
+        split->insert_signature(i, split->summarize(*items[i].image));
+    for (const InsertResult* r : {&a, &b}) {
+      EXPECT_EQ(batch[i].slot_reads, r->slot_reads) << i;
+      EXPECT_EQ(batch[i].store_writes, r->store_writes) << i;
+    }
   }
-  const QueryResult a = backend->query(dataset.photos[0].image, 3);
-  const QueryResult b = backend->query_summarized(
-      backend->summarize(dataset.photos[0].image), 3);
-  EXPECT_DOUBLE_EQ(a.cost.elapsed_s(), b.cost.elapsed_s());
-  EXPECT_EQ(a.parallel_tasks.size(), b.parallel_tasks.size());
+  EXPECT_GT(batch.front().store_writes, 0u);
+  const QueryResult a = single->query(dataset.photos[0].image, 3);
+  const QueryResult b =
+      single->query_signature(single->summarize(dataset.photos[0].image), 3);
+  EXPECT_EQ(a.candidates, b.candidates);
+  EXPECT_EQ(a.table_slot_reads, b.table_slot_reads);
 }
 
 // The instruments the shared scaffold owns, registered by every backend
@@ -185,15 +190,19 @@ TEST_P(BackendContractTest, RegistersEverySharedInstrument) {
   for (const auto& [name, value] : snap.histograms) names.insert(name);
   for (const char* want :
        {"fe_sm.images", "fe_sm.summarize_s", "index.inserts", "index.erases",
-        "index.queries", "index.insert_sim_s", "index.query_sim_s",
-        "query.wall_s", "index.insert_batch_size", "index.query_batch_size",
-        "index.erase_batch_size", "index.size", "sa.keys_derived",
-        "sa.insert_hash_ops", "sa.keys_wall_s", "sa.probe_keys_per_query",
+        "index.queries", "query.wall_s", "index.insert_batch_size",
+        "index.query_batch_size", "index.erase_batch_size", "index.size",
+        "sa.keys_derived", "sa.keys_wall_s", "sa.probe_keys_per_query",
         "rank.wall_s", "chs.slot_reads", "chs.fingerprint_false_hits",
         "chs.bucket_probes_per_query", "chs.candidates_per_query",
         "index.writer_locks", "index.reader_locks", "lock.writer_wait_s",
         "lock.reader_wait_s"}) {
     EXPECT_TRUE(names.contains(want)) << "missing " << want;
+  }
+  // Simulated prices stay out of the live registry (core::sim_cost).
+  for (const char* gone :
+       {"index.insert_sim_s", "index.query_sim_s", "sa.insert_hash_ops"}) {
+    EXPECT_FALSE(names.contains(gone)) << "unexpected " << gone;
   }
   EXPECT_EQ(snap.histograms.at("query.wall_s").count, kQueries);
   EXPECT_EQ(snap.histograms.at("rank.wall_s").count, kQueries);

@@ -138,22 +138,34 @@ TEST_F(ConcurrentTest, ParallelInsertersAllLand) {
   EXPECT_EQ(index.size(), kThreads * sigs.size());
 }
 
-// Regression: a thread-safe frontend once dropped the FE + Bloom-hash
-// charges that the image insert applies, so the same upload was billed
-// less when the frontend summarized outside its lock and placed the
-// signature itself. The image path must charge exactly the signature path
-// plus frontend_insert_cost(), and the batch and query paths likewise.
+void expect_same_work(const InsertResult& a, const InsertResult& b,
+                      std::size_t i) {
+  EXPECT_EQ(a.ok, b.ok) << i;
+  EXPECT_EQ(a.rehashes, b.rehashes) << i;
+  EXPECT_EQ(a.slot_reads, b.slot_reads) << i;
+  EXPECT_EQ(a.store_writes, b.store_writes) << i;
+}
+
+void expect_same_work(const QueryResult& a, const QueryResult& b,
+                      std::size_t i) {
+  EXPECT_EQ(a.candidates, b.candidates) << i;
+  EXPECT_EQ(a.bucket_probes, b.bucket_probes) << i;
+  EXPECT_EQ(a.table_slot_reads, b.table_slot_reads) << i;
+}
+
+// A frontend that summarizes outside its lock and places the signature
+// itself must report exactly the work of the image insert, so both are
+// priced alike (core::sim_cost adds the FE + Bloom-hash front end to
+// either); the batch and query paths likewise.
 TEST_F(ConcurrentTest, InsertCostMatchesPlainIndex) {
   FastIndex split(small_config(), *pca_);
   FastIndex plain(small_config(), *pca_);
   for (std::size_t i = 0; i < 8; ++i) {
     const hash::SparseSignature sig = split.summarize(dataset_->photos[i].image);
-    InsertResult a = split.insert_signature(i, sig);
-    a.cost.merge(split.frontend_insert_cost());
+    const InsertResult a = split.insert_signature(i, sig);
     const InsertResult b = plain.insert(i, dataset_->photos[i].image);
-    EXPECT_DOUBLE_EQ(a.cost.elapsed_s(), b.cost.elapsed_s()) << i;
-    EXPECT_EQ(a.cost.hash_ops(), b.cost.hash_ops()) << i;
-    EXPECT_EQ(a.cost.ram_accesses(), b.cost.ram_accesses()) << i;
+    expect_same_work(a, b, i);
+    EXPECT_GT(a.slot_reads, 0u) << i;
   }
 }
 
@@ -169,8 +181,7 @@ TEST_F(ConcurrentTest, InsertBatchCostMatchesPlainIndex) {
   ASSERT_EQ(batch.size(), items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
     const InsertResult b = plain.insert(items[i].id, *items[i].image);
-    EXPECT_DOUBLE_EQ(batch[i].cost.elapsed_s(), b.cost.elapsed_s()) << i;
-    EXPECT_EQ(batch[i].cost.hash_ops(), b.cost.hash_ops()) << i;
+    expect_same_work(batch[i], b, i);
   }
 }
 
@@ -180,12 +191,10 @@ TEST_F(ConcurrentTest, QueryCostMatchesPlainIndex) {
     index.insert(i, dataset_->photos[i].image);
   }
   for (std::size_t i = 0; i < 8; ++i) {
-    const QueryResult a = index.query_summarized(
+    const QueryResult a = index.query_signature(
         index.summarize(dataset_->photos[i].image), 3);
     const QueryResult b = index.query(dataset_->photos[i].image, 3);
-    EXPECT_DOUBLE_EQ(a.cost.elapsed_s(), b.cost.elapsed_s()) << i;
-    EXPECT_EQ(a.cost.hash_ops(), b.cost.hash_ops()) << i;
-    EXPECT_EQ(a.cost.ram_accesses(), b.cost.ram_accesses()) << i;
+    expect_same_work(a, b, i);
   }
 }
 

@@ -1834,9 +1834,7 @@ TEST_F(PackedRankingTest, RankPrefixIndexMatchesFoldOnlyIndex) {
     const core::QueryResult b = folded.query_signature(query, 10);
     ASSERT_EQ(a.candidates, b.candidates);
     ASSERT_EQ(a.bucket_probes, b.bucket_probes);
-    ASSERT_EQ(a.parallel_tasks, b.parallel_tasks);
-    ASSERT_EQ(a.cost.elapsed_s(), b.cost.elapsed_s());
-    ASSERT_EQ(a.cost.hash_ops(), b.cost.hash_ops());
+    ASSERT_EQ(a.table_slot_reads, b.table_slot_reads);
     ASSERT_EQ(a.hits.size(), b.hits.size());
     for (std::size_t h = 0; h < a.hits.size(); ++h) {
       ASSERT_EQ(a.hits[h].id, b.hits[h].id) << "hit " << h;
@@ -1945,16 +1943,14 @@ class SlabIndexTest : public PackedRankingTest {
   }
 
   /// Same hits and candidates; with `same_work`, also the same probe work
-  /// and simulated cost.
+  /// (and so the same simulated price).
   static void expect_same_answer(const core::QueryResult& a,
                                  const core::QueryResult& b,
                                  bool same_work = true) {
     ASSERT_EQ(a.candidates, b.candidates);
     if (same_work) {
       ASSERT_EQ(a.bucket_probes, b.bucket_probes);
-      ASSERT_EQ(a.parallel_tasks, b.parallel_tasks);
-      ASSERT_EQ(a.cost.elapsed_s(), b.cost.elapsed_s());
-      ASSERT_EQ(a.cost.hash_ops(), b.cost.hash_ops());
+      ASSERT_EQ(a.table_slot_reads, b.table_slot_reads);
     }
     ASSERT_EQ(a.hits.size(), b.hits.size());
     for (std::size_t h = 0; h < a.hits.size(); ++h) {
@@ -1967,10 +1963,10 @@ class SlabIndexTest : public PackedRankingTest {
 // After churn, every query gathers exactly the brute-force candidates and
 // ranks them exactly as the pairwise merge does. A fresh index built from
 // the surviving summaries answers identically. On the flat layout that
-// includes simulated cost and parallel tasks (flat addressing reads a fixed
-// number of slots per lookup, so cost does not depend on the churned table
-// layout); a tiered index probes once per layer, so its probe work follows
-// its seal history and only hits and candidates must match.
+// includes the per-table slot reads (flat addressing reads a fixed number
+// of slots per lookup, so the probe work does not depend on the churned
+// table layout); a tiered index probes once per layer, so its probe work
+// follows its seal history and only hits and candidates must match.
 TEST_F(SlabIndexTest, ChurnedIndexMatchesPairwiseReference) {
   for (const bool multiprobe : {false, true}) {
     core::FastConfig flat = flat_config();

@@ -8,6 +8,7 @@
 #include "baseline/sift_baseline.hpp"
 #include "core/fast_index.hpp"
 #include "core/query_engine.hpp"
+#include "core/sim_cost.hpp"
 #include "test_helpers.hpp"
 #include "vision/pca_sift.hpp"
 #include "workload/query_gen.hpp"
@@ -153,7 +154,12 @@ TEST_F(IntegrationTest, LatencyOrderingMatchesPaper) {
   const double rnpe_s =
       rnpe.query(probe.geo_x, probe.geo_y, probe.landmark, probe.view, 5)
           .cost.elapsed_s();
-  const double fast_s = index.query(probe.image, 5).cost.elapsed_s();
+  const hash::SparseSignature probe_sig = index.summarize(probe.image);
+  const double fast_s =
+      core::sim_cost::query(index, probe_sig,
+                            index.query_signature(probe_sig, 5),
+                            /*from_image=*/true)
+          .clock.elapsed_s();
 
   EXPECT_LT(fast_s, rnpe_s);
   EXPECT_LT(rnpe_s, pca_s);
@@ -226,7 +232,12 @@ TEST_F(IntegrationTest, InsertLatencyFlatVersusBaselineGrowth) {
   for (std::size_t i = 0; i < n; ++i) {
     const auto& photo = dataset_->photos[i];
     const double s = sift.insert(photo.id, photo.image).cost.elapsed_s();
-    const double f = index.insert(photo.id, photo.image).cost.elapsed_s();
+    const hash::SparseSignature sig = index.summarize(photo.image);
+    const double f =
+        core::sim_cost::insert(index, sig,
+                               index.insert_signature(photo.id, sig),
+                               /*from_image=*/true)
+            .elapsed_s();
     if (i < 5) {
       sift_first += s;
       fast_first += f;
@@ -248,9 +259,7 @@ TEST_F(IntegrationTest, ParallelBatchMatchesSerialResults) {
     index.insert_signature(photo.id, sigs.back());
   }
   core::QueryEngine engine(index, 4);
-  core::BatchOptions opts;
-  opts.top_k = 3;
-  const core::BatchReport report = engine.run_batch(sigs, opts);
+  const core::BatchReport report = engine.run_batch(sigs, 3);
   for (std::size_t i = 0; i < sigs.size(); ++i) {
     const core::QueryResult serial = index.query_signature(sigs[i], 3);
     ASSERT_EQ(report.results[i].hits.size(), serial.hits.size());

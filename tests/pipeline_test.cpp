@@ -1,6 +1,6 @@
 // Batch-first execution path and stage composition: insert_batch /
 // query_batch must be indistinguishable from sequential per-item calls
-// (identical final index state, hits, scores, and cost accounting), and
+// (identical final index state, hits, scores, and reported work), and
 // the stage-injection constructor must compose caller-provided backends.
 #include <memory>
 #include <vector>
@@ -67,8 +67,8 @@ TEST_F(PipelineTest, InsertBatchMatchesSequentialInserts) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     EXPECT_EQ(batch_results[i].ok, seq_results[i].ok);
     EXPECT_EQ(batch_results[i].rehashes, seq_results[i].rehashes);
-    EXPECT_DOUBLE_EQ(batch_results[i].cost.elapsed_s(),
-                     seq_results[i].cost.elapsed_s());
+    EXPECT_EQ(batch_results[i].slot_reads, seq_results[i].slot_reads);
+    EXPECT_EQ(batch_results[i].store_writes, seq_results[i].store_writes);
   }
   // The resulting indexes answer identically.
   for (const auto& item : items) {
@@ -108,7 +108,8 @@ TEST_F(PipelineTest, QueryBatchMatchesIndividualQueries) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const QueryResult single = index.query(*queries[i], 3);
     ASSERT_EQ(batch[i].hits.size(), single.hits.size());
-    EXPECT_DOUBLE_EQ(batch[i].cost.elapsed_s(), single.cost.elapsed_s());
+    EXPECT_EQ(batch[i].candidates, single.candidates);
+    EXPECT_EQ(batch[i].table_slot_reads, single.table_slot_reads);
     for (std::size_t h = 0; h < single.hits.size(); ++h) {
       EXPECT_EQ(batch[i].hits[h].id, single.hits[h].id);
       EXPECT_DOUBLE_EQ(batch[i].hits[h].score, single.hits[h].score);

@@ -7,6 +7,7 @@
 
 #include "core/fast_index.hpp"
 #include "core/sharded_index.hpp"
+#include "core/sim_cost.hpp"
 #include "core/tiered_index.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
@@ -81,26 +82,55 @@ TEST_F(ShardedTest, QueryCostIncludesNetworkHops) {
   ShardedFastIndex index(small_config(), *pca_, 4, 2);
   const auto sig = index.shard(0).summarize(dataset_->photos[0].image);
   index.insert_signature(0, sig);
-  const QueryResult r = index.query_signature(sig, 3);
+  const ShardedQueryResult r = index.query_signature(sig, 3);
   EXPECT_GT(r.cost.elapsed_s(), 2 * small_config().cost.net_rtt_s);
 }
 
-// The distributed insert is the local insert plus exactly one signature-
-// routing network hop — same FE + Bloom-hash + placement accounting as the
-// plain index underneath (the cost-parity contract every image-ingest
-// frontend keeps).
-TEST_F(ShardedTest, InsertCostIsPlainIndexPlusOneNetworkHop) {
+// An image query pays the same front end (feature extraction plus the
+// Bloom hashing) on the distributed index as on the plain one: a 1-shard
+// image query costs a FastIndex image query plus the scatter and gather
+// hops.
+TEST_F(ShardedTest, ImageQueryCostsPlainImageQueryPlusHops) {
+  ShardedFastIndex sharded(small_config(), *pca_, 1, 1);
+  FastIndex plain(small_config(), *pca_);
+  for (std::size_t i = 0; i < 12; ++i) {
+    const auto sig = plain.summarize(dataset_->photos[i].image);
+    sharded.insert_signature(i, sig);
+    plain.insert_signature(i, sig);
+  }
+  const sim::CostModel cost = small_config().cost;
+  constexpr std::size_t kTopK = 5;
+  const double hops_s =
+      cost.net_transfer_s(512) +
+      cost.net_transfer_s(kTopK * (sizeof(std::uint64_t) + sizeof(float)));
+  for (std::size_t i = 0; i < 4; ++i) {
+    const img::Image& image = dataset_->photos[i * 5].image;
+    const ShardedQueryResult a = sharded.query(image, kTopK);
+    const auto sig = plain.summarize(image);
+    const sim::SimClock b =
+        sim_cost::query(plain, sig, plain.query_signature(sig, kTopK),
+                        /*from_image=*/true)
+            .clock;
+    EXPECT_NEAR(a.cost.elapsed_s(), b.elapsed_s() + hops_s,
+                1e-12 * b.elapsed_s())
+        << i;
+    EXPECT_EQ(a.cost.hash_ops(), b.hash_ops()) << i;
+  }
+}
+
+// The distributed insert reports exactly the placement work of the plain
+// index underneath, whether it arrives as an image or as a signature.
+TEST_F(ShardedTest, InsertWorkMatchesPlainIndex) {
   // One shard so the storage seed (and thus probe counts) match `plain`
   // exactly; the multi-shard batch path is covered by
   // InsertBatchMatchesPerItemInserts.
   ShardedFastIndex sharded(small_config(), *pca_, 1, 1);
   FastIndex plain(small_config(), *pca_);
-  const double hop_s = small_config().cost.net_transfer_s(512);
   for (std::size_t i = 0; i < 8; ++i) {
     const InsertResult a = sharded.insert(i, dataset_->photos[i].image);
     const InsertResult b = plain.insert(i, dataset_->photos[i].image);
-    EXPECT_NEAR(a.cost.elapsed_s(), b.cost.elapsed_s() + hop_s, 1e-12) << i;
-    EXPECT_EQ(a.cost.hash_ops(), b.cost.hash_ops()) << i;
+    EXPECT_EQ(a.slot_reads, b.slot_reads) << i;
+    EXPECT_EQ(a.store_writes, b.store_writes) << i;
   }
 }
 
@@ -234,8 +264,8 @@ TEST_F(ShardedTest, InsertBatchMatchesPerItemInserts) {
   }
   for (std::size_t i = 0; i < items.size(); ++i) {
     EXPECT_EQ(batch_results[i].ok, seq_results[i].ok);
-    EXPECT_DOUBLE_EQ(batch_results[i].cost.elapsed_s(),
-                     seq_results[i].cost.elapsed_s());
+    EXPECT_EQ(batch_results[i].slot_reads, seq_results[i].slot_reads);
+    EXPECT_EQ(batch_results[i].store_writes, seq_results[i].store_writes);
   }
 }
 
@@ -254,9 +284,10 @@ TEST_F(ShardedTest, QueryBatchMatchesPerItemQueries) {
   const auto batch = index.query_batch(queries, 5);
   ASSERT_EQ(batch.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const QueryResult single = index.query(*queries[i], 5);
+    const ShardedQueryResult single = index.query(*queries[i], 5);
     ASSERT_EQ(batch[i].hits.size(), single.hits.size());
-    EXPECT_DOUBLE_EQ(batch[i].cost.elapsed_s(), single.cost.elapsed_s());
+    EXPECT_EQ(batch[i].cost.elapsed_s(), single.cost.elapsed_s());
+    EXPECT_EQ(batch[i].candidates, single.candidates);
     for (std::size_t h = 0; h < single.hits.size(); ++h) {
       EXPECT_EQ(batch[i].hits[h].id, single.hits[h].id);
       EXPECT_DOUBLE_EQ(batch[i].hits[h].score, single.hits[h].score);
@@ -462,9 +493,10 @@ TEST_F(ShardedTest, RoutedQueryBatchMatchesPerItemQueries) {
   const auto batch = index.query_batch(queries, 5);
   ASSERT_EQ(batch.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const QueryResult single = index.query(*queries[i], 5);
+    const ShardedQueryResult single = index.query(*queries[i], 5);
     ASSERT_EQ(batch[i].hits.size(), single.hits.size());
-    EXPECT_DOUBLE_EQ(batch[i].cost.elapsed_s(), single.cost.elapsed_s());
+    EXPECT_EQ(batch[i].cost.elapsed_s(), single.cost.elapsed_s());
+    EXPECT_EQ(batch[i].candidates, single.candidates);
     for (std::size_t h = 0; h < single.hits.size(); ++h) {
       EXPECT_EQ(batch[i].hits[h].id, single.hits[h].id);
       EXPECT_DOUBLE_EQ(batch[i].hits[h].score, single.hits[h].score);

@@ -1,19 +1,22 @@
 // Pins the simulated prices the paper-figure benches read off a fixed small
 // flat index: image- and signature-query prices, the Fig. 7 makespans, the
 // SimClock event counters, a 4-shard scatter-gather query and the insert
-// prices. The expected values were captured before pricing moved out of the
-// backends, and they never change: a pricing refactor must reproduce them.
-// Query prices are bit-exact (hex floats); insert elapsed times may differ
-// in the last bits, because the placement's slot reads can be summed before
-// or after they are multiplied, so they are compared to 1e-12 relative.
+// prices. The expected values were captured while the backends still priced
+// their own calls, before core::sim_cost existed, and they never change: a
+// pricing refactor must reproduce them. Query prices are bit-exact (hex
+// floats); insert elapsed times may differ in the last bits, because the
+// placement's slot reads can be summed before or after they are
+// multiplied, so they are compared to 1e-12 relative.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/fast_index.hpp"
 #include "core/sharded_index.hpp"
+#include "core/sim_cost.hpp"
 #include "sim/cluster_model.hpp"
 #include "test_helpers.hpp"
 
@@ -106,17 +109,18 @@ TEST_F(SimCostPinTest, QueryPricesAndMakespans) {
       {0x1.4a814ba29e58fp-5, 0x1.4a81b70268c39p-7, 0x1.4b70b0860907dp-10},
       {0x1.49ea10ccce47fp-5, 0x1.49ea7c2c98b1fp-7, 0x1.4aa82b130f629p-10}};
   for (std::size_t i = 0; i < 3; ++i) {
-    const img::Image& image = dataset_->photos[photos[i]].image;
-    const QueryResult by_image = index.query(image, 5);
-    const QueryResult by_signature =
-        index.query_signature(index.summarize(image), 5);
-    expect_exact(price_of(by_image.cost), want_image[i], "image query");
-    expect_exact(price_of(by_signature.cost), want_signature[i],
-                 "signature query");
+    const hash::SparseSignature sig =
+        index.summarize(dataset_->photos[photos[i]].image);
+    const QueryResult r = index.query_signature(sig, 5);
+    const sim_cost::QueryPrice by_image =
+        sim_cost::query(index, sig, r, /*from_image=*/true);
+    expect_exact(price_of(by_image.clock), want_image[i], "image query");
+    expect_exact(price_of(sim_cost::query(index, sig, r, false).clock),
+                 want_signature[i], "signature query");
     const std::size_t cores[] = {1, 4, 32};
     for (std::size_t c = 0; c < 3; ++c) {
       const double makespan =
-          sim::ClusterModel::makespan(by_image.parallel_tasks, cores[c]);
+          sim::ClusterModel::makespan(by_image.tasks, cores[c]);
       EXPECT_EQ(makespan, want_makespan[i][c])
           << "photo " << photos[i] << " at " << cores[c] << " cores: "
           << hex(makespan);
@@ -127,9 +131,11 @@ TEST_F(SimCostPinTest, QueryPricesAndMakespans) {
 TEST_F(SimCostPinTest, PStableSignatureQueryPrice) {
   FastIndex index(config(FastConfig::SaBackend::kPStable), *pca_);
   fill(index);
-  const QueryResult r =
-      index.query_signature(index.summarize(dataset_->photos[17].image), 5);
-  expect_exact(price_of(r.cost), Price{0x1.4b79d0fc5c5c6p-10, 0, 0, 1176},
+  const hash::SparseSignature sig =
+      index.summarize(dataset_->photos[17].image);
+  const QueryResult r = index.query_signature(sig, 5);
+  expect_exact(price_of(sim_cost::query(index, sig, r, false).clock),
+               Price{0x1.4b79d0fc5c5c6p-10, 0, 0, 1176},
                "p-stable signature query");
 }
 
@@ -144,7 +150,7 @@ TEST_F(SimCostPinTest, ShardedSignatureQueryPrice) {
   const double want[] = {0x1.5c039492a73f8p-11, 0x1.88c2cb85e9a86p-11,
                          0x1.631c59fdcd4aap-11};
   for (std::size_t i = 0; i < 3; ++i) {
-    const QueryResult r = index.query_signature(
+    const ShardedQueryResult r = index.query_signature(
         index.shard(0).summarize(dataset_->photos[photos[i]].image), 5);
     EXPECT_EQ(r.cost.elapsed_s(), want[i])
         << "photo " << photos[i] << ": " << hex(r.cost.elapsed_s());
@@ -157,18 +163,24 @@ TEST_F(SimCostPinTest, InsertPrices) {
     const bool minhash = sa == FastConfig::SaBackend::kMinHash;
     SCOPED_TRACE(minhash ? "minhash" : "p-stable");
     FastIndex index(config(sa), *pca_);
+    const auto insert = [&](std::uint64_t id, std::size_t photo) {
+      const hash::SparseSignature sig =
+          index.summarize(dataset_->photos[photo].image);
+      return std::pair(sig, index.insert_signature(id, sig));
+    };
     // The first insert, from an image, into the empty index.
-    const InsertResult first = index.insert(0, dataset_->photos[0].image);
-    std::vector<InsertResult> rest;
+    const auto [sig0, placed0] = insert(0, 0);
+    const sim::SimClock first = sim_cost::insert(index, sig0, placed0, true);
+    std::vector<sim::SimClock> rest;
     for (std::uint64_t id = 1; id < 16; ++id) {
-      rest.push_back(index.insert_signature(
-          id, index.summarize(dataset_->photos[id].image)));
+      const auto [sig, placed] = insert(id, id);
+      rest.push_back(sim_cost::insert(index, sig, placed, false));
     }
     // A replacing insert: id 3 takes photo 20's signature.
-    const InsertResult replace = index.insert_signature(
-        3, index.summarize(dataset_->photos[20].image));
+    const auto [sig3, placed3] = insert(3, 20);
+    const sim::SimClock replace = sim_cost::insert(index, sig3, placed3, false);
     sim::SimClock total;
-    for (const InsertResult& r : rest) total.merge(r.cost);
+    for (const sim::SimClock& clock : rest) total.merge(clock);
     const Price want_first =
         minhash ? Price{0x1.4aeb581f9e227p-5, 86752, 0, 768}
                 : Price{0x1.51ab994b6b0d7p-5, 1024, 1146880, 112};
@@ -181,9 +193,9 @@ TEST_F(SimCostPinTest, InsertPrices) {
     const Price want_total =
         minhash ? Price{0x1.63f2902243f0ap-8, 1430976, 0, 11384}
                 : Price{0x1.1c9c17f91b098p-6, 0, 17203200, 1680};
-    expect_close(price_of(first.cost), want_first, "first image insert");
-    expect_close(price_of(rest[4].cost), want_fifth, "insert of id 5");
-    expect_close(price_of(replace.cost), want_replace, "replacing insert");
+    expect_close(price_of(first), want_first, "first image insert");
+    expect_close(price_of(rest[4]), want_fifth, "insert of id 5");
+    expect_close(price_of(replace), want_replace, "replacing insert");
     expect_close(price_of(total), want_total, "ids 1..15");
   }
 }

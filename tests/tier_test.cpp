@@ -357,6 +357,19 @@ TEST_F(TierTest, ShardedDeploymentRunsTieredShards) {
   EXPECT_GT(tiered.shard(0).size() + tiered.shard(1).size(), 0u);
 }
 
+// Both layouts report the same placement work for the same insert: the
+// lookups' slot reads and one lookup's worth of store writes per group
+// created, so the first insert into an empty index prices alike.
+TEST_F(TierTest, FirstInsertReportsFlatPlacementWork) {
+  TieredIndex tiered(tiered_config(), *pca_);
+  FastIndex flat(flat_config(), *pca_);
+  const InsertResult a = tiered.insert_signature(0, (*sigs_)[0]);
+  const InsertResult b = flat.insert_signature(0, (*sigs_)[0]);
+  EXPECT_GT(b.store_writes, 0u);
+  EXPECT_EQ(a.slot_reads, b.slot_reads);
+  EXPECT_EQ(a.store_writes, b.store_writes);
+}
+
 TEST_F(TierTest, QueryEngineServesTieredBackend) {
   TieredIndex tiered(tiered_config(), *pca_);
   FastIndex flat(flat_config(), *pca_);
