@@ -349,6 +349,12 @@ void run_churn(bool smoke) {
   const auto after_churn = writer_waits();
   index.wait_idle();
 
+  // Only the idle row's sim cells are reproducible byte for byte. During
+  // churn the reader races the writers, so the layers a query walks
+  // (memtable or sealed segments, before or after a compaction) and hence
+  // its priced index work depend on the thread interleaving: the "during
+  // churn" sim p50/p99 move by a fraction of a microsecond between runs
+  // of the same build.
   util::Table lat({"phase", "wall p50", "wall p99", "sim p50", "sim p99",
                    "reader-wait p50", "reader-wait p99", "writer-wait p99"});
   const auto add_phase = [&](const std::string& phase, const Timed& t,

@@ -23,6 +23,48 @@ std::vector<std::uint64_t> IndexLayer::sorted_ids() const {
   return ids;
 }
 
+// --- Group table ------------------------------------------------------------
+
+void IndexLayer::add_member(std::size_t g, std::uint32_t slot) {
+  GroupHead& head = heads_[g];
+  if (head.count == 1) {
+    std::uint32_t spill;
+    if (free_spills_.empty()) {
+      FAST_CHECK(spills_.size() < UINT32_MAX);
+      spill = static_cast<std::uint32_t>(spills_.size());
+      spills_.emplace_back();
+    } else {
+      spill = free_spills_.back();
+      free_spills_.pop_back();
+    }
+    spills_[spill].assign({head.value, slot});
+    head.value = spill;
+  } else if (head.count > 1) {
+    spills_[head.value].push_back(slot);
+  } else {
+    head.value = slot;
+  }
+  ++head.count;
+}
+
+std::uint32_t IndexLayer::remove_member(std::size_t g, std::uint32_t slot) {
+  GroupHead& head = heads_[g];
+  if (head.count <= 1) {
+    if (head.count == 1 && head.value == slot) head = GroupHead{};
+    return head.count;
+  }
+  std::vector<std::uint32_t>& members = spills_[head.value];
+  members.erase(std::remove(members.begin(), members.end(), slot),
+                members.end());
+  head.count = static_cast<std::uint32_t>(members.size());
+  if (head.count <= 1) {
+    free_spills_.push_back(head.value);
+    head.value = members.empty() ? 0 : members.front();
+    members.clear();
+  }
+  return head.count;
+}
+
 // --- Writes -----------------------------------------------------------------
 
 IndexLayer::Placed IndexLayer::place(std::uint64_t id,
@@ -40,11 +82,11 @@ IndexLayer::Placed IndexLayer::place(std::uint64_t id,
     const auto group = store_->find(t, keys[t], &lookup_probes, profile);
     placed.slot_reads += lookup_probes;
     if (group) {
-      groups_[*group].push_back(slot);
+      add_member(*group, slot);
       ++placed.group_hits;
     } else {
-      const std::uint64_t group_id = groups_.size();
-      groups_.emplace_back(std::vector<std::uint32_t>{slot});
+      const std::uint64_t group_id = heads_.size();
+      heads_.push_back(GroupHead{1, slot});
       placed.rehashes += store_->place(t, keys[t], group_id);
       ++placed.group_creates;
       placed.store_writes += store_->lookup_cost_probes(t);
@@ -58,13 +100,11 @@ void IndexLayer::remove(std::uint64_t id, std::span<const std::uint64_t> keys) {
   FAST_CHECK_MSG(it != slot_of_.end(), "remove() on an absent id");
   const std::uint32_t slot = it->second;
   for (std::size_t t = 0; t < keys.size(); ++t) {
-    if (const auto group = store_->find(t, keys[t])) {
-      auto& members = groups_[*group];
-      members.erase(std::remove(members.begin(), members.end(), slot),
-                    members.end());
-      // (Flat-cuckoo rebuild logs keep the mapping; a rebuilt table would
-      // resurrect the key pointing at an empty group — harmless.)
-      if (members.empty()) store_->erase_key(t, keys[t]);
+    // (Flat-cuckoo rebuild logs keep the mapping; a rebuilt table would
+    // resurrect the key pointing at an empty group — harmless.)
+    const auto group = store_->find(t, keys[t]);
+    if (group && remove_member(*group, slot) == 0) {
+      store_->erase_key(t, keys[t]);
     }
   }
   slab_.remove(slot);
@@ -87,8 +127,8 @@ void IndexLayer::collect(std::span<const std::uint64_t> keys,
     auto probe_bucket = [&](std::uint64_t key) {
       ++probed;
       std::size_t lookup_probes = 0;
-      if (const auto group = store_->find(t, key, &lookup_probes, profile)) {
-        out.add(groups_[*group]);
+      if (const auto g = store_->find(t, key, &lookup_probes, profile)) {
+        out.add(group(*g));
       }
       table_slot_reads[t] += lookup_probes;
     };
@@ -115,8 +155,8 @@ std::size_t IndexLayer::bytes() const {
     bytes += sizeof(id) + slab_.storage_bytes(slot);
   }
   bytes += store_->store_bytes();
-  for (const auto& group : groups_) {
-    bytes += sizeof(std::uint64_t) * group.size() + sizeof(std::uint64_t);
+  for (const GroupHead& head : heads_) {
+    bytes += sizeof(std::uint64_t) * head.count + sizeof(std::uint64_t);
   }
   bytes += sizeof(std::uint64_t) * tombstones_.size();
   return bytes;
@@ -136,8 +176,9 @@ void IndexLayer::write_signatures(util::ByteWriter& out) const {
 }
 
 void IndexLayer::write_groups(util::ByteWriter& out) const {
-  out.u64(groups_.size());
-  for (const auto& members : groups_) {
+  out.u64(heads_.size());
+  for (std::size_t g = 0; g < heads_.size(); ++g) {
+    const std::span<const std::uint32_t> members = group(g);
     out.u64(members.size());
     for (const std::uint32_t slot : members) out.u64(slab_.id(slot));
   }
@@ -176,19 +217,17 @@ bool IndexLayer::read_signatures(util::ByteReader& in) {
 bool IndexLayer::read_groups(util::ByteReader& in) {
   const std::uint64_t group_count = in.u64();
   if (!in.ok() || group_count > in.remaining() / 8) return false;
-  groups_.reserve(group_count);
+  heads_.reserve(group_count);
   for (std::uint64_t g = 0; g < group_count; ++g) {
     const std::uint64_t members = in.u64();
     if (!in.ok() || members > in.remaining() / 8) return false;
-    std::vector<std::uint32_t> list;
-    list.reserve(members);
+    heads_.emplace_back();
     for (std::uint64_t i = 0; i < members; ++i) {
       // Every member must have a stored signature to be ranked against.
       const auto slot = slot_of_.find(in.u64());
       if (slot == slot_of_.end()) return false;
-      list.push_back(slot->second);
+      add_member(g, slot->second);
     }
-    groups_.push_back(std::move(list));
   }
   return in.ok();
 }

@@ -130,10 +130,15 @@ class IndexLayer {
     return slot_of_.size() + tombstones_.size();
   }
   bool empty() const noexcept { return mention_count() == 0; }
-  std::size_t group_count() const noexcept { return groups_.size(); }
-  /// Member slots of group `g`, in membership order.
-  const std::vector<std::uint32_t>& group(std::size_t g) const {
-    return groups_.at(g);
+  std::size_t group_count() const noexcept { return heads_.size(); }
+  /// Member slots of group `g`, in membership order: a one-member group's
+  /// slot is read from its head, with no spill chase. Valid until the next
+  /// write to this layer.
+  std::span<const std::uint32_t> group(std::size_t g) const {
+    FAST_CHECK(g < heads_.size());
+    const GroupHead& head = heads_[g];
+    if (head.count <= 1) return {&head.value, head.count};
+    return spills_[head.value];
   }
 
   bool contains(std::uint64_t id) const { return slot_of_.contains(id); }
@@ -206,11 +211,28 @@ class IndexLayer {
   bool deserialize(util::ByteReader& in);
 
  private:
+  // One correlation group: `count` member slots of slab_. A one-member
+  // group keeps its slot in `value`; a group of two or more keeps its
+  // members in spills_[value]. An emptied group keeps a zero-count head
+  // (group ids are never reused).
+  struct GroupHead {
+    std::uint32_t count = 0;
+    std::uint32_t value = 0;
+  };
+
+  /// Appends `slot` to group `g`, spilling a one-member group.
+  void add_member(std::size_t g, std::uint32_t slot);
+  /// Drops every occurrence of `slot` from group `g`, folding a group left
+  /// with one member back into its head. Returns the members left.
+  std::uint32_t remove_member(std::size_t g, std::uint32_t slot);
+
   std::unique_ptr<pipeline::GroupStore> store_;
-  // Group id -> member slots of slab_. Queries rank straight off the
+  // Group id -> head (DESIGN.md §3q). Queries rank straight off the member
   // slots; slot_of_ maps ids to slots for the write, lookup and snapshot
   // paths, never for a query.
-  std::vector<std::vector<std::uint32_t>> groups_;
+  std::vector<GroupHead> heads_;
+  std::vector<std::vector<std::uint32_t>> spills_;
+  std::vector<std::uint32_t> free_spills_;  ///< empty spills_ to reuse
   hash::SignatureSlab slab_;
   std::unordered_map<std::uint64_t, std::uint32_t> slot_of_;
   std::unordered_set<std::uint64_t> tombstones_;

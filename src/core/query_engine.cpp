@@ -8,7 +8,7 @@
 namespace fast::core {
 
 QueryEngine::QueryEngine(Backend& backend, std::size_t threads)
-    : backend_(backend), pool_(threads) {
+    : backend_(backend), threads_(threads) {
   util::MetricsRegistry& r = backend_.metrics();
   batches_ = &r.counter("engine.batches");
   batch_size_ = &r.count_histogram("engine.batch_size");
@@ -42,8 +42,11 @@ BatchReport QueryEngine::run_batch(
   BatchReport report;
   report.results.resize(queries.size());
 
+  std::call_once(pool_started_, [this] {
+    pool_ = std::make_unique<util::ThreadPool>(threads_);
+  });
   util::WallTimer timer;
-  pool_.parallel_for(queries.size(), [&](std::size_t i) {
+  pool_->parallel_for(queries.size(), [&](std::size_t i) {
     report.results[i] = backend_.query_signature(queries[i], k);
   });
   report.native_wall_s = timer.elapsed_seconds();

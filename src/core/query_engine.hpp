@@ -1,9 +1,11 @@
 // Parallel query execution — and the mutating facade the network server
 // routes through — over one core::Backend (flat or tiered; the engine never
 // asks which). A thread pool fans independent queries (and their probe
-// work) across host cores. The engine reports results and native wall
-// time only; the figures' simulated latencies come from core::sim_cost
-// and sim::ClusterModel, called by the benches themselves.
+// work) across host cores. The pool starts on the first run_batch, so an
+// engine that only serves single queries (fast_server) starts no thread.
+// The engine reports results and native wall time only; the figures'
+// simulated latencies come from core::sim_cost and sim::ClusterModel,
+// called by the benches themselves.
 //
 // Write facade: insert/erase passthroughs route to the backend, preserving
 // WAL durability; engine-routed writes are bit-identical to calling the
@@ -14,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -32,7 +35,8 @@ struct BatchReport {
 class QueryEngine {
  public:
   /// Serves a caller-owned backend, which must outlive the engine.
-  /// `threads` native worker threads (0 = hardware concurrency).
+  /// run_batch fans out over `threads` native worker threads (0 = hardware
+  /// concurrency), started on its first call.
   explicit QueryEngine(Backend& backend, std::size_t threads = 0);
 
   /// Serves (and owns) `backend`.
@@ -51,7 +55,8 @@ class QueryEngine {
   /// segment_count, ...). FAST_CHECKs that the backend is tiered.
   const TieredIndex& tiered() const;
 
-  /// Runs a batch of top-`k` signature queries in parallel.
+  /// Runs a batch of top-`k` signature queries in parallel (starting the
+  /// pool on the first call).
   BatchReport run_batch(std::span<const hash::SparseSignature> queries,
                         std::size_t k = 10);
 
@@ -107,7 +112,9 @@ class QueryEngine {
   /// destroyed last, after the pool's workers have stopped.
   std::unique_ptr<Backend> owned_;
   Backend& backend_;
-  util::ThreadPool pool_;
+  std::size_t threads_;
+  std::once_flag pool_started_;
+  std::unique_ptr<util::ThreadPool> pool_;
   util::Counter* batches_ = nullptr;
   util::Histogram* batch_size_ = nullptr;
   util::Histogram* batch_wall_s_ = nullptr;

@@ -426,6 +426,57 @@ TEST_F(FastIndexTest, BatchReportShapes) {
   }
 }
 
+std::size_t process_threads() {
+  std::size_t threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+// An engine that only serves single queries (the server's use) starts no
+// thread; the first run_batch starts the pool and answers as sequential
+// queries do.
+TEST_F(FastIndexTest, EngineStartsItsPoolOnFirstBatch) {
+  FastIndex index(small_config(), *pca_);
+  std::vector<hash::SparseSignature> sigs;
+  for (std::size_t i = 0; i < 12; ++i) {
+    sigs.push_back(index.summarize(dataset_->photos[i].image));
+    index.insert_signature(i, sigs.back());
+  }
+  const std::size_t before = process_threads();
+  QueryEngine engine(index, 3);
+  EXPECT_EQ(process_threads(), before);
+  std::vector<QueryResult> sequential;
+  for (const auto& sig : sigs) {
+    sequential.push_back(engine.query_signature(sig, 3));
+  }
+  EXPECT_EQ(process_threads(), before);
+
+  // At least: a sanitizer runtime may start a helper thread of its own
+  // alongside the first pool thread.
+  const BatchReport report = engine.run_batch(sigs, 3);
+  const std::size_t started = process_threads();
+  EXPECT_GE(started, before + 3);
+  ASSERT_EQ(report.results.size(), sequential.size());
+  for (std::size_t i = 0; i < sigs.size(); ++i) {
+    const QueryResult& a = report.results[i];
+    const QueryResult& b = sequential[i];
+    EXPECT_EQ(a.candidates, b.candidates) << "query " << i;
+    EXPECT_EQ(a.bucket_probes, b.bucket_probes) << "query " << i;
+    EXPECT_EQ(a.table_slot_reads, b.table_slot_reads) << "query " << i;
+    ASSERT_EQ(a.hits.size(), b.hits.size()) << "query " << i;
+    for (std::size_t h = 0; h < a.hits.size(); ++h) {
+      EXPECT_EQ(a.hits[h].id, b.hits[h].id);
+      EXPECT_EQ(a.hits[h].score, b.hits[h].score);
+    }
+  }
+  EXPECT_EQ(index.metrics().counter("engine.batches").value(), 1u);
+  engine.run_batch(sigs, 3);
+  EXPECT_EQ(process_threads(), started);
+}
+
 TEST_F(FastIndexTest, FewSlotsQueueLatency) {
   FastIndex index(small_config(), *pca_);
   std::vector<hash::SparseSignature> sigs;

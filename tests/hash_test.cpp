@@ -2,6 +2,8 @@
 #include <cmath>
 #include <filesystem>
 #include <map>
+#include <optional>
+#include <random>
 #include <set>
 #include <span>
 #include <string>
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fast_index.hpp"
+#include "core/index_layer.hpp"
 #include "core/pipeline/factory.hpp"
 #include "core/tiered_index.hpp"
 #include "hash/aggregators.hpp"
@@ -2194,6 +2197,229 @@ TEST_F(SlabIndexTest, ConcurrentQueriesMatchSequentialAnswers) {
     }
     for (auto& r : readers) r.join();
   }
+}
+
+// ---------- Compact correlation groups ----------
+
+// An IndexLayer keeps a one-member group inline in its head and spills a
+// larger one to a reused list (DESIGN.md §3q). These drive one layer
+// through scripted histories and hold it to a model that keeps every group
+// as a plain member list: same groups, same members in membership order,
+// same bucket keys, same snapshot bytes.
+class GroupTableTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kTables = 3;
+
+  /// Groups as plain id lists plus each table's key -> group map.
+  struct Model {
+    std::vector<std::vector<std::uint64_t>> groups;
+    std::vector<std::map<std::uint64_t, std::size_t>> key_group =
+        std::vector<std::map<std::uint64_t, std::size_t>>(kTables);
+
+    void place(std::uint64_t id, std::span<const std::uint64_t> keys) {
+      for (std::size_t t = 0; t < keys.size(); ++t) {
+        const auto [it, created] = key_group[t].emplace(keys[t], groups.size());
+        if (created) {
+          groups.push_back({id});
+        } else {
+          groups[it->second].push_back(id);
+        }
+      }
+    }
+    void remove(std::uint64_t id, std::span<const std::uint64_t> keys) {
+      for (std::size_t t = 0; t < keys.size(); ++t) {
+        const auto it = key_group[t].find(keys[t]);
+        if (it == key_group[t].end()) continue;
+        auto& members = groups[it->second];
+        members.erase(std::remove(members.begin(), members.end(), id),
+                      members.end());
+        if (members.empty()) key_group[t].erase(it);
+      }
+    }
+    std::vector<std::uint8_t> encode_groups() const {
+      util::ByteWriter out;
+      out.u64(groups.size());
+      for (const auto& members : groups) {
+        out.u64(members.size());
+        for (const std::uint64_t id : members) out.u64(id);
+      }
+      return out.take();
+    }
+  };
+
+  static core::FastConfig config() {
+    core::FastConfig cfg;
+    cfg.cuckoo.capacity = 256;
+    return cfg;
+  }
+  /// A small distinct summary per id (its content does not matter here:
+  /// the keys are chosen by the test).
+  static SparseSignature signature(std::uint64_t id) {
+    const auto bits = static_cast<std::uint32_t>(config().bloom_bits);
+    return SparseSignature(
+        {static_cast<std::uint32_t>(id % bits),
+         static_cast<std::uint32_t>((id * 7919 + 17) % bits) | 1u << 13},
+        bits);
+  }
+  static std::vector<std::uint64_t> member_ids(const core::IndexLayer& layer,
+                                               std::size_t g) {
+    std::vector<std::uint64_t> ids;
+    for (const std::uint32_t slot : layer.group(g)) {
+      ids.push_back(layer.slab().id(slot));
+    }
+    return ids;
+  }
+  static void expect_matches(const core::IndexLayer& layer, const Model& model,
+                             std::uint64_t key_limit) {
+    ASSERT_EQ(layer.group_count(), model.groups.size());
+    for (std::size_t g = 0; g < model.groups.size(); ++g) {
+      ASSERT_EQ(member_ids(layer, g), model.groups[g]) << "group " << g;
+    }
+    for (std::size_t t = 0; t < kTables; ++t) {
+      for (std::uint64_t key = 0; key < key_limit; ++key) {
+        const auto it = model.key_group[t].find(key);
+        const std::optional<std::uint64_t> want =
+            it == model.key_group[t].end()
+                ? std::nullopt
+                : std::optional<std::uint64_t>(it->second);
+        ASSERT_EQ(layer.store().find(t, key), want)
+            << "table " << t << " key " << key;
+      }
+    }
+    util::ByteWriter out;
+    layer.write_groups(out);
+    ASSERT_EQ(out.data(), model.encode_groups());
+  }
+  static core::IndexLayer restore(const core::IndexLayer& layer) {
+    util::ByteWriter out;
+    layer.serialize(out);
+    core::IndexLayer back(config(), kTables);
+    util::ByteReader in(out.data());
+    EXPECT_TRUE(back.deserialize(in));
+    return back;
+  }
+};
+
+// Seeded inserts, erases and re-inserts over a small key space, so groups
+// grow past one member, shrink back to one, empty out (releasing their
+// keys) and come back under fresh group ids; the layer matches the model
+// after every step, and a snapshot of the final state restores to it.
+TEST_F(GroupTableTest, ScriptedChurnMatchesPlainGroupLists) {
+  constexpr std::uint64_t kIds = 40;
+  constexpr std::uint64_t kKeys = 6;
+  core::IndexLayer layer(config(), kTables);
+  Model model;
+  std::mt19937_64 rng(0x6a0c);
+  std::map<std::uint64_t, std::vector<std::uint64_t>> live;  // id -> keys
+  std::size_t spilled = 0, demoted = 0, emptied = 0;
+  for (std::size_t step = 0; step < 600; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::uint64_t id = rng() % kIds;
+    if (const auto it = live.find(id); it != live.end()) {
+      const std::vector<std::uint64_t> keys = it->second;
+      std::vector<std::size_t> sizes;
+      for (std::size_t t = 0; t < kTables; ++t) {
+        sizes.push_back(model.groups[model.key_group[t].at(keys[t])].size());
+      }
+      layer.remove(id, keys);
+      model.remove(id, keys);
+      live.erase(it);
+      for (const std::size_t size : sizes) {
+        demoted += size == 2 ? 1 : 0;
+        emptied += size == 1 ? 1 : 0;
+      }
+    } else {
+      std::vector<std::uint64_t> keys;
+      for (std::size_t t = 0; t < kTables; ++t) keys.push_back(rng() % kKeys);
+      for (std::size_t t = 0; t < kTables; ++t) {
+        const auto g = model.key_group[t].find(keys[t]);
+        spilled += g != model.key_group[t].end() &&
+                           model.groups[g->second].size() == 1
+                       ? 1
+                       : 0;
+      }
+      layer.place(id, signature(id), keys, nullptr);
+      model.place(id, keys);
+      live.emplace(id, keys);
+    }
+    expect_matches(layer, model, kKeys);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(spilled, 20u);
+  EXPECT_GT(demoted, 20u);
+  EXPECT_GT(emptied, 20u);
+  EXPECT_EQ(layer.entries(), live.size());
+
+  const core::IndexLayer back = restore(layer);
+  expect_matches(back, model, kKeys);
+}
+
+// A snapshot holding a zero-member group (its key released) and a group
+// demoted from two members to one restores to the same groups, and the
+// restored layer keeps growing and shrinking them like the live one.
+TEST_F(GroupTableTest, RestoresEmptiedAndDemotedGroups) {
+  core::IndexLayer layer(config(), kTables);
+  Model model;
+  const std::vector<std::uint64_t> shared = {1, 1, 1};
+  const std::vector<std::uint64_t> alone = {2, 2, 2};
+  for (const auto& [id, keys] :
+       std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>>{
+           {10, shared}, {11, shared}, {12, alone}}) {
+    layer.place(id, signature(id), keys, nullptr);
+    model.place(id, keys);
+  }
+  layer.remove(12, alone);  // three emptied groups
+  model.remove(12, alone);
+  layer.remove(10, shared);  // three groups demoted to {11}
+  model.remove(10, shared);
+  ASSERT_NO_FATAL_FAILURE(expect_matches(layer, model, 4));
+  ASSERT_EQ(model.groups.size(), 6u);
+  EXPECT_TRUE(model.groups[3].empty());
+  EXPECT_EQ(model.groups[0], std::vector<std::uint64_t>{11});
+
+  core::IndexLayer back = restore(layer);
+  ASSERT_NO_FATAL_FAILURE(expect_matches(back, model, 4));
+  for (core::IndexLayer* l : {&layer, &back}) {
+    l->place(13, signature(13), shared, nullptr);
+    l->place(14, signature(14), alone, nullptr);
+    l->remove(11, shared);
+  }
+  model.place(13, shared);
+  model.place(14, alone);
+  model.remove(11, shared);
+  EXPECT_EQ(model.groups[0], std::vector<std::uint64_t>{13});
+  ASSERT_NO_FATAL_FAILURE(expect_matches(layer, model, 4));
+  ASSERT_NO_FATAL_FAILURE(expect_matches(back, model, 4));
+  EXPECT_DEATH(layer.group(layer.group_count()), "g < heads_.size");
+}
+
+// FastIndex::group_members lists members in the order they joined, not in
+// id order, through spills, demotions and re-joins.
+TEST_F(GroupTableTest, FastIndexListsMembersInMembershipOrder) {
+  core::FastIndex index(config(), test::fake_pca());
+  const SparseSignature sig = signature(3);
+  const auto members = [&] {
+    std::set<std::vector<std::uint64_t>> distinct;
+    for (std::size_t g = 0; g < index.group_count(); ++g) {
+      if (auto ids = index.group_members(g); !ids.empty()) {
+        distinct.insert(std::move(ids));
+      }
+    }
+    return distinct;
+  };
+  using Lists = std::set<std::vector<std::uint64_t>>;
+  // One summary under every id: all of them share each table's group.
+  for (const std::uint64_t id : {30, 10, 20}) index.insert_signature(id, sig);
+  EXPECT_EQ(members(), (Lists{{30, 10, 20}}));
+  ASSERT_TRUE(index.erase(10));
+  EXPECT_EQ(members(), (Lists{{30, 20}}));
+  index.insert_signature(10, sig);
+  EXPECT_EQ(members(), (Lists{{30, 20, 10}}));
+  ASSERT_TRUE(index.erase(30));
+  ASSERT_TRUE(index.erase(20));
+  EXPECT_EQ(members(), (Lists{{10}}));
+  index.insert_signature(5, sig);
+  EXPECT_EQ(members(), (Lists{{10, 5}}));
 }
 
 }  // namespace
