@@ -10,6 +10,7 @@
 #include "img/transform.hpp"
 #include "util/rng.hpp"
 #include "util/vecmath.hpp"
+#include "vision/bloom_summarizer.hpp"
 #include "vision/dog_detector.hpp"
 #include "vision/gaussian.hpp"
 #include "vision/matcher.hpp"
@@ -17,6 +18,7 @@
 #include "vision/pca_sift.hpp"
 #include "vision/pyramid.hpp"
 #include "vision/sift_descriptor.hpp"
+#include "workload/query_gen.hpp"
 #include "workload/scene_generator.hpp"
 
 namespace fast::vision {
@@ -580,6 +582,104 @@ TEST(PcaSift, SimilarPatchesProjectClose) {
   // Same keypoint, slightly noisy image: projections nearly identical
   // relative to the typical descriptor scale.
   EXPECT_LT(util::l2_distance(d1, d2), 0.3 * util::l2_norm(d1) + 1e-3);
+}
+
+// ---------- FE/SM pin ----------
+
+// What FE (DoG + PCA-SIFT) and SM (Bloom) emit for the first 24 Wuhan
+// photos and 8 near-duplicate probes of them, with the eigenspace trained
+// on the first 16 photos at 9 x 9 patches. The digests were recorded
+// before the FE kernels were rewritten and must never be edited: every
+// keypoint, descriptor and signature bit has to stay the same.
+struct FeSmCorpus {
+  std::vector<img::Image> images;  // 24 photos, then 8 probes
+  PcaModel model;
+};
+
+const FeSmCorpus& fe_sm_corpus() {
+  static const FeSmCorpus corpus = [] {
+    const auto dataset =
+        workload::SceneGenerator(workload::DatasetSpec::wuhan(24)).generate();
+    FeSmCorpus c;
+    for (const auto& photo : dataset.photos) c.images.push_back(photo.image);
+    const std::vector<img::Image> sample(c.images.begin(),
+                                         c.images.begin() + 16);
+    c.model = train_pca_sift(sample, small_patches(), 1500);
+    for (auto& q : workload::make_dup_queries(dataset, 8)) {
+      c.images.push_back(std::move(q.image));
+    }
+    return c;
+  }();
+  return corpus;
+}
+
+class Digest {
+ public:
+  template <typename T>
+  void add(const T& v) {
+    const auto* b = reinterpret_cast<const unsigned char*>(&v);
+    bytes_.insert(bytes_.end(), b, b + sizeof(T));
+  }
+  template <typename T>
+  void add_all(std::span<const T> v) {
+    add(v.size());
+    for (const T& x : v) add(x);
+  }
+  std::uint64_t value() const {
+    return hash::fnv1a_64(bytes_.data(), bytes_.size());
+  }
+
+ private:
+  std::vector<unsigned char> bytes_;
+};
+
+DogConfig pinned_dog() {
+  DogConfig dog;
+  dog.max_keypoints = BloomSummarizerConfig{}.max_keypoints;
+  return dog;
+}
+
+TEST(FeSmPin, KeypointsArePinned) {
+  Digest d;
+  for (const img::Image& im : fe_sm_corpus().images) {
+    const auto kps = detect_keypoints(im, pinned_dog());
+    d.add(kps.size());
+    for (const Keypoint& kp : kps) {
+      d.add(kp.x);
+      d.add(kp.y);
+      d.add(kp.sigma);
+      d.add(kp.orientation);
+      d.add(kp.response);
+      d.add(kp.octave);
+      d.add(kp.level);
+    }
+  }
+  EXPECT_EQ(d.value(), 0x230d432cd618bffeULL);
+}
+
+TEST(FeSmPin, DescriptorsArePinned) {
+  const FeSmCorpus& c = fe_sm_corpus();
+  Digest d;
+  for (const img::Image& im : c.images) {
+    for (const Keypoint& kp : detect_keypoints(im, pinned_dog())) {
+      const auto desc = compute_pca_sift(im, kp, c.model, small_patches());
+      d.add_all(std::span<const float>(desc));
+    }
+  }
+  EXPECT_EQ(d.value(), 0x94de9a2597a1113fULL);
+}
+
+TEST(FeSmPin, SignaturesArePinned) {
+  const FeSmCorpus& c = fe_sm_corpus();
+  BloomSummarizerConfig cfg;
+  cfg.pca_sift = small_patches();
+  const BloomSummarizer summarizer(cfg, c.model);
+  Digest d;
+  for (const img::Image& im : c.images) {
+    const auto sig = summarizer.summarize(im);
+    d.add_all(std::span<const std::uint32_t>(sig.set_bits()));
+  }
+  EXPECT_EQ(d.value(), 0x49f5caafbace93ecULL);
 }
 
 // ---------- Matcher ----------
