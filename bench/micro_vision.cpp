@@ -1,6 +1,7 @@
 // Google-benchmark micro suite for the vision substrate: Gaussian
-// filtering, pyramid construction, DoG detection, the two descriptors and
-// the Jacobi eigensolver behind PCA-SIFT training.
+// filtering, pyramid construction, DoG detection, the two descriptors, the
+// whole FE+SM summary of a Wuhan photo and the Jacobi eigensolver behind
+// PCA-SIFT training.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,8 +11,10 @@
 #include <cstring>
 #include <numeric>
 
+#include "hash/hashes.hpp"
 #include "img/draw.hpp"
 #include "util/vecmath.hpp"
+#include "vision/bloom_summarizer.hpp"
 #include "vision/dog_detector.hpp"
 #include "vision/gaussian.hpp"
 #include "vision/matcher.hpp"
@@ -91,6 +94,185 @@ void BM_MatchFeatures(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatchFeatures);
+
+// ---------- FE kernels on Wuhan photos ----------
+
+// gaussian_blur as it was before the row-major rewrite, kept verbatim as
+// the timing baseline and the parity reference.
+img::Image reference_gaussian_blur(const img::Image& src, double sigma) {
+  const std::vector<float> kernel = vision::gaussian_kernel(sigma);
+  const int radius = static_cast<int>(kernel.size() / 2);
+  const auto w = static_cast<std::ptrdiff_t>(src.width());
+  const auto h = static_cast<std::ptrdiff_t>(src.height());
+
+  // Horizontal pass.
+  img::Image tmp(src.width(), src.height());
+  for (std::ptrdiff_t y = 0; y < h; ++y) {
+    const float* in = src.row(static_cast<std::size_t>(y));
+    float* out = tmp.row(static_cast<std::size_t>(y));
+    for (std::ptrdiff_t x = 0; x < w; ++x) {
+      double acc = 0.0;
+      for (int k = -radius; k <= radius; ++k) {
+        const std::ptrdiff_t xx = std::clamp<std::ptrdiff_t>(x + k, 0, w - 1);
+        acc += static_cast<double>(in[xx]) *
+               kernel[static_cast<std::size_t>(k + radius)];
+      }
+      out[x] = static_cast<float>(acc);
+    }
+  }
+
+  // Vertical pass.
+  img::Image dst(src.width(), src.height());
+  for (std::ptrdiff_t y = 0; y < h; ++y) {
+    float* out = dst.row(static_cast<std::size_t>(y));
+    for (std::ptrdiff_t x = 0; x < w; ++x) {
+      double acc = 0.0;
+      for (int k = -radius; k <= radius; ++k) {
+        const std::ptrdiff_t yy = std::clamp<std::ptrdiff_t>(y + k, 0, h - 1);
+        acc += static_cast<double>(
+                   tmp.row(static_cast<std::size_t>(yy))[x]) *
+               kernel[static_cast<std::size_t>(k + radius)];
+      }
+      out[x] = static_cast<float>(acc);
+    }
+  }
+  return dst;
+}
+
+// The first 32 Wuhan photos (128 x 128): the scenes servebench's
+// search_real summarizes.
+const std::vector<img::Image>& wuhan_photos() {
+  static const std::vector<img::Image> photos = [] {
+    const auto dataset =
+        workload::SceneGenerator(workload::DatasetSpec::wuhan(32)).generate();
+    std::vector<img::Image> out;
+    for (const auto& photo : dataset.photos) out.push_back(photo.image);
+    return out;
+  }();
+  return photos;
+}
+
+// The blur sigma of the pyramid's first octave step (1.6 -> 1.6 * 2^(1/3)).
+constexpr double kStepSigma = 1.2262735;
+
+void BM_GaussianBlurReference(benchmark::State& state) {
+  const auto& photos = wuhan_photos();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        reference_gaussian_blur(photos[i++ % photos.size()], kStepSigma));
+  }
+}
+BENCHMARK(BM_GaussianBlurReference)->Unit(benchmark::kMicrosecond);
+
+// gaussian_blur on the same photos; any byte that differs from the
+// reference aborts the run.
+void BM_GaussianBlurWuhan(benchmark::State& state) {
+  const auto& photos = wuhan_photos();
+  std::vector<img::Image> expected;
+  for (const auto& im : photos) {
+    expected.push_back(reference_gaussian_blur(im, kStepSigma));
+  }
+  vision::BlurScratch scratch;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t at = i++ % photos.size();
+    const img::Image out =
+        vision::gaussian_blur(photos[at], kStepSigma, scratch);
+    benchmark::DoNotOptimize(out.pixels().data());
+    if (std::memcmp(out.pixels().data(), expected[at].pixels().data(),
+                    out.pixel_count() * sizeof(float)) != 0) {
+      std::fprintf(stderr, "gaussian_blur differs from the reference\n");
+      std::abort();
+    }
+  }
+}
+BENCHMARK(BM_GaussianBlurWuhan)->Unit(benchmark::kMicrosecond);
+
+class Digest {
+ public:
+  template <typename T>
+  void add(const T& v) {
+    const auto* b = reinterpret_cast<const unsigned char*>(&v);
+    bytes_.insert(bytes_.end(), b, b + sizeof(T));
+  }
+  std::uint64_t value() const {
+    return hash::fnv1a_64(bytes_.data(), bytes_.size());
+  }
+
+ private:
+  std::vector<unsigned char> bytes_;
+};
+
+// Digests of what detect_keypoints and BloomSummarizer (default config,
+// 17 x 17 patches) emit for the 32 photos, recorded with the scalar
+// kernels the FE rewrite replaced. Each benchmark checks them before it
+// times anything and aborts on a mismatch.
+constexpr std::uint64_t kKeypointDigest = 0xdfa87c55d0ed27d5ULL;
+constexpr std::uint64_t kSignatureDigest = 0x3650e1215243ac53ULL;
+
+void check_digest(const char* what, std::uint64_t got, std::uint64_t want) {
+  if (got != want) {
+    std::fprintf(stderr, "%s digest %016llx, pinned %016llx\n", what,
+                 static_cast<unsigned long long>(got),
+                 static_cast<unsigned long long>(want));
+    std::abort();
+  }
+}
+
+void BM_DetectKeypointsWuhan(benchmark::State& state) {
+  const auto& photos = wuhan_photos();
+  vision::DogConfig dog;
+  dog.max_keypoints = vision::BloomSummarizerConfig{}.max_keypoints;
+  Digest d;
+  std::size_t keypoints = 0;
+  for (const auto& im : photos) {
+    const auto kps = vision::detect_keypoints(im, dog);
+    keypoints += kps.size();
+    d.add(kps.size());
+    for (const auto& kp : kps) {
+      d.add(kp.x);
+      d.add(kp.y);
+      d.add(kp.sigma);
+      d.add(kp.orientation);
+      d.add(kp.response);
+      d.add(kp.octave);
+      d.add(kp.level);
+    }
+  }
+  check_digest("keypoint", d.value(), kKeypointDigest);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        vision::detect_keypoints(photos[i++ % photos.size()], dog));
+  }
+  state.counters["keypoints"] =
+      static_cast<double>(keypoints) / static_cast<double>(photos.size());
+}
+BENCHMARK(BM_DetectKeypointsWuhan)->Unit(benchmark::kMicrosecond);
+
+// FE + SM of one photo, as servebench's fe_sm.summarize_all runs it: the
+// eigenspace is trained on the first 16 photos at the default 17 x 17
+// patches (d = 578), capped at 1,500 patches.
+void BM_SummarizeWuhan(benchmark::State& state) {
+  const auto& photos = wuhan_photos();
+  const std::vector<img::Image> sample(photos.begin(), photos.begin() + 16);
+  const vision::BloomSummarizer summarizer(
+      {}, vision::train_pca_sift(sample, {}, 1500));
+  Digest d;
+  for (const auto& im : photos) {
+    const auto sig = summarizer.summarize(im);
+    d.add(sig.set_bits().size());
+    for (std::uint32_t bit : sig.set_bits()) d.add(bit);
+  }
+  check_digest("signature", d.value(), kSignatureDigest);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        summarizer.summarize(photos[i++ % photos.size()]));
+  }
+}
+BENCHMARK(BM_SummarizeWuhan)->Unit(benchmark::kMicrosecond);
 
 // The cyclic Jacobi loop as it was before the column rotations were
 // deferred, kept verbatim as the timing baseline and the parity reference.

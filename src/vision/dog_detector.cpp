@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <vector>
+
+#include "util/check.hpp"
+#include "util/isa_clones.hpp"
 
 namespace fast::vision {
 
@@ -9,27 +14,64 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-/// True if dogs[l](x, y) is a strict extremum of its 26-neighborhood.
-bool is_extremum(const std::vector<img::Image>& dogs, std::size_t l,
-                 std::size_t x, std::size_t y) {
-  const float v = dogs[l].at(x, y);
-  // Ignore tiny responses early; full contrast check happens after refine.
-  if (std::fabs(v) < 1e-4f) return false;
-  const bool is_max = v > 0;
-  for (std::size_t dl = l - 1; dl <= l + 1; ++dl) {
-    const img::Image& plane = dogs[dl];
-    for (std::ptrdiff_t dy = -1; dy <= 1; ++dy) {
-      for (std::ptrdiff_t dx = -1; dx <= 1; ++dx) {
-        if (dl == l && dx == 0 && dy == 0) continue;
-        const float n =
-            plane.at(x + static_cast<std::size_t>(dx + 1) - 1,
-                     y + static_cast<std::size_t>(dy + 1) - 1);
-        if (is_max ? (n >= v) : (n <= v)) return false;
-      }
+/// Marks the strict extrema of one DoG row among their 26 scale-space
+/// neighbours: for x in [1, n - 1), flags[x] = 1 iff |c[x]| >= 1e-4 and
+/// c[x] lies above every neighbour (c[x] > 0) or below every neighbour
+/// (c[x] < 0). `lo`, `c` and `hi` point at the same row of three adjacent
+/// levels, `stride` steps one row, and `columns` holds 4 * n floats of
+/// scratch.
+///
+/// "Above every neighbour" is tested as "above their maximum", which is
+/// the same test for finite pixels. The maximum is taken per column first:
+/// the 8 column values around c[x] (all but c[x] itself), and all 9 for the
+/// columns either side, so both loops vectorize.
+FAST_AVX2_CLONES
+void mark_extrema(const float* lo, const float* c, const float* hi,
+                  std::ptrdiff_t stride, std::size_t n,
+                  float* __restrict columns, unsigned char* __restrict flags) {
+  float* __restrict ring_max = columns;
+  float* __restrict ring_min = columns + n;
+  float* __restrict all_max = columns + 2 * n;
+  float* __restrict all_min = columns + 3 * n;
+  const float* const rows[8] = {lo - stride, lo, lo + stride, c - stride,
+                                c + stride,  hi - stride, hi, hi + stride};
+  auto larger = [](float a, float b) { return a > b ? a : b; };
+  auto smaller = [](float a, float b) { return a < b ? a : b; };
+  for (std::size_t x = 0; x < n; ++x) {
+    float most = rows[0][x];
+    float least = most;
+    for (std::size_t r = 1; r < 8; ++r) {
+      most = larger(rows[r][x], most);
+      least = smaller(rows[r][x], least);
     }
+    ring_max[x] = most;
+    ring_min[x] = least;
+    all_max[x] = larger(c[x], most);
+    all_min[x] = smaller(c[x], least);
   }
-  return true;
+  for (std::size_t x = 1; x + 1 < n; ++x) {
+    const float most =
+        larger(ring_max[x], larger(all_max[x - 1], all_max[x + 1]));
+    const float least =
+        smaller(ring_min[x], smaller(all_min[x - 1], all_min[x + 1]));
+    // Tiny responses are dropped early; the full contrast check happens
+    // after refine.
+    const float v = c[x];
+    const bool big = !(std::fabs(v) < 1e-4f);
+    const bool pos = v > 0;
+    flags[x] = big & ((pos & (most < v)) | (!pos & (least > v)));
+  }
 }
+
+/// The 3 x 3 x 3 DoG neighbourhood of one scale-space sample: `c` points
+/// at the sample in its level, `lo` and `hi` at the same pixel one level
+/// down and up, and `stride` steps one row.
+struct Neighbourhood {
+  const float* lo;
+  const float* c;
+  const float* hi;
+  std::ptrdiff_t stride;
+};
 
 struct Refined {
   bool ok = false;
@@ -37,27 +79,24 @@ struct Refined {
   double value = 0;               // interpolated |DoG|
 };
 
-/// One Newton step on the 3-D quadratic fit around the sample (x, y, l).
-Refined refine(const std::vector<img::Image>& dogs, std::size_t l,
-               std::size_t x, std::size_t y) {
-  const img::Image& c = dogs[l];
-  const img::Image& lo = dogs[l - 1];
-  const img::Image& hi = dogs[l + 1];
-  const double v = c.at(x, y);
+/// One Newton step on the 3-D quadratic fit around the sample.
+Refined refine(const Neighbourhood& n) {
+  const float* c = n.c;
+  const float* lo = n.lo;
+  const float* hi = n.hi;
+  const std::ptrdiff_t w = n.stride;
+  const double v = c[0];
 
-  const double gx = 0.5 * (c.at(x + 1, y) - c.at(x - 1, y));
-  const double gy = 0.5 * (c.at(x, y + 1) - c.at(x, y - 1));
-  const double gs = 0.5 * (hi.at(x, y) - lo.at(x, y));
+  const double gx = 0.5 * (c[1] - c[-1]);
+  const double gy = 0.5 * (c[w] - c[-w]);
+  const double gs = 0.5 * (hi[0] - lo[0]);
 
-  const double hxx = c.at(x + 1, y) - 2 * v + c.at(x - 1, y);
-  const double hyy = c.at(x, y + 1) - 2 * v + c.at(x, y - 1);
-  const double hss = hi.at(x, y) - 2 * v + lo.at(x, y);
-  const double hxy = 0.25 * (c.at(x + 1, y + 1) - c.at(x - 1, y + 1) -
-                             c.at(x + 1, y - 1) + c.at(x - 1, y - 1));
-  const double hxs = 0.25 * (hi.at(x + 1, y) - hi.at(x - 1, y) -
-                             lo.at(x + 1, y) + lo.at(x - 1, y));
-  const double hys = 0.25 * (hi.at(x, y + 1) - hi.at(x, y - 1) -
-                             lo.at(x, y + 1) + lo.at(x, y - 1));
+  const double hxx = c[1] - 2 * v + c[-1];
+  const double hyy = c[w] - 2 * v + c[-w];
+  const double hss = hi[0] - 2 * v + lo[0];
+  const double hxy = 0.25 * (c[w + 1] - c[w - 1] - c[-w + 1] + c[-w - 1]);
+  const double hxs = 0.25 * (hi[1] - hi[-1] - lo[1] + lo[-1]);
+  const double hys = 0.25 * (hi[w] - hi[-w] - lo[w] + lo[-w]);
 
   // Solve H * d = -g with Cramer's rule on the symmetric 3x3 Hessian.
   const double det = hxx * (hyy * hss - hys * hys) -
@@ -85,13 +124,13 @@ Refined refine(const std::vector<img::Image>& dogs, std::size_t l,
 }
 
 /// Principal-curvature edge test: keeps blob-like extrema only.
-bool passes_edge_test(const img::Image& c, std::size_t x, std::size_t y,
-                      double edge_ratio) {
-  const double v = c.at(x, y);
-  const double hxx = c.at(x + 1, y) - 2 * v + c.at(x - 1, y);
-  const double hyy = c.at(x, y + 1) - 2 * v + c.at(x, y - 1);
-  const double hxy = 0.25 * (c.at(x + 1, y + 1) - c.at(x - 1, y + 1) -
-                             c.at(x + 1, y - 1) + c.at(x - 1, y - 1));
+bool passes_edge_test(const Neighbourhood& n, double edge_ratio) {
+  const float* c = n.c;
+  const std::ptrdiff_t w = n.stride;
+  const double v = c[0];
+  const double hxx = c[1] - 2 * v + c[-1];
+  const double hyy = c[w] - 2 * v + c[-w];
+  const double hxy = 0.25 * (c[w + 1] - c[w - 1] - c[-w + 1] + c[-w - 1]);
   const double tr = hxx + hyy;
   const double det = hxx * hyy - hxy * hxy;
   if (det <= 0) return false;  // saddle: curvatures of opposite sign
@@ -110,24 +149,48 @@ double dominant_orientation(const img::Image& gaussian, double x_oct,
   const auto cx = static_cast<std::ptrdiff_t>(std::lround(x_oct));
   const auto cy = static_cast<std::ptrdiff_t>(std::lround(y_oct));
   const double inv_two_sigma2 = 1.0 / (2.0 * win_sigma * win_sigma);
+  // The window weight depends on |dx| and |dy| only: one exp per distinct
+  // pair, weights[|dy| * (radius + 1) + |dx|].
+  const auto side = static_cast<std::size_t>(radius + 1);
+  std::vector<double> weights(side * side);
+  for (int ay = 0; ay <= radius; ++ay) {
+    for (int ax = 0; ax <= radius; ++ax) {
+      weights[static_cast<std::size_t>(ay) * side +
+              static_cast<std::size_t>(ax)] =
+          std::exp(-static_cast<double>(ax * ax + ay * ay) * inv_two_sigma2);
+    }
+  }
 
+  const auto w = static_cast<std::ptrdiff_t>(gaussian.width());
+  const auto h = static_cast<std::ptrdiff_t>(gaussian.height());
   for (int dy = -radius; dy <= radius; ++dy) {
+    const std::ptrdiff_t py = cy + dy;
+    const double* wrow =
+        weights.data() + static_cast<std::size_t>(std::abs(dy)) * side;
+    // Rows py - 1 .. py + 1 inside the image: interior pixels of this row
+    // read their four neighbours without clamping.
+    const bool rows_inside = py >= 1 && py + 1 < h;
+    const float* row = rows_inside ? gaussian.row(static_cast<std::size_t>(py))
+                                   : nullptr;
     for (int dx = -radius; dx <= radius; ++dx) {
       const std::ptrdiff_t px = cx + dx;
-      const std::ptrdiff_t py = cy + dy;
-      const double gx = gaussian.at_clamped(px + 1, py) -
-                        gaussian.at_clamped(px - 1, py);
-      const double gy = gaussian.at_clamped(px, py + 1) -
-                        gaussian.at_clamped(px, py - 1);
+      double gx, gy;
+      if (rows_inside && px >= 1 && px + 1 < w) {
+        const float* p = row + px;
+        gx = p[1] - p[-1];
+        gy = p[w] - p[-w];
+      } else {
+        gx = gaussian.at_clamped(px + 1, py) - gaussian.at_clamped(px - 1, py);
+        gy = gaussian.at_clamped(px, py + 1) - gaussian.at_clamped(px, py - 1);
+      }
       const double mag = std::sqrt(gx * gx + gy * gy);
       if (mag <= 0) continue;
-      const double w =
-          std::exp(-static_cast<double>(dx * dx + dy * dy) * inv_two_sigma2);
+      const double wgt = wrow[std::abs(dx)];
       double angle = std::atan2(gy, gx);  // [-pi, pi]
       if (angle < 0) angle += 2 * kPi;
       int bin = static_cast<int>(angle / (2 * kPi) * kBins);
       bin = std::clamp(bin, 0, kBins - 1);
-      hist[bin] += w * mag;
+      hist[bin] += wgt * mag;
     }
   }
 
@@ -173,13 +236,27 @@ std::vector<Keypoint> detect_keypoints(const img::Image& image,
     const std::size_t h = oct.dogs.front().height();
     if (w < 8 || h < 8) continue;
     for (std::size_t l = 1; l + 1 < oct.dogs.size(); ++l) {
+      const img::Image& lo = oct.dogs[l - 1];
+      const img::Image& c = oct.dogs[l];
+      const img::Image& hi = oct.dogs[l + 1];
+      FAST_CHECK(lo.width() == w && lo.height() == h && c.width() == w &&
+                 c.height() == h && hi.width() == w && hi.height() == h);
+      const auto stride = static_cast<std::ptrdiff_t>(w);
+      std::vector<float> columns(4 * w);
+      std::vector<unsigned char> flags(w);
       for (std::size_t y = 1; y + 1 < h; ++y) {
+        // Rows y - 1 .. y + 1 of all three planes lie inside the octave, so
+        // every neighbour of x in [1, w - 1) does too.
+        mark_extrema(lo.row(y), c.row(y), hi.row(y), stride, w, columns.data(),
+                     flags.data());
         for (std::size_t x = 1; x + 1 < w; ++x) {
-          if (!is_extremum(oct.dogs, l, x, y)) continue;
-          const Refined r = refine(oct.dogs, l, x, y);
+          if (!flags[x]) continue;
+          const Neighbourhood n{lo.row(y) + x, c.row(y) + x, hi.row(y) + x,
+                                stride};
+          const Refined r = refine(n);
           if (!r.ok) continue;
           if (std::fabs(r.value) < config.contrast_threshold) continue;
-          if (!passes_edge_test(oct.dogs[l], x, y, config.edge_ratio)) continue;
+          if (!passes_edge_test(n, config.edge_ratio)) continue;
 
           Keypoint kp;
           const double x_oct = static_cast<double>(x) + r.dx;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/check.hpp"
+#include "util/isa_clones.hpp"
 
 namespace fast::vision {
 
@@ -23,42 +24,84 @@ std::vector<float> gaussian_kernel(double sigma) {
   return kernel;
 }
 
-img::Image gaussian_blur(const img::Image& src, double sigma) {
-  const std::vector<float> kernel = gaussian_kernel(sigma);
-  const int radius = static_cast<int>(kernel.size() / 2);
-  const auto w = static_cast<std::ptrdiff_t>(src.width());
-  const auto h = static_cast<std::ptrdiff_t>(src.height());
+namespace {
 
-  // Horizontal pass.
-  img::Image tmp(src.width(), src.height());
-  for (std::ptrdiff_t y = 0; y < h; ++y) {
-    const float* in = src.row(static_cast<std::size_t>(y));
-    float* out = tmp.row(static_cast<std::size_t>(y));
-    for (std::ptrdiff_t x = 0; x < w; ++x) {
-      double acc = 0.0;
-      for (int k = -radius; k <= radius; ++k) {
-        const std::ptrdiff_t xx = std::clamp<std::ptrdiff_t>(x + k, 0, w - 1);
-        acc += static_cast<double>(in[xx]) *
-               kernel[static_cast<std::size_t>(k + radius)];
+/// Writes one output row: out[x] = the sum over k of rows[k][x] * taps[k],
+/// added in kernel order into a zeroed double. rows[k] + x is the source
+/// pixel tap k reads for output x. Sixteen outputs at a time keep their
+/// sums in registers across all taps.
+///
+/// Runs as AVX2 and baseline clones (util/isa_clones.hpp), which compute
+/// the same bits and would even under FMA contraction: a float pixel times
+/// a float tap is exact in double, so a fused multiply-add rounds each sum
+/// once, like the separate multiply and add.
+FAST_AVX2_CLONES
+void blur_row(const float* const* rows, const double* taps, std::size_t ntaps,
+              std::size_t n, float* __restrict out) {
+  constexpr std::size_t kBlock = 16;
+  std::size_t x = 0;
+  for (; x + kBlock <= n; x += kBlock) {
+    double sums[kBlock] = {};
+    for (std::size_t k = 0; k < ntaps; ++k) {
+      const float* src = rows[k] + x;
+      const double tap = taps[k];
+      for (std::size_t j = 0; j < kBlock; ++j) {
+        sums[j] += static_cast<double>(src[j]) * tap;
       }
-      out[x] = static_cast<float>(acc);
+    }
+    for (std::size_t j = 0; j < kBlock; ++j) {
+      out[x + j] = static_cast<float>(sums[j]);
     }
   }
-
-  // Vertical pass.
-  img::Image dst(src.width(), src.height());
-  for (std::ptrdiff_t y = 0; y < h; ++y) {
-    float* out = dst.row(static_cast<std::size_t>(y));
-    for (std::ptrdiff_t x = 0; x < w; ++x) {
-      double acc = 0.0;
-      for (int k = -radius; k <= radius; ++k) {
-        const std::ptrdiff_t yy = std::clamp<std::ptrdiff_t>(y + k, 0, h - 1);
-        acc += static_cast<double>(
-                   tmp.row(static_cast<std::size_t>(yy))[x]) *
-               kernel[static_cast<std::size_t>(k + radius)];
-      }
-      out[x] = static_cast<float>(acc);
+  for (; x < n; ++x) {
+    double sum = 0.0;
+    for (std::size_t k = 0; k < ntaps; ++k) {
+      sum += static_cast<double>(rows[k][x]) * taps[k];
     }
+    out[x] = static_cast<float>(sum);
+  }
+}
+
+}  // namespace
+
+img::Image gaussian_blur(const img::Image& src, double sigma) {
+  BlurScratch scratch;
+  return gaussian_blur(src, sigma, scratch);
+}
+
+img::Image gaussian_blur(const img::Image& src, double sigma,
+                         BlurScratch& scratch) {
+  const std::vector<float> kernel = gaussian_kernel(sigma);
+  const std::vector<double> taps(kernel.begin(), kernel.end());
+  const std::size_t radius = kernel.size() / 2;
+  const std::size_t w = src.width();
+  const std::size_t h = src.height();
+  if (src.empty()) return img::Image(w, h);
+  std::vector<const float*> rows(taps.size());
+
+  // Horizontal pass over each row padded by `radius` replicated pixels.
+  scratch.padded.resize(w + 2 * radius);
+  scratch.horizontal.resize(w * h);
+  for (std::size_t y = 0; y < h; ++y) {
+    const float* in = src.row(y);
+    float* padded = scratch.padded.data();
+    std::fill(padded, padded + radius, in[0]);
+    std::copy(in, in + w, padded + radius);
+    std::fill(padded + radius + w, padded + 2 * radius + w, in[w - 1]);
+    for (std::size_t k = 0; k < taps.size(); ++k) rows[k] = padded + k;
+    blur_row(rows.data(), taps.data(), taps.size(), w,
+             scratch.horizontal.data() + y * w);
+  }
+
+  // Vertical pass: tap k of output row y reads row clamp(y + k - radius).
+  img::Image dst(w, h);
+  for (std::size_t y = 0; y < h; ++y) {
+    for (std::size_t k = 0; k < taps.size(); ++k) {
+      const std::size_t yy =
+          std::min(h - 1, (y + k > radius) ? y + k - radius : 0);
+      rows[k] = scratch.horizontal.data() + yy * w;
+    }
+    blur_row(rows.data(), taps.data(), taps.size(), w, dst.row(y));
   }
   return dst;
 }

@@ -12,16 +12,39 @@
 #endif
 
 #include "util/check.hpp"
+#include "util/isa_clones.hpp"
 #include "util/vecmath.hpp"
 
 namespace fast::vision {
 
 std::vector<float> PcaModel::project(std::span<const float> x) const {
   FAST_CHECK(x.size() == mean.size());
-  std::vector<float> centered(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) centered[i] = x[i] - mean[i];
+  const std::size_t d = x.size();
+  std::vector<float> centered(d);
+  for (std::size_t i = 0; i < d; ++i) centered[i] = x[i] - mean[i];
   std::vector<float> out(components.size());
-  for (std::size_t c = 0; c < components.size(); ++c) {
+  // Four components at a time: four independent sums, each still adding
+  // its products in input order, as util::dot does for one.
+  constexpr std::size_t kChains = 4;
+  std::size_t c = 0;
+  for (; c + kChains <= components.size(); c += kChains) {
+    const float* rows[kChains];
+    for (std::size_t j = 0; j < kChains; ++j) {
+      FAST_CHECK(components[c + j].size() == d);
+      rows[j] = components[c + j].data();
+    }
+    double acc[kChains] = {};
+    for (std::size_t i = 0; i < d; ++i) {
+      const auto xi = static_cast<double>(centered[i]);
+      for (std::size_t j = 0; j < kChains; ++j) {
+        acc[j] += static_cast<double>(rows[j][i]) * xi;
+      }
+    }
+    for (std::size_t j = 0; j < kChains; ++j) {
+      out[c + j] = static_cast<float>(acc[j]);
+    }
+  }
+  for (; c < components.size(); ++c) {
     out[c] = static_cast<float>(util::dot(components[c], centered));
   }
   return out;
@@ -41,17 +64,9 @@ std::vector<float> PcaModel::reconstruct(
 
 namespace {
 
-// Runtime ISA dispatch for the two replay kernels: an AVX2 and a baseline
-// clone, picked at load time. No clone may enable FMA, because a fused
-// c*x - s*y rounds once where the cyclic loop rounds twice; this file is
-// also compiled with -ffp-contract=off. TSan builds take the plain loop:
-// the clone resolver runs before the TSan runtime is initialized.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define FAST_JACOBI_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define FAST_JACOBI_CLONES
-#endif
+// The two replay kernels run as AVX2 and baseline clones. No clone may
+// enable FMA, because a fused c*x - s*y rounds once where the cyclic loop
+// rounds twice; this file is also compiled with -ffp-contract=off.
 
 /// One rotation (p, q) of a sweep, logged for deferred replay.
 struct Rotation {
@@ -64,7 +79,7 @@ struct Rotation {
 /// One Jacobi rotation applied elementwise to two runs of equal length:
 ///   x[i] = c*x[i] - s*y[i],  y[i] = s*x[i] + c*y[i]  (old x[i] on the right).
 /// Rotates the rows p and q of A, and of V^T.
-FAST_JACOBI_CLONES
+FAST_AVX2_CLONES
 void rotate_runs(double* __restrict x, double* __restrict y, std::size_t len,
                  double c, double s) {
   for (std::size_t i = 0; i < len; ++i) {
@@ -118,7 +133,7 @@ inline void scatter4(double* const* rows, std::uint32_t col, const v4d& v) {
 
 /// replay_row on eight rows at once, four rows to a vector. Lane j of each
 /// vector does exactly the scalar operations on its row.
-FAST_JACOBI_CLONES
+FAST_AVX2_CLONES
 void replay_rows8(double* const* rows, const Rotation* log, std::size_t from,
                   std::size_t to) {
   if (from >= to) return;

@@ -21,11 +21,11 @@ Pyramid build_pyramid(const img::Image& base, const PyramidConfig& config) {
   const int levels = s + 3;
 
   // Bring the input up to base_sigma from its assumed initial blur.
-  img::Image current = base;
   const double delta0 = std::sqrt(
       std::max(0.01, config.base_sigma * config.base_sigma -
                           config.initial_blur * config.initial_blur));
-  current = gaussian_blur(current, delta0);
+  BlurScratch scratch;
+  img::Image current = gaussian_blur(base, delta0, scratch);
 
   int downsample = 1;
   for (int o = 0; o < config.octaves; ++o) {
@@ -37,7 +37,7 @@ Pyramid build_pyramid(const img::Image& base, const PyramidConfig& config) {
     oct.base_sigma = config.base_sigma * static_cast<double>(downsample);
     oct.downsample = downsample;
     oct.gaussians.reserve(static_cast<std::size_t>(levels));
-    oct.gaussians.push_back(current);
+    oct.gaussians.push_back(std::move(current));
     // Incremental blurs: sigma_i = base * k^i within the octave; each level
     // is produced from the previous with the differential sigma.
     double sigma_prev = config.base_sigma;
@@ -45,7 +45,8 @@ Pyramid build_pyramid(const img::Image& base, const PyramidConfig& config) {
       const double sigma_i = config.base_sigma * std::pow(k, i);
       const double delta =
           std::sqrt(sigma_i * sigma_i - sigma_prev * sigma_prev);
-      oct.gaussians.push_back(gaussian_blur(oct.gaussians.back(), delta));
+      oct.gaussians.push_back(
+          gaussian_blur(oct.gaussians.back(), delta, scratch));
       sigma_prev = sigma_i;
     }
     oct.dogs.reserve(static_cast<std::size_t>(levels - 1));

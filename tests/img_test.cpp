@@ -1,4 +1,6 @@
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include <gtest/gtest.h>
@@ -41,6 +43,42 @@ TEST(Image, BilinearExactAtPixelCenters) {
   Image im(3, 3);
   im.at(1, 1) = 0.7f;
   EXPECT_NEAR(im.sample_bilinear(1.0, 1.0), 0.7f, 1e-6);
+}
+
+// Image::sample_bilinear as it was before the interior fast path: four
+// clamped reads for every sample.
+float reference_sample_bilinear(const Image& im, double x, double y) {
+  const double fx = std::floor(x);
+  const double fy = std::floor(y);
+  const auto x0 = static_cast<std::ptrdiff_t>(fx);
+  const auto y0 = static_cast<std::ptrdiff_t>(fy);
+  const auto ax = static_cast<float>(x - fx);
+  const auto ay = static_cast<float>(y - fy);
+  const float v00 = im.at_clamped(x0, y0);
+  const float v10 = im.at_clamped(x0 + 1, y0);
+  const float v01 = im.at_clamped(x0, y0 + 1);
+  const float v11 = im.at_clamped(x0 + 1, y0 + 1);
+  const float top = v00 + ax * (v10 - v00);
+  const float bot = v01 + ax * (v11 - v01);
+  return top + ay * (bot - top);
+}
+
+TEST(Image, BilinearMatchesClampedReference) {
+  util::Rng rng(5);
+  for (std::size_t w : {1, 2, 7}) {
+    for (std::size_t h : {1, 3, 8}) {
+      Image im(w, h);
+      for (float& p : im.pixels()) p = static_cast<float>(rng.uniform(-1, 1));
+      for (int i = 0; i < 500; ++i) {
+        const double x = rng.uniform(-3.0, static_cast<double>(w) + 3.0);
+        const double y = rng.uniform(-3.0, static_cast<double>(h) + 3.0);
+        const float got = im.sample_bilinear(x, y);
+        const float want = reference_sample_bilinear(im, x, y);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << w << "x" << h << " at (" << x << ", " << y << ")";
+      }
+    }
+  }
 }
 
 TEST(Image, Clamp01) {

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iostream>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -41,6 +42,34 @@
 namespace fast::core {
 namespace {
 
+/// Directories fresh_dir made for the running test.
+std::vector<std::string>& scratch_dirs() {
+  static std::vector<std::string> dirs;
+  return dirs;
+}
+
+/// Removes the running test's directories when it ends, unless it failed:
+/// a failing case's WAL and snapshot files stay on disk for diagnosis.
+class ScratchDirCleanup : public ::testing::EmptyTestEventListener {
+  void OnTestEnd(const ::testing::TestInfo& info) override {
+    for (const std::string& dir : scratch_dirs()) {
+      if (!info.result()->Failed()) {
+        std::error_code ec;
+        std::filesystem::remove_all(dir, ec);
+      } else {
+        std::cerr << "kept " << dir << " for diagnosis\n";
+      }
+    }
+    scratch_dirs().clear();
+  }
+};
+
+[[maybe_unused]] const bool kScratchDirCleanupInstalled = [] {
+  ::testing::UnitTest::GetInstance()->listeners().Append(
+      new ScratchDirCleanup);
+  return true;
+}();
+
 std::string fresh_dir(const std::string& name) {
   // ctest runs every case as its own process against the shared TempDir;
   // the pid keeps concurrently running cases (e.g. the three crash-matrix
@@ -49,6 +78,7 @@ std::string fresh_dir(const std::string& name) {
                           std::to_string(::getpid()) + "_" + name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
+  scratch_dirs().push_back(dir);
   return dir;
 }
 

@@ -2,6 +2,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -80,6 +81,82 @@ TEST(Gaussian, SubtractComputesDifference) {
   img::Image a(2, 2, 0.75f), b(2, 2, 0.25f);
   const img::Image d = subtract(a, b);
   for (float p : d.pixels()) EXPECT_FLOAT_EQ(p, 0.5f);
+}
+
+// gaussian_blur as it was before the row-major rewrite, kept verbatim as
+// the reference the rewrite must match byte for byte.
+img::Image reference_gaussian_blur(const img::Image& src, double sigma) {
+  const std::vector<float> kernel = gaussian_kernel(sigma);
+  const int radius = static_cast<int>(kernel.size() / 2);
+  const auto w = static_cast<std::ptrdiff_t>(src.width());
+  const auto h = static_cast<std::ptrdiff_t>(src.height());
+
+  // Horizontal pass.
+  img::Image tmp(src.width(), src.height());
+  for (std::ptrdiff_t y = 0; y < h; ++y) {
+    const float* in = src.row(static_cast<std::size_t>(y));
+    float* out = tmp.row(static_cast<std::size_t>(y));
+    for (std::ptrdiff_t x = 0; x < w; ++x) {
+      double acc = 0.0;
+      for (int k = -radius; k <= radius; ++k) {
+        const std::ptrdiff_t xx = std::clamp<std::ptrdiff_t>(x + k, 0, w - 1);
+        acc += static_cast<double>(in[xx]) *
+               kernel[static_cast<std::size_t>(k + radius)];
+      }
+      out[x] = static_cast<float>(acc);
+    }
+  }
+
+  // Vertical pass.
+  img::Image dst(src.width(), src.height());
+  for (std::ptrdiff_t y = 0; y < h; ++y) {
+    float* out = dst.row(static_cast<std::size_t>(y));
+    for (std::ptrdiff_t x = 0; x < w; ++x) {
+      double acc = 0.0;
+      for (int k = -radius; k <= radius; ++k) {
+        const std::ptrdiff_t yy = std::clamp<std::ptrdiff_t>(y + k, 0, h - 1);
+        acc += static_cast<double>(
+                   tmp.row(static_cast<std::size_t>(yy))[x]) *
+               kernel[static_cast<std::size_t>(k + radius)];
+      }
+      out[x] = static_cast<float>(acc);
+    }
+  }
+  return dst;
+}
+
+// Pixels in [-0.5, 0.5): signed, like the DoG planes.
+img::Image signed_noise(std::size_t w, std::size_t h, std::uint64_t seed) {
+  util::Rng rng(seed);
+  img::Image im(w, h);
+  for (float& p : im.pixels()) p = static_cast<float>(rng.uniform(-0.5, 0.5));
+  return im;
+}
+
+bool same_bytes(const img::Image& a, const img::Image& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         std::memcmp(a.pixels().data(), b.pixels().data(),
+                     a.pixel_count() * sizeof(float)) == 0;
+}
+
+// Sizes of 1 and 2, sizes below the kernel radius (9 at sigma 3), odd
+// sizes and a full-width photo row, with one scratch reused across all of
+// them as build_pyramid reuses it across levels.
+TEST(Gaussian, BlurMatchesReferenceBytes) {
+  BlurScratch scratch;
+  std::uint64_t seed = 1;
+  for (std::size_t w : {1, 2, 5, 8, 17, 33, 128}) {
+    for (std::size_t h : {1, 2, 3, 7, 16, 31}) {
+      const img::Image im = signed_noise(w, h, seed++);
+      for (double sigma : {0.3, 0.5, 0.8, 1.2262735, 1.6, 2.2, 3.0}) {
+        SCOPED_TRACE(::testing::Message() << w << "x" << h << " sigma "
+                                          << sigma);
+        const img::Image want = reference_gaussian_blur(im, sigma);
+        EXPECT_TRUE(same_bytes(gaussian_blur(im, sigma, scratch), want));
+        EXPECT_TRUE(same_bytes(gaussian_blur(im, sigma), want));
+      }
+    }
+  }
 }
 
 // ---------- Pyramid ----------
@@ -190,6 +267,89 @@ TEST(DogDetector, OrientationFollowsRotation) {
   double delta = std::fabs(o2 - o1);
   if (delta > M_PI) delta = 2 * M_PI - delta;
   EXPECT_NEAR(delta, M_PI / 2, 0.3);
+}
+
+// dominant_orientation as it was before the weight table and the interior
+// reads, kept verbatim as the reference it must match bit for bit.
+double reference_dominant_orientation(const img::Image& gaussian, double x_oct,
+                                      double y_oct, double sigma_oct) {
+  constexpr double kPi = 3.14159265358979323846;
+  constexpr int kBins = 36;
+  double hist[kBins] = {};
+  const double win_sigma = 1.5 * sigma_oct;
+  const int radius = std::max(1, static_cast<int>(std::lround(3.0 * win_sigma)));
+  const auto cx = static_cast<std::ptrdiff_t>(std::lround(x_oct));
+  const auto cy = static_cast<std::ptrdiff_t>(std::lround(y_oct));
+  const double inv_two_sigma2 = 1.0 / (2.0 * win_sigma * win_sigma);
+
+  for (int dy = -radius; dy <= radius; ++dy) {
+    for (int dx = -radius; dx <= radius; ++dx) {
+      const std::ptrdiff_t px = cx + dx;
+      const std::ptrdiff_t py = cy + dy;
+      const double gx = gaussian.at_clamped(px + 1, py) -
+                        gaussian.at_clamped(px - 1, py);
+      const double gy = gaussian.at_clamped(px, py + 1) -
+                        gaussian.at_clamped(px, py - 1);
+      const double mag = std::sqrt(gx * gx + gy * gy);
+      if (mag <= 0) continue;
+      const double w =
+          std::exp(-static_cast<double>(dx * dx + dy * dy) * inv_two_sigma2);
+      double angle = std::atan2(gy, gx);  // [-pi, pi]
+      if (angle < 0) angle += 2 * kPi;
+      int bin = static_cast<int>(angle / (2 * kPi) * kBins);
+      bin = std::clamp(bin, 0, kBins - 1);
+      hist[bin] += w * mag;
+    }
+  }
+
+  // Smooth the circular histogram a couple of times (box of width 3).
+  for (int pass = 0; pass < 2; ++pass) {
+    double prev = hist[kBins - 1];
+    const double first = hist[0];
+    for (int b = 0; b < kBins; ++b) {
+      const double next = (b + 1 < kBins) ? hist[b + 1] : first;
+      const double cur = hist[b];
+      hist[b] = (prev + cur + next) / 3.0;
+      prev = cur;
+    }
+  }
+
+  int best = 0;
+  for (int b = 1; b < kBins; ++b) {
+    if (hist[b] > hist[best]) best = b;
+  }
+  // Parabolic interpolation of the peak.
+  const double l = hist[(best + kBins - 1) % kBins];
+  const double ctr = hist[best];
+  const double rgt = hist[(best + 1) % kBins];
+  double offset = 0.0;
+  const double denom = l - 2 * ctr + rgt;
+  if (std::fabs(denom) > 1e-12) offset = 0.5 * (l - rgt) / denom;
+  double angle = (static_cast<double>(best) + 0.5 + offset) / kBins * 2 * kPi;
+  if (angle >= 2 * kPi) angle -= 2 * kPi;
+  if (angle < 0) angle += 2 * kPi;
+  return angle;
+}
+
+// Windows inside, across and beyond every border, on small and odd-sized
+// images, at window radii from 1 to 18.
+TEST(DogDetector, OrientationMatchesReference) {
+  util::Rng rng(77);
+  for (std::size_t w : {3, 9, 64}) {
+    for (std::size_t h : {4, 33}) {
+      const img::Image im = gaussian_blur(signed_noise(w, h, w * 100 + h), 1.0);
+      for (int i = 0; i < 200; ++i) {
+        const double x = rng.uniform(-6.0, static_cast<double>(w) + 6.0);
+        const double y = rng.uniform(-6.0, static_cast<double>(h) + 6.0);
+        const double sigma = rng.uniform(0.1, 4.0);
+        const double got = dominant_orientation(im, x, y, sigma);
+        const double want = reference_dominant_orientation(im, x, y, sigma);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << w << "x" << h << " at (" << x << ", " << y << ") sigma "
+            << sigma;
+      }
+    }
+  }
 }
 
 // ---------- SIFT descriptor ----------
@@ -354,6 +514,43 @@ TEST(Pca, ProjectionReducesDimension) {
   const PcaModel model = train_pca(samples, 3);
   EXPECT_EQ(model.output_dim(), 3u);
   EXPECT_EQ(model.project(samples[0]).size(), 3u);
+}
+
+// PcaModel::project as it was before the interleaved chains: one util::dot
+// per component.
+std::vector<float> reference_project(const PcaModel& model,
+                                     std::span<const float> x) {
+  std::vector<float> centered(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) centered[i] = x[i] - model.mean[i];
+  std::vector<float> out(model.components.size());
+  for (std::size_t c = 0; c < model.components.size(); ++c) {
+    out[c] = static_cast<float>(util::dot(model.components[c], centered));
+  }
+  return out;
+}
+
+// Component counts on both sides of each multiple of the chain width.
+TEST(Pca, ProjectionMatchesReference) {
+  util::Rng rng(91);
+  for (std::size_t d : {1, 7, 162}) {
+    for (std::size_t out_dim = 1; out_dim <= 10; ++out_dim) {
+      PcaModel model;
+      model.mean.resize(d);
+      for (float& m : model.mean) m = static_cast<float>(rng.gaussian());
+      model.components.assign(out_dim, std::vector<float>(d));
+      for (auto& row : model.components) {
+        for (float& v : row) v = static_cast<float>(rng.gaussian());
+      }
+      std::vector<float> x(d);
+      for (float& v : x) v = static_cast<float>(rng.gaussian());
+      const auto got = model.project(x);
+      const auto want = reference_project(model, x);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+                0)
+          << "d=" << d << " out_dim=" << out_dim;
+    }
+  }
 }
 
 // The cyclic Jacobi loop as it was before the column rotations were
@@ -677,6 +874,31 @@ TEST(FeSmPin, SignaturesArePinned) {
   Digest d;
   for (const img::Image& im : c.images) {
     const auto sig = summarizer.summarize(im);
+    d.add_all(std::span<const std::uint32_t>(sig.set_bits()));
+  }
+  EXPECT_EQ(d.value(), 0x49f5caafbace93ecULL);
+}
+
+// The FE kernels keep all scratch per call: four threads summarizing the
+// corpus concurrently (as a summarize fan-out does) produce the pinned
+// signatures. TSan runs this.
+TEST(FeSmPin, ConcurrentSignaturesArePinned) {
+  const FeSmCorpus& c = fe_sm_corpus();
+  BloomSummarizerConfig cfg;
+  cfg.pca_sift = small_patches();
+  const BloomSummarizer summarizer(cfg, c.model);
+  std::vector<hash::SparseSignature> sigs(c.images.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < c.images.size(); i += 4) {
+        sigs[i] = summarizer.summarize(c.images[i]);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  Digest d;
+  for (const auto& sig : sigs) {
     d.add_all(std::span<const std::uint32_t>(sig.set_bits()));
   }
   EXPECT_EQ(d.value(), 0x49f5caafbace93ecULL);
