@@ -59,7 +59,7 @@ void run_dataset(const char* name, std::uint64_t salt, std::size_t capacity,
                    util::fmt_sci(rates.standard_rate),
                    rates.flat_rate > 0
                        ? util::fmt_sci(rates.flat_rate)
-                       : ("<" + util::fmt_sci(floor)),
+                       : std::string("<").append(util::fmt_sci(floor)),
                    rates.standard_rate > 0
                        ? util::fmt_double(rates.standard_rate / flat_shown, 0)
                        : "-"});

@@ -10,9 +10,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -183,10 +185,12 @@ BENCHMARK(BM_JaccardScorerPacked)
 // search_real p50), scored against a query of the same shape. Arg 0 picks
 // the store: 0 ranks slots of a hash::SignatureSlab with score_slots (and
 // its prefetch), 1 looks each id up in an id-keyed unordered_map of
-// PackedSignature and scores it, the store the slab replaced. Arg 1 = 1
-// runs cold: a 64 MB pass evicts the caches before each iteration, untimed,
-// as for a lone query at search_real's 50 QPS; 0 runs warm. Aborts if the
-// two stores score differently.
+// PackedSignature and scores it, the store the slab replaced. Arg 1 picks
+// the state before each timed pass: 0 warm; 1 cold, a 64 MB pass that
+// evicts the caches and TLB; 2 idle-cold, a 20 ms sleep, the gap before a
+// lone query at search_real's 50 QPS (DESIGN.md §3s: the sweep leaves the
+// page walks warmer than an idle gap does, so only the sleep reads the
+// live per-candidate cost). Aborts if the two stores score differently.
 void BM_RankCandidates(benchmark::State& state) {
   constexpr std::uint32_t kBits = 16384;
   constexpr std::size_t kStored = 1000, kCandidates = 395, kPopcount = 1973;
@@ -203,7 +207,7 @@ void BM_RankCandidates(benchmark::State& state) {
     return hash::SparseSignature(std::move(bits), kBits);
   };
   const bool slab_store = state.range(0) == 0;
-  const bool cold = state.range(1) == 1;
+  const std::int64_t before = state.range(1);
   hash::SignatureSlab slab(kBits);
   std::unordered_map<std::uint64_t, hash::PackedSignature> by_id;
   std::vector<std::uint64_t> ids;
@@ -241,9 +245,13 @@ void BM_RankCandidates(benchmark::State& state) {
   std::vector<std::uint64_t> evict(std::size_t{64} << 20 >> 3, 1);
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    if (cold) {
+    if (before != 0) {
       state.PauseTiming();
-      for (std::size_t i = 0; i < evict.size(); i += 8) sink += evict[i]++;
+      if (before == 1) {
+        for (std::size_t i = 0; i < evict.size(); i += 8) sink += evict[i]++;
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
       state.ResumeTiming();
     }
     if (slab_store) {
@@ -256,16 +264,20 @@ void BM_RankCandidates(benchmark::State& state) {
     benchmark::DoNotOptimize(scores.data());
     benchmark::ClobberMemory();
   }
+  if (scores != want) {
+    std::fprintf(stderr, "timed ranking differs from the reference\n");
+    std::abort();
+  }
   benchmark::DoNotOptimize(sink);
-  state.SetLabel(std::string(slab_store ? "slab" : "map") +
-                 (cold ? " cold" : " warm"));
+  static const char* const kBefore[] = {" warm", " cold", " idle-cold"};
+  state.SetLabel(std::string(slab_store ? "slab" : "map") + kBefore[before]);
   state.counters["ns_per_candidate"] = benchmark::Counter(
       static_cast<double>(kCandidates),
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_RankCandidates)
-    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgsProduct({{0, 1}, {0, 1, 2}})
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(400);
 

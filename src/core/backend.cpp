@@ -40,6 +40,9 @@ Backend::Backend(FastConfig config,
   m_.sa_keys_wall_s = &r.latency_histogram("sa.keys_wall_s");
   m_.sa_probe_keys = &r.count_histogram("sa.probe_keys_per_query");
   m_.rank_wall_s = &r.latency_histogram("rank.wall_s");
+  m_.rank_scorer_s = &r.latency_histogram("rank.scorer_s");
+  m_.rank_score_s = &r.latency_histogram("rank.score_s");
+  m_.rank_topk_s = &r.latency_histogram("rank.topk_s");
   m_.chs_slot_reads = &r.counter("chs.slot_reads");
   m_.chs_fingerprint_false_hits = &r.counter("chs.fingerprint_false_hits");
   m_.chs_bucket_probes = &r.count_histogram("chs.bucket_probes_per_query");
@@ -297,8 +300,11 @@ QueryResult Backend::query_signature(const hash::SparseSignature& signature,
   // Built once, before the layout takes any lock: every candidate is scored
   // against the query's bitmap.
   util::WallTimer scorer_timer;
-  const hash::JaccardScorer scorer(signature);
-  double rank_s = scorer_timer.elapsed_seconds();
+  const hash::JaccardScorer scorer = [&] {
+    util::TraceSpan span("rank.scorer");
+    return hash::JaccardScorer(signature);
+  }();
+  const double scorer_s = scorer_timer.elapsed_seconds();
 
   Gathered gathered;
   gathered.table_slot_reads.assign(keys.size(), 0);
@@ -321,11 +327,10 @@ QueryResult Backend::query_signature(const hash::SparseSignature& signature,
   result.bucket_probes = gathered.bucket_probes;
   result.candidates = gathered.scored.size();
   result.table_slot_reads = std::move(gathered.table_slot_reads);
-  rank_s += gathered.score_s;
 
   util::WallTimer topk_timer;
   {
-    util::TraceSpan rank_span("rank");
+    util::TraceSpan rank_span("rank.topk");
     result.hits = std::move(gathered.scored);
     const std::size_t keep = std::min(k, result.hits.size());
     std::partial_sort(result.hits.begin(),
@@ -339,7 +344,11 @@ QueryResult Backend::query_signature(const hash::SparseSignature& signature,
     rank_span.attr("candidates", static_cast<double>(result.candidates));
     rank_span.attr("hits", static_cast<double>(result.hits.size()));
   }
-  rank_s += topk_timer.elapsed_seconds();
+  const double topk_s = topk_timer.elapsed_seconds();
+  const double rank_s = scorer_s + gathered.score_s + topk_s;
+  m_.rank_scorer_s->observe(scorer_s);
+  m_.rank_score_s->observe(gathered.score_s);
+  m_.rank_topk_s->observe(topk_s);
   m_.rank_wall_s->observe(rank_s);
   m_.queries->add();
   m_.chs_bucket_probes->observe(static_cast<double>(result.bucket_probes));

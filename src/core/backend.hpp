@@ -237,8 +237,12 @@ class Backend {
     // (sparse) kernel costs, not the paper's dense flop model.
     util::Histogram* sa_keys_wall_s = nullptr;
     util::Histogram* sa_probe_keys = nullptr;
-    // Candidate scoring + top-k selection per query.
+    // Rank per query: the sum of building the query bitmap (scorer),
+    // scoring the candidates (score) and top-k selection (topk).
     util::Histogram* rank_wall_s = nullptr;
+    util::Histogram* rank_scorer_s = nullptr;
+    util::Histogram* rank_score_s = nullptr;
+    util::Histogram* rank_topk_s = nullptr;
     util::Counter* chs_slot_reads = nullptr;
     util::Counter* chs_fingerprint_false_hits = nullptr;
     util::Histogram* chs_bucket_probes = nullptr;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/pipeline/factory.hpp"
+#include "util/trace.hpp"
 
 namespace fast::core {
 
@@ -142,6 +143,8 @@ void IndexLayer::score(const hash::JaccardScorer& scorer,
                        std::span<const std::uint32_t> slots,
                        std::span<double> scores,
                        std::vector<ScoredId>& out) const {
+  util::TraceSpan span("rank.score");
+  span.attr("candidates", static_cast<double>(slots.size()));
   scorer.score_slots(slab_, slots, scores);
   out.reserve(out.size() + slots.size());
   for (std::size_t c = 0; c < slots.size(); ++c) {

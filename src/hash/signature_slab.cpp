@@ -1,16 +1,21 @@
 #include "hash/signature_slab.hpp"
 
 #include <algorithm>
-#include <new>
 
 #include "util/check.hpp"
 
 namespace fast::hash {
 
-SignatureSlab::SignatureSlab(std::uint32_t bit_count)
+SignatureSlab::SignatureSlab(std::uint32_t bit_count, BitmapArena& arena)
     : bit_count_(bit_count),
       words_per_bitmap_((static_cast<std::size_t>(bit_count) + 63) / 64),
-      block_stride_((words_per_bitmap_ + 7) / 8 * 8) {}
+      block_stride_((words_per_bitmap_ + 7) / 8 * 8),
+      bitmaps_per_chunk_(BitmapArena::kChunkBytes /
+                         (block_stride_ * sizeof(std::uint64_t))),
+      arena_(&arena) {
+  FAST_CHECK_MSG(bitmaps_per_chunk_ >= 1,
+                 "a summary bitmap must fit one arena chunk");
+}
 
 std::uint32_t SignatureSlab::take_block() {
   if (!free_blocks_.empty()) {
@@ -18,14 +23,11 @@ std::uint32_t SignatureSlab::take_block() {
     free_blocks_.pop_back();
     return block;
   }
-  if (blocks_used_ == chunks_.size() * kBitmapsPerChunk) {
-    // Left uninitialized: add() writes every word of a block it hands out,
-    // so pages of blocks not yet used stay untouched.
-    const std::size_t bytes =
-        kBitmapsPerChunk * block_stride_ * sizeof(std::uint64_t);
-    auto* chunk = static_cast<std::uint64_t*>(std::aligned_alloc(64, bytes));
-    if (chunk == nullptr) throw std::bad_alloc();
-    chunks_.emplace_back(chunk);
+  if (blocks_used_ == chunks_.size() * bitmaps_per_chunk_) {
+    // Left uninitialized: add() writes every word of a block it hands out.
+    std::unique_ptr<std::uint64_t[], ReleaseChunk> chunk(
+        static_cast<std::uint64_t*>(arena_->allocate()), ReleaseChunk{arena_});
+    chunks_.push_back(std::move(chunk));
   }
   return blocks_used_++;
 }

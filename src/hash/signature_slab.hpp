@@ -9,11 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "hash/bitmap_arena.hpp"
 #include "hash/sparse_signature.hpp"
 
 namespace fast::hash {
@@ -21,19 +21,22 @@ namespace fast::hash {
 /// Slots of one signature width. Each live slot holds an id and its
 /// summary in PackedSignature's form, chosen by the same density rule
 /// (PackedSignature::stays_sparse): a sorted set-bit list when sparse,
-/// otherwise a bitmap in a block of a fixed-size chunk. Chunks are never
+/// otherwise a bitmap in a block of a BitmapArena chunk. Chunks are never
 /// reallocated or moved, so growth copies no bitmap and a bitmap's address
-/// is stable for the life of its slot. Removed slots and bitmap blocks are
-/// recycled, most recently freed first. Not synchronized: readers may run
-/// concurrently only while no add() or remove() does.
+/// is stable for the life of its slot; they go back to the arena when the
+/// slab dies. Removed slots and bitmap blocks are recycled, most recently
+/// freed first. Not synchronized: readers may run concurrently only while
+/// no add() or remove() does.
 class SignatureSlab {
  public:
-  /// Bitmaps per chunk: 128 KB of bitmaps at the default 16,384-bit width.
-  static constexpr std::size_t kBitmapsPerChunk = 64;
-
-  explicit SignatureSlab(std::uint32_t bit_count);
+  /// `arena` must outlive the slab. A bitmap must fit one arena chunk
+  /// (bit_count up to 1,048,576).
+  explicit SignatureSlab(std::uint32_t bit_count,
+                         BitmapArena& arena = BitmapArena::global());
 
   std::uint32_t bit_count() const noexcept { return bit_count_; }
+  /// Bitmaps per arena chunk: 64 at the default 16,384-bit width.
+  std::size_t bitmaps_per_chunk() const noexcept { return bitmaps_per_chunk_; }
   /// Live slots.
   std::size_t size() const noexcept { return live_; }
   /// Every slot, live or free, is below this bound.
@@ -65,6 +68,10 @@ class SignatureSlab {
                       {block_words(s.block), words_per_bitmap_});
   }
 
+  /// Asks the cache for a slot's record, which prefetch() and view() read.
+  void prefetch_record(std::uint32_t slot) const noexcept {
+    __builtin_prefetch(&slots_[slot]);
+  }
   /// Asks the cache for every line of a live slot's bitmap or list.
   void prefetch(std::uint32_t slot) const noexcept {
     const PackedView v = view(slot);
@@ -99,13 +106,14 @@ class SignatureSlab {
     std::uint32_t block = kFreeSlot;  // bitmap block, kListBlock or kFreeSlot
   };
 
-  struct FreeChunk {
-    void operator()(std::uint64_t* p) const noexcept { std::free(p); }
+  struct ReleaseChunk {
+    BitmapArena* arena = nullptr;
+    void operator()(std::uint64_t* p) const noexcept { arena->release(p); }
   };
 
   std::uint64_t* block_words(std::uint32_t block) const noexcept {
-    return chunks_[block / kBitmapsPerChunk].get() +
-           (block % kBitmapsPerChunk) * block_stride_;
+    return chunks_[block / bitmaps_per_chunk_].get() +
+           (block % bitmaps_per_chunk_) * block_stride_;
   }
   std::uint32_t take_block();
 
@@ -114,10 +122,12 @@ class SignatureSlab {
   // Words from one block to the next: whole 64-byte lines, so every bitmap
   // starts on a cache line.
   std::size_t block_stride_ = 0;
+  std::size_t bitmaps_per_chunk_ = 0;
+  BitmapArena* arena_ = nullptr;
   std::size_t live_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::vector<std::uint32_t>> lists_;  // by slot; list form only
-  std::vector<std::unique_ptr<std::uint64_t[], FreeChunk>> chunks_;
+  std::vector<std::unique_ptr<std::uint64_t[], ReleaseChunk>> chunks_;
   std::uint32_t blocks_used_ = 0;  // blocks ever handed out
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::uint32_t> free_blocks_;

@@ -234,12 +234,12 @@ namespace {
 std::string prometheus_name(const std::string& name) {
   std::string out;
   out.reserve(name.size() + 1);
+  if (name.empty() || (name[0] >= '0' && name[0] <= '9')) out.push_back('_');
   for (const char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out.push_back(ok ? c : '_');
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
   return out;
 }
 

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -18,6 +20,7 @@
 #include "core/pipeline/factory.hpp"
 #include "core/tiered_index.hpp"
 #include "hash/aggregators.hpp"
+#include "hash/bitmap_arena.hpp"
 #include "hash/bloom_filter.hpp"
 #include "hash/compact_flat_cuckoo_table.hpp"
 #include "hash/counting_bloom.hpp"
@@ -1566,7 +1569,7 @@ TEST(SignatureSlab, RecyclesSlotsAndBitmapBlocks) {
 
   // Churn in place allocates nothing new.
   const std::size_t chunks = slab.chunk_count();
-  for (std::size_t round = 0; round < 3 * SignatureSlab::kBitmapsPerChunk;
+  for (std::size_t round = 0; round < 3 * slab.bitmaps_per_chunk();
        ++round) {
     slab.remove(e);
     EXPECT_EQ(slab.add(15 + round, round % 2 == 0 ? dense_b : dense_a), e);
@@ -1591,12 +1594,123 @@ TEST(SignatureSlab, ChunkPointersStableAcrossGrowth) {
       EXPECT_EQ(reinterpret_cast<std::uintptr_t>(words.back()) % 64, 0u);
     }
   }
-  EXPECT_GE(slab.chunk_count(), 1000 * 6 / 7 / SignatureSlab::kBitmapsPerChunk);
+  EXPECT_EQ(slab.bitmaps_per_chunk(), 64u);
+  EXPECT_GE(slab.chunk_count(), 1000 * 6 / 7 / slab.bitmaps_per_chunk());
   for (std::uint32_t slot = 0; slot < 1000; ++slot) {
     EXPECT_EQ(slab.view(slot).words().data(), words[slot]) << "slot " << slot;
     EXPECT_EQ(slab.unpack(slot).set_bits(), sigs[slot].set_bits())
         << "slot " << slot;
   }
+}
+
+// ---------- BitmapArena ----------
+
+TEST(BitmapArena, RegionsAreHugePageAligned) {
+  BitmapArena arena;
+  std::vector<void*> chunks;
+  for (std::size_t i = 0; i < BitmapArena::kChunksPerRegion + 1; ++i) {
+    chunks.push_back(arena.allocate());
+  }
+  EXPECT_EQ(arena.regions(), 2u);
+  EXPECT_EQ(arena.chunks_in_use(), chunks.size());
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    // Chunks fill a region from its 2 MiB-aligned base up.
+    const auto addr = reinterpret_cast<std::uintptr_t>(chunks[i]);
+    const std::uintptr_t base = addr & ~(BitmapArena::kRegionBytes - 1);
+    EXPECT_EQ(addr - base,
+              (i % BitmapArena::kChunksPerRegion) * BitmapArena::kChunkBytes)
+        << "chunk " << i;
+    if (i % BitmapArena::kChunksPerRegion != 0) {
+      EXPECT_EQ(base, reinterpret_cast<std::uintptr_t>(chunks[i - 1]) &
+                          ~(BitmapArena::kRegionBytes - 1));
+    }
+    std::memset(chunks[i], 0xa5, BitmapArena::kChunkBytes);
+  }
+  // The second region goes when its only chunk does; the first stays
+  // while any of its chunks is in use.
+  arena.release(chunks.back());
+  EXPECT_EQ(arena.regions(), 1u);
+  for (std::size_t i = 0; i + 2 < chunks.size(); ++i) arena.release(chunks[i]);
+  EXPECT_EQ(arena.regions(), 1u);
+  EXPECT_EQ(arena.chunks_in_use(), 1u);
+  arena.release(chunks[chunks.size() - 2]);
+  EXPECT_EQ(arena.regions(), 0u);
+  EXPECT_EQ(arena.chunks_in_use(), 0u);
+}
+
+TEST(BitmapArena, SlabsShareChunksAndReturnThem) {
+  constexpr std::uint32_t kBits = 16384;
+  BitmapArena arena;
+  const SparseSignature dense = random_signature(kBits, 1973, 1);
+  const SparseSignature list = random_signature(kBits, 64, 2);
+  {
+    // Lists take no chunk.
+    SignatureSlab slab(kBits, arena);
+    slab.add(1, list);
+    EXPECT_EQ(arena.regions(), 0u);
+  }
+  {
+    // Two small slabs take one chunk each of one region.
+    SignatureSlab a(kBits, arena);
+    SignatureSlab b(kBits, arena);
+    const auto* a_words = a.view(a.add(1, dense)).words().data();
+    const auto* b_words = b.view(b.add(2, dense)).words().data();
+    EXPECT_EQ(arena.regions(), 1u);
+    EXPECT_EQ(arena.chunks_in_use(), 2u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b_words) -
+                  reinterpret_cast<std::uintptr_t>(a_words),
+              BitmapArena::kChunkBytes);
+  }
+  EXPECT_EQ(arena.regions(), 0u);  // the last chunk took the region along
+
+  SignatureSlab keep(kBits, arena);  // holds the region open
+  keep.add(0, dense);
+  const std::uint64_t* freed = nullptr;
+  {
+    SignatureSlab gone(kBits, arena);
+    freed = gone.view(gone.add(1, dense)).words().data();
+  }
+  EXPECT_EQ(arena.chunks_in_use(), 1u);
+  // A chunk a dead slab gave back is the next slab's first.
+  SignatureSlab next(kBits, arena);
+  const std::uint32_t slot = next.add(2, list);
+  EXPECT_EQ(next.view(next.add(3, dense)).words().data(), freed);
+  expect_slot_matches_packed(next, slot, list);
+  expect_slot_matches_packed(next, slot + 1, dense);
+  expect_slot_matches_packed(keep, 0, dense);
+  EXPECT_EQ(arena.regions(), 1u);
+}
+
+// Slabs on several threads grow past a region's worth of chunks and die at
+// once, all on the process-wide arena, as tiered lanes and segments do.
+TEST(BitmapArena, ConcurrentSlabsGrowAndDrop) {
+  constexpr std::uint32_t kBits = 16384;
+  constexpr std::size_t kThreads = 4;
+  const std::size_t in_use = BitmapArena::global().chunks_in_use();
+  std::vector<SparseSignature> sigs;
+  for (std::size_t i = 0; i < 8; ++i) {
+    sigs.push_back(random_signature(kBits, 600 + i, i + 1));
+  }
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < 3; ++round) {
+        SignatureSlab slab(kBits);
+        const std::size_t n = (BitmapArena::kChunksPerRegion / 2 + t + round) *
+                              slab.bitmaps_per_chunk();
+        for (std::size_t i = 0; i < n; ++i) slab.add(i, sigs[(i + t) % 8]);
+        for (std::uint32_t slot = 0; slot < n; ++slot) {
+          if (slab.unpack(slot).set_bits() != sigs[(slot + t) % 8].set_bits()) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(BitmapArena::global().chunks_in_use(), in_use);
 }
 
 // score(Packed) must equal the pairwise reference bit for bit on every word
@@ -1680,12 +1794,27 @@ TEST_P(PackedScorerTest, ScoreSlotsMatchesPairwiseJaccard) {
             << "bits " << bits << " candidate " << c;
       }
     }
-    // Fewer candidates than the prefetch distance, and none.
+    // Every count around both prefetch stages (none, fewer than the bitmap
+    // distance, fewer than the record distance, more), over shuffled orders.
     const JaccardScorer scorer(stored[5], kernel);
-    std::vector<double> one(1);
-    scorer.score_slots(slab, std::span(slots).first(1), one);
-    EXPECT_EQ(one[0], SparseSignature::jaccard(stored[5], stored[slots[0]]));
-    scorer.score_slots(slab, {}, {});
+    constexpr std::size_t kD = JaccardScorer::kPrefetchDistance;
+    std::vector<std::uint32_t> order(stored.size());
+    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (std::size_t n = 0; n <= 2 * kD + 2; ++n) {
+      for (std::uint64_t shuffle = 0; shuffle < 4; ++shuffle) {
+        std::shuffle(order.begin(), order.end(),
+                     std::mt19937_64(bits * 31 + n * 7 + shuffle));
+        const std::span<const std::uint32_t> some(order.data(), n);
+        std::vector<double> scores(n);
+        scorer.score_slots(slab, some, scores);
+        for (std::size_t c = 0; c < n; ++c) {
+          ASSERT_EQ(scores[c], scorer.score(slab.view(some[c])))
+              << "bits " << bits << " n " << n << " candidate " << c;
+          ASSERT_EQ(scores[c],
+                    SparseSignature::jaccard(stored[5], stored[some[c]]));
+        }
+      }
+    }
   }
 }
 

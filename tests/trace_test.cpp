@@ -258,11 +258,12 @@ TEST_F(TraceTest, FastIndexQueryEmitsStageSpansAndProfile) {
   std::vector<TraceEvent> events = Tracer::global().events();
   std::vector<std::string> names;
   for (const auto& e : events) names.emplace_back(e.name);
-  for (const char* want : {"query", "sa.keys", "chs.probe", "rank"}) {
+  for (const char* want : {"query", "sa.keys", "chs.probe", "rank.scorer",
+                           "rank.score", "rank.topk"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), want), names.end())
         << "missing span " << want;
   }
-  // All four spans belong to one request, rooted at "query".
+  // All spans belong to one request, rooted at "query".
   for (const auto& e : events) {
     EXPECT_EQ(e.request_id, events.front().request_id);
     if (std::string(e.name) == "query") {
@@ -300,7 +301,8 @@ TEST_F(TraceTest, UnsampledQueriesStillFeedTheSlowRing) {
 }
 
 // Both backends charge candidate scoring + top-k to the ranking layer under
-// one name: a rank.wall_s sample per query, and a QueryProfile whose
+// one name: a rank.wall_s sample per query (and one of each of its parts),
+// and a QueryProfile whose
 // sa_keys/probe/rank parts partition the query's wall time.
 TEST_F(TraceTest, FlatAndTieredChargeRankTimeToRank) {
   configure(1.0, /*slow_s=*/0.0, /*ring=*/4, /*max_profiles=*/64);
@@ -328,6 +330,14 @@ TEST_F(TraceTest, FlatAndTieredChargeRankTimeToRank) {
     ASSERT_EQ(snap.histograms.count("rank.wall_s"), 1u);
     EXPECT_EQ(snap.histograms.at("rank.wall_s").count, kQueries);
     EXPECT_GT(snap.histograms.at("rank.wall_s").sum, 0.0);
+    // rank.wall_s is split into its three parts, one sample each per query.
+    double parts = 0;
+    for (const char* part : {"rank.scorer_s", "rank.score_s", "rank.topk_s"}) {
+      ASSERT_EQ(snap.histograms.count(part), 1u) << part;
+      EXPECT_EQ(snap.histograms.at(part).count, kQueries) << part;
+      parts += snap.histograms.at(part).sum;
+    }
+    EXPECT_NEAR(parts, snap.histograms.at("rank.wall_s").sum, 1e-9);
   }
   const std::vector<QueryProfile> profiles =
       Tracer::global().sampled_profiles();
