@@ -30,27 +30,32 @@ class BitmapArena {
   static BitmapArena& global();
 
   BitmapArena() = default;
-  /// Unmaps every region; every chunk must have been released.
+  /// Unmaps every region; every allocation must have been released.
   ~BitmapArena();
   BitmapArena(const BitmapArena&) = delete;
   BitmapArena& operator=(const BitmapArena&) = delete;
 
-  /// A kChunkBytes chunk, kChunkBytes-aligned and uninitialized. Throws
-  /// std::bad_alloc when no region can be mapped.
-  void* allocate();
-  /// Returns a chunk from allocate(); unmaps its region if it was the
-  /// region's last chunk in use.
-  void release(void* chunk) noexcept;
+  /// Uninitialized memory for `bytes`. Up to kChunkBytes it is one chunk of
+  /// a shared region, kChunkBytes-aligned; a wider request gets a region of
+  /// its own, kRegionBytes-aligned and rounded up to whole kRegionBytes.
+  /// Throws std::bad_alloc when no region can be mapped.
+  void* allocate(std::size_t bytes = kChunkBytes);
+  /// Returns memory from allocate(); unmaps its region if nothing else in
+  /// it is in use.
+  void release(void* p) noexcept;
 
   /// Regions mapped now.
   std::size_t regions() const;
-  /// Chunks handed out and not yet released.
+  /// Allocations handed out and not yet released: chunks of shared regions
+  /// plus wide regions, one each.
   std::size_t chunks_in_use() const;
 
  private:
   struct Region {
     char* base = nullptr;
+    std::size_t bytes = kRegionBytes;
     std::uint32_t used = 0;  // bit c set: chunk c is handed out
+    bool wide = false;       // one allocation owns all `bytes`
   };
   static_assert(kChunksPerRegion <= 32);
 

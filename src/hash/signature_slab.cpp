@@ -1,21 +1,32 @@
 #include "hash/signature_slab.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.hpp"
 
 namespace fast::hash {
 
+namespace {
+
+// Bitmaps per slab chunk, a power of two: as many as fill one arena chunk,
+// or, for a bitmap wider than that, one arena region (at least one).
+std::size_t bitmaps_per_chunk_for(std::size_t stride_bytes) {
+  const std::size_t span = stride_bytes <= BitmapArena::kChunkBytes
+                               ? BitmapArena::kChunkBytes
+                               : BitmapArena::kRegionBytes;
+  return std::bit_floor(std::max<std::size_t>(1, span / stride_bytes));
+}
+
+}  // namespace
+
 SignatureSlab::SignatureSlab(std::uint32_t bit_count, BitmapArena& arena)
     : bit_count_(bit_count),
       words_per_bitmap_((static_cast<std::size_t>(bit_count) + 63) / 64),
       block_stride_((words_per_bitmap_ + 7) / 8 * 8),
-      bitmaps_per_chunk_(BitmapArena::kChunkBytes /
-                         (block_stride_ * sizeof(std::uint64_t))),
-      arena_(&arena) {
-  FAST_CHECK_MSG(bitmaps_per_chunk_ >= 1,
-                 "a summary bitmap must fit one arena chunk");
-}
+      chunk_shift_(static_cast<std::uint32_t>(std::countr_zero(
+          bitmaps_per_chunk_for(block_stride_ * sizeof(std::uint64_t))))),
+      arena_(&arena) {}
 
 std::uint32_t SignatureSlab::take_block() {
   if (!free_blocks_.empty()) {
@@ -23,10 +34,13 @@ std::uint32_t SignatureSlab::take_block() {
     free_blocks_.pop_back();
     return block;
   }
-  if (blocks_used_ == chunks_.size() * bitmaps_per_chunk_) {
+  if (blocks_used_ == chunks_.size() * bitmaps_per_chunk()) {
     // Left uninitialized: add() writes every word of a block it hands out.
+    const std::size_t bytes =
+        bitmaps_per_chunk() * block_stride_ * sizeof(std::uint64_t);
     std::unique_ptr<std::uint64_t[], ReleaseChunk> chunk(
-        static_cast<std::uint64_t*>(arena_->allocate()), ReleaseChunk{arena_});
+        static_cast<std::uint64_t*>(arena_->allocate(bytes)),
+        ReleaseChunk{arena_});
     chunks_.push_back(std::move(chunk));
   }
   return blocks_used_++;

@@ -29,14 +29,17 @@ namespace fast::hash {
 /// no add() or remove() does.
 class SignatureSlab {
  public:
-  /// `arena` must outlive the slab. A bitmap must fit one arena chunk
-  /// (bit_count up to 1,048,576).
+  /// `arena` must outlive the slab.
   explicit SignatureSlab(std::uint32_t bit_count,
                          BitmapArena& arena = BitmapArena::global());
 
   std::uint32_t bit_count() const noexcept { return bit_count_; }
-  /// Bitmaps per arena chunk: 64 at the default 16,384-bit width.
-  std::size_t bitmaps_per_chunk() const noexcept { return bitmaps_per_chunk_; }
+  /// Bitmaps per chunk, a power of two: as many as fit one arena chunk (64
+  /// at the default 16,384-bit width), or for bitmaps wider than a chunk,
+  /// as many as fit one arena region, at least one.
+  std::size_t bitmaps_per_chunk() const noexcept {
+    return std::size_t{1} << chunk_shift_;
+  }
   /// Live slots.
   std::size_t size() const noexcept { return live_; }
   /// Every slot, live or free, is below this bound.
@@ -68,10 +71,6 @@ class SignatureSlab {
                       {block_words(s.block), words_per_bitmap_});
   }
 
-  /// Asks the cache for a slot's record, which prefetch() and view() read.
-  void prefetch_record(std::uint32_t slot) const noexcept {
-    __builtin_prefetch(&slots_[slot]);
-  }
   /// Asks the cache for every line of a live slot's bitmap or list.
   void prefetch(std::uint32_t slot) const noexcept {
     const PackedView v = view(slot);
@@ -112,8 +111,8 @@ class SignatureSlab {
   };
 
   std::uint64_t* block_words(std::uint32_t block) const noexcept {
-    return chunks_[block / bitmaps_per_chunk_].get() +
-           (block % bitmaps_per_chunk_) * block_stride_;
+    return chunks_[block >> chunk_shift_].get() +
+           (block & ((std::uint32_t{1} << chunk_shift_) - 1)) * block_stride_;
   }
   std::uint32_t take_block();
 
@@ -122,7 +121,7 @@ class SignatureSlab {
   // Words from one block to the next: whole 64-byte lines, so every bitmap
   // starts on a cache line.
   std::size_t block_stride_ = 0;
-  std::size_t bitmaps_per_chunk_ = 0;
+  std::uint32_t chunk_shift_ = 0;  // log2 of bitmaps_per_chunk()
   BitmapArena* arena_ = nullptr;
   std::size_t live_ = 0;
   std::vector<Slot> slots_;

@@ -408,18 +408,12 @@ void JaccardScorer::score_slots(const SignatureSlab& slab,
                                 std::span<double> scores) const noexcept {
   FAST_CHECK(slab.bit_count() == bit_count_);
   FAST_CHECK(scores.size() == slots.size());
-  // Two stages: a candidate's slot record is requested 2D places ahead, so
-  // that D places ahead prefetch() finds its block index without a miss
-  // and the bitmap's lines go out at once.
-  constexpr std::size_t kD = kPrefetchDistance;
   const std::size_t n = slots.size();
-  for (std::size_t c = 0; c < std::min(2 * kD, n); ++c) {
-    slab.prefetch_record(slots[c]);
+  for (std::size_t c = 0; c < std::min(kPrefetchDistance, n); ++c) {
+    slab.prefetch(slots[c]);
   }
-  for (std::size_t c = 0; c < std::min(kD, n); ++c) slab.prefetch(slots[c]);
   for (std::size_t c = 0; c < n; ++c) {
-    if (c + 2 * kD < n) slab.prefetch_record(slots[c + 2 * kD]);
-    if (c + kD < n) slab.prefetch(slots[c + kD]);
+    if (c + kPrefetchDistance < n) slab.prefetch(slots[c + kPrefetchDistance]);
     scores[c] = score(slab.view(slots[c]));
   }
 }

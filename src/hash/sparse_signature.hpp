@@ -179,11 +179,10 @@ const char* popcount_kernel_name(PopcountKernel kernel) noexcept;
 /// Candidates must have the query's bit_count().
 class JaccardScorer {
  public:
-  /// score_slots() prefetches the bitmap of the candidate this many places
-  /// ahead of the one it scores, and that candidate's slot record twice as
-  /// far ahead, so a cold bitmap's first lines are already on their way
-  /// when its pass starts. A fixed property of the loop, not a setting
-  /// (DESIGN.md §3o and §3s have what it measured).
+  /// score_slots() prefetches the candidate this many places ahead of the
+  /// one it scores, so a cold bitmap's first lines are already on their
+  /// way when its pass starts. A fixed property of the loop, not a
+  /// setting (DESIGN.md §3o and §3s have what it measured).
   static constexpr std::size_t kPrefetchDistance = 2;
 
   /// `kernel` must be supported by this CPU; tests and benches pass each
@@ -209,8 +208,7 @@ class JaccardScorer {
 
   /// Scores the live slots `slots` of `slab` into `scores`, in order, each
   /// equal to score(slab.view(slot)). While it scores one candidate it
-  /// prefetches the bitmap kPrefetchDistance places ahead and the slot
-  /// record 2 * kPrefetchDistance places ahead.
+  /// prefetches the one kPrefetchDistance places ahead.
   void score_slots(const SignatureSlab& slab,
                    std::span<const std::uint32_t> slots,
                    std::span<double> scores) const noexcept;

@@ -1681,6 +1681,54 @@ TEST(BitmapArena, SlabsShareChunksAndReturnThem) {
   EXPECT_EQ(arena.regions(), 1u);
 }
 
+// Every width keeps a power-of-two count of bitmaps per slab chunk, so
+// block lookup is a shift and a mask. Bitmaps up to 1,048,576 bits share
+// arena chunks; wider ones (fast_server's --bloom-bits allows up to 2^24)
+// take regions of their own, as many bitmaps as fit one region, at least one.
+TEST(BitmapArena, WideBitmapsTakeRegionsOfTheirOwn) {
+  struct Case {
+    std::uint32_t bits;
+    std::size_t per_chunk;
+    std::size_t regions;  // for two slab chunks
+  };
+  for (const Case& tc : {Case{10'000, 64, 1}, Case{1u << 20, 1, 1},
+                         Case{2'000'000, 8, 2}, Case{1u << 24, 1, 2},
+                         Case{20'000'000, 1, 2}}) {
+    SCOPED_TRACE(tc.bits);
+    BitmapArena arena;
+    std::vector<std::uint32_t> every_7th;
+    for (std::uint32_t b = 3; b < tc.bits; b += 7) every_7th.push_back(b);
+    const SparseSignature dense(every_7th, tc.bits);
+    const SparseSignature list = random_signature(tc.bits, 64, tc.bits);
+    {
+      SignatureSlab slab(tc.bits, arena);
+      EXPECT_EQ(slab.bitmaps_per_chunk(), tc.per_chunk);
+      const std::uint32_t l = slab.add(0, list);
+      EXPECT_EQ(arena.regions(), 0u);
+      for (std::size_t i = 0; i <= tc.per_chunk; ++i) slab.add(i + 1, dense);
+      EXPECT_EQ(slab.chunk_count(), 2u);
+      EXPECT_EQ(arena.chunks_in_use(), 2u);
+      EXPECT_EQ(arena.regions(), tc.regions);
+      const auto first = reinterpret_cast<std::uintptr_t>(
+          slab.view(l + 1).words().data());
+      const auto last = reinterpret_cast<std::uintptr_t>(
+          slab.view(l + 1 + static_cast<std::uint32_t>(tc.per_chunk))
+              .words()
+              .data());
+      const std::uintptr_t align = tc.regions == 2 ? BitmapArena::kRegionBytes
+                                                   : BitmapArena::kChunkBytes;
+      EXPECT_EQ(first % align, 0u);
+      EXPECT_EQ(last % align, 0u);
+      expect_slot_matches_packed(slab, l, list);
+      expect_slot_matches_packed(slab, l + 1, dense);
+      expect_slot_matches_packed(
+          slab, l + 1 + static_cast<std::uint32_t>(tc.per_chunk), dense);
+    }
+    EXPECT_EQ(arena.regions(), 0u);
+    EXPECT_EQ(arena.chunks_in_use(), 0u);
+  }
+}
+
 // Slabs on several threads grow past a region's worth of chunks and die at
 // once, all on the process-wide arena, as tiered lanes and segments do.
 TEST(BitmapArena, ConcurrentSlabsGrowAndDrop) {
@@ -1794,8 +1842,8 @@ TEST_P(PackedScorerTest, ScoreSlotsMatchesPairwiseJaccard) {
             << "bits " << bits << " candidate " << c;
       }
     }
-    // Every count around both prefetch stages (none, fewer than the bitmap
-    // distance, fewer than the record distance, more), over shuffled orders.
+    // Every count around the prefetch distance D (none, fewer than D, fewer
+    // than 2D, more), over shuffled orders.
     const JaccardScorer scorer(stored[5], kernel);
     constexpr std::size_t kD = JaccardScorer::kPrefetchDistance;
     std::vector<std::uint32_t> order(stored.size());
