@@ -604,6 +604,46 @@ void BM_GroupStoreFind_Chained(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupStoreFind_Chained);
 
+// Growth cost: 10,000 summaries' placements (one new group per table in
+// each of 48 tables) into a store at the pipeline's 256-slot start, so
+// every table grows six times on the way to 16,384 slots. Each iteration
+// fills a fresh store; the rate counts placements.
+template <typename StoreT>
+void group_store_place(benchmark::State& state) {
+  constexpr std::size_t kTables = 48;
+  constexpr std::uint64_t kSummaries = 10000;
+  hash::FlatCuckooConfig cfg;
+  cfg.capacity = 256;
+  cfg.window = 4;
+  cfg.max_kicks = 500;
+  cfg.seed = 0xfa57;
+  std::size_t rehashes = 0;
+  for (auto _ : state) {
+    StoreT store(cfg, kTables);
+    std::uint64_t group = 0;
+    for (std::uint64_t s = 0; s < kSummaries; ++s) {
+      for (std::size_t t = 0; t < kTables; ++t) {
+        rehashes += store.place(t, hash::mix64(s * kTables + t), group++);
+      }
+    }
+    benchmark::DoNotOptimize(store.store_bytes());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kSummaries * kTables));
+  state.counters["rehashes"] = static_cast<double>(rehashes) /
+                               static_cast<double>(state.iterations());
+}
+
+void BM_GroupStorePlace_Flat(benchmark::State& state) {
+  group_store_place<hash::FlatCuckooGroupStore>(state);
+}
+BENCHMARK(BM_GroupStorePlace_Flat)->Unit(benchmark::kMillisecond);
+
+void BM_GroupStorePlace_Compact(benchmark::State& state) {
+  group_store_place<hash::CompactFlatCuckooGroupStore>(state);
+}
+BENCHMARK(BM_GroupStorePlace_Compact)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -101,8 +101,8 @@ void IndexLayer::remove(std::uint64_t id, std::span<const std::uint64_t> keys) {
   FAST_CHECK_MSG(it != slot_of_.end(), "remove() on an absent id");
   const std::uint32_t slot = it->second;
   for (std::size_t t = 0; t < keys.size(); ++t) {
-    // (Flat-cuckoo rebuild logs keep the mapping; a rebuilt table would
-    // resurrect the key pointing at an empty group — harmless.)
+    // An emptied group gives its key up for good: a rebuilt cuckoo table
+    // re-inserts only the keys still live.
     const auto group = store_->find(t, keys[t]);
     if (group && remove_member(*group, slot) == 0) {
       store_->erase_key(t, keys[t]);

@@ -173,6 +173,11 @@ class IndexLayer {
   void remove(std::uint64_t id, std::span<const std::uint64_t> keys);
   /// Marks an id that lives in an older layer as erased.
   void add_tombstone(std::uint64_t id) { tombstones_.insert(id); }
+  /// Rebuilds the store at its smallest fitting size, no smaller than
+  /// `min_capacity` slots a table (GroupStore::shrink_to_fit).
+  void shrink_store(std::size_t min_capacity) {
+    store_->shrink_to_fit(min_capacity);
+  }
 
   /// Probes every table's home key and probe keys and adds the reached
   /// slots to `out`. Counts each bucket probed in *bucket_probes and each
@@ -213,8 +218,9 @@ class IndexLayer {
  private:
   // One correlation group: `count` member slots of slab_. A one-member
   // group keeps its slot in `value`; a group of two or more keeps its
-  // members in spills_[value]. An emptied group keeps a zero-count head
-  // (group ids are never reused).
+  // members in spills_[value]. An emptied group keeps a zero-count head:
+  // group ids are never reused, because the store's snapshot history names
+  // every group ever placed (DESIGN.md §3q, §3t).
   struct GroupHead {
     std::uint32_t count = 0;
     std::uint32_t value = 0;

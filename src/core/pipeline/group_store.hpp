@@ -41,6 +41,12 @@ class GroupStore {
   /// Drops `key` from table `t` (group expired). No-op when absent.
   virtual void erase_key(std::size_t t, std::uint64_t key) = 0;
 
+  /// Rebuilds each table at the smallest power of two >= `min_capacity`
+  /// slots whose load stays under the growth line, where that is smaller
+  /// than the table is now (a store sized for more entries than it kept).
+  /// Answers do not change. A no-op for backends of fixed size.
+  virtual void shrink_to_fit(std::size_t min_capacity) = 0;
+
   /// Modeled slot reads charged per lookup in table `t` (the quantity flat
   /// addressing bounds to 2W and chaining cannot bound).
   virtual std::size_t lookup_cost_probes(std::size_t t) const noexcept = 0;

@@ -278,9 +278,12 @@ void TieredIndex::seal_locked(Lane& lane, std::size_t lane_idx) {
   mem_tombstones_.fetch_sub(
       static_cast<std::int64_t>(lane.mem->tombstone_count()),
       std::memory_order_relaxed);
-  // O(1) seal: the memtable becomes the segment's frozen state by move; the
-  // bloom summary is built later, off the writer path.
+  // The memtable becomes the segment's frozen state by move, its store
+  // rebuilt from the live keys at the size they need rather than the
+  // memtable's pre-sized arena; the bloom summary is built later, off the
+  // writer path.
   auto frozen = std::make_shared<IndexLayer>(std::move(*lane.mem));
+  frozen->shrink_store(config_.cuckoo.capacity);
   lane.mem = std::make_unique<IndexLayer>(mem_config_, tables_);
   auto segment = std::make_shared<const ImmutableSegment>(
       next_segment_id_.fetch_add(1, std::memory_order_relaxed),
@@ -447,6 +450,7 @@ bool TieredIndex::try_compact_lane(Lane& lane) {
     }
   }
 
+  merged.shrink_store(config_.cuckoo.capacity);
   std::shared_ptr<const ImmutableSegment> replacement;
   if (!merged.empty()) {
     hash::BloomFilter bloom = ImmutableSegment::build_bloom(

@@ -58,7 +58,8 @@ void CompactFlatCuckooTable::free_entry(std::uint32_t ref) noexcept {
   free_.push_back(ref);
 }
 
-bool CompactFlatCuckooTable::insert(std::uint64_t key, std::uint64_t value) {
+bool CompactFlatCuckooTable::insert(std::uint64_t key, std::uint64_t value,
+                                    std::optional<std::uint64_t>* replaced) {
   CandidateSet cand = candidates(key);
   const std::uint16_t fp = fingerprint(key);
 
@@ -70,6 +71,7 @@ bool CompactFlatCuckooTable::insert(std::uint64_t key, std::uint64_t value) {
     if (fps_[p] != 0) {
       if (fps_[p] == fp) {
         if (side_keys_[refs_[p]] == key) {
+          if (replaced != nullptr) *replaced = side_values_[refs_[p]];
           side_values_[refs_[p]] = value;
           return true;
         }

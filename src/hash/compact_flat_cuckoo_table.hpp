@@ -37,11 +37,13 @@ class CompactFlatCuckooTable {
   std::size_t window() const noexcept { return window_; }
   const CuckooStats& stats() const noexcept { return stats_; }
 
-  /// Inserts key -> value (overwrites if present). Returns false when the
-  /// displacement budget is exhausted; the table (including the side array)
-  /// is rolled back exactly and the key is not stored. Success/failure is
-  /// identical to FlatCuckooTable under the same operation history.
-  bool insert(std::uint64_t key, std::uint64_t value);
+  /// Inserts key -> value (overwrites if present, handing the old value to
+  /// *replaced when given). Returns false when the displacement budget is
+  /// exhausted; the table (including the side array) is rolled back exactly
+  /// and the key is not stored. Success/failure is identical to
+  /// FlatCuckooTable under the same operation history.
+  bool insert(std::uint64_t key, std::uint64_t value,
+              std::optional<std::uint64_t>* replaced = nullptr);
 
   /// Probes the key's 2*W candidate fingerprints; side-array entries are
   /// read only on fingerprint match. `profile` (optional) accumulates slots
@@ -54,6 +56,15 @@ class CompactFlatCuckooTable {
   }
 
   bool erase(std::uint64_t key) noexcept;
+
+  /// Calls fn(key, value) for every stored pair, in slot order: the same
+  /// sequence FlatCuckooTable::for_each gives under the same history.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t p = 0; p < fps_.size(); ++p) {
+      if (fps_[p] != 0) fn(side_keys_[refs_[p]], side_values_[refs_[p]]);
+    }
+  }
 
   /// Fixed probe count per lookup: 2 * W independent fingerprint reads.
   std::size_t probes_per_lookup() const noexcept { return 2 * window_; }

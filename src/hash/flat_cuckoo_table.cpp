@@ -26,13 +26,15 @@ CandidateSet FlatCuckooTable::candidates(std::uint64_t key) const noexcept {
   return out;
 }
 
-bool FlatCuckooTable::insert(std::uint64_t key, std::uint64_t value) {
+bool FlatCuckooTable::insert(std::uint64_t key, std::uint64_t value,
+                             std::optional<std::uint64_t>* replaced) {
   CandidateSet cand = candidates(key);
 
   // Overwrite in place if present; otherwise take the first free slot.
   std::size_t free_slot = slots_.size();
   for (std::size_t p : cand) {
     if (slots_[p].occupied && slots_[p].key == key) {
+      if (replaced != nullptr) *replaced = slots_[p].value;
       slots_[p].value = value;
       return true;
     }

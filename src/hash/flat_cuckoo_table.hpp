@@ -58,10 +58,11 @@ class FlatCuckooTable {
   std::size_t window() const noexcept { return window_; }
   const CuckooStats& stats() const noexcept { return stats_; }
 
-  /// Inserts key -> value (overwrites if present). Returns false when the
-  /// displacement budget is exhausted; the table is rolled back exactly and
-  /// the key is not stored.
-  bool insert(std::uint64_t key, std::uint64_t value);
+  /// Inserts key -> value (overwrites if present, handing the old value to
+  /// *replaced when given). Returns false when the displacement budget is
+  /// exhausted; the table is rolled back exactly and the key is not stored.
+  bool insert(std::uint64_t key, std::uint64_t value,
+              std::optional<std::uint64_t>* replaced = nullptr);
 
   /// Probes the key's 2*W candidate slots. O(1) with a hard constant bound.
   /// When `profile` is non-null it accumulates the slots scanned and bytes
@@ -74,6 +75,14 @@ class FlatCuckooTable {
   }
 
   bool erase(std::uint64_t key) noexcept;
+
+  /// Calls fn(key, value) for every stored pair, in slot order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.occupied) fn(s.key, s.value);
+    }
+  }
 
   /// Fixed probe count per lookup: 2 * W independent slot reads.
   std::size_t probes_per_lookup() const noexcept { return 2 * window_; }

@@ -1,6 +1,7 @@
 #include "hash/group_stores.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace fast::hash {
 
@@ -38,73 +39,76 @@ std::optional<std::uint64_t> WindowedCuckooGroupStore<TableT>::find(
 }
 
 template <typename TableT>
-void WindowedCuckooGroupStore<TableT>::maybe_grow(std::size_t t) {
-  Table& table = tables_[t];
-  if (table.cuckoo.load_factor() < kGrowAt) return;
-  std::size_t capacity = table.cuckoo.capacity() * 2;
-  for (;;) {
+std::size_t WindowedCuckooGroupStore<TableT>::rebuild(Table& table,
+                                                      std::size_t capacity,
+                                                      const Placement* extra) {
+  for (std::size_t attempts = 1;; ++attempts, capacity *= 2) {
     table.seed = mix64(table.seed + 1);
     FlatCuckooConfig cc = base_;
     cc.capacity = capacity;
     cc.seed = table.seed;
     TableT rebuilt(cc);
     bool ok = true;
-    for (const auto& [k, g] : table.entries) {
-      if (!rebuilt.insert(k, g)) {
-        ok = false;
-        break;
-      }
+    table.cuckoo.for_each([&](std::uint64_t key, std::uint64_t group) {
+      ok = ok && rebuilt.insert(key, group);
+    });
+    if (ok && extra != nullptr) {
+      ok = rebuilt.insert(extra->first, extra->second);
     }
     if (ok) {
       table.cuckoo = std::move(rebuilt);
-      return;
+      return attempts;
     }
-    capacity *= 2;
   }
+}
+
+template <typename TableT>
+void WindowedCuckooGroupStore<TableT>::maybe_grow(Table& table) {
+  if (table.cuckoo.load_factor() < kGrowAt) return;
+  rebuild(table, table.cuckoo.capacity() * 2, nullptr);
 }
 
 template <typename TableT>
 std::size_t WindowedCuckooGroupStore<TableT>::place(std::size_t t,
                                                     std::uint64_t key,
                                                     std::uint64_t group) {
-  maybe_grow(t);
   Table& table = tables_[t];
-  table.entries.emplace_back(key, group);
-  if (table.cuckoo.insert(key, group)) return 0;
-
-  // Rehash loop: rebuild this table's cuckoo with a fresh seed (same
-  // capacity first; double it if even a fresh seed cannot place everything,
-  // which only happens near 100% load).
-  std::size_t events = 0;
-  std::size_t capacity = table.cuckoo.capacity();
-  for (;;) {
-    ++events;
-    table.seed = mix64(table.seed + 1);
-    FlatCuckooConfig cc = base_;
-    cc.capacity = capacity;
-    cc.seed = table.seed;
-    TableT rebuilt(cc);
-    bool ok = true;
-    for (const auto& [k, g] : table.entries) {
-      if (!rebuilt.insert(k, g)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      table.cuckoo = std::move(rebuilt);
-      return events;
-    }
-    capacity *= 2;
+  maybe_grow(table);
+  std::optional<std::uint64_t> replaced;
+  if (table.cuckoo.insert(key, group, &replaced)) {
+    if (replaced.has_value()) table.erased.emplace_back(key, *replaced);
+    return 0;
   }
+  // Rehash loop: a failed insert leaves the table as it was (so the key
+  // was absent); rebuild it with a fresh seed at the same capacity first,
+  // doubling only if even a fresh seed cannot place everything, which
+  // happens near 100% load.
+  const Placement placement{key, group};
+  return rebuild(table, table.cuckoo.capacity(), &placement);
 }
 
 template <typename TableT>
 void WindowedCuckooGroupStore<TableT>::erase_key(std::size_t t,
                                                  std::uint64_t key) {
-  // The append-only rebuild log keeps the mapping; a rebuilt table would
-  // resurrect the key pointing at an empty group — harmless.
-  tables_[t].cuckoo.erase(key);
+  Table& table = tables_[t];
+  const auto group = table.cuckoo.find(key);
+  if (!group.has_value()) return;
+  table.cuckoo.erase(key);
+  table.erased.emplace_back(key, *group);
+}
+
+template <typename TableT>
+void WindowedCuckooGroupStore<TableT>::shrink_to_fit(
+    std::size_t min_capacity) {
+  for (Table& table : tables_) {
+    std::size_t capacity =
+        std::bit_ceil(std::max<std::size_t>(min_capacity, 1));
+    while (static_cast<double>(table.cuckoo.size()) >=
+           kGrowAt * static_cast<double>(capacity)) {
+      capacity *= 2;
+    }
+    if (capacity < table.cuckoo.capacity()) rebuild(table, capacity, nullptr);
+  }
 }
 
 template <typename TableT>
@@ -143,9 +147,20 @@ void WindowedCuckooGroupStore<TableT>::serialize(util::ByteWriter& out) const {
   out.u32(static_cast<std::uint32_t>(tables_.size()));
   for (const Table& table : tables_) {
     out.u64(table.seed);
-    // The rebuild log must survive: a post-recovery rehash replays it.
-    out.u64(table.entries.size());
-    for (const auto& [key, group] : table.entries) {
+    // History section: every placement made, live or erased, in group
+    // order.
+    std::vector<Placement> history(table.erased);
+    history.reserve(table.erased.size() + table.cuckoo.size());
+    table.cuckoo.for_each([&](std::uint64_t key, std::uint64_t group) {
+      history.emplace_back(key, group);
+    });
+    std::sort(history.begin(), history.end(),
+              [](const Placement& a, const Placement& b) {
+                return a.second != b.second ? a.second < b.second
+                                            : a.first < b.first;
+              });
+    out.u64(history.size());
+    for (const auto& [key, group] : history) {
       out.u64(key);
       out.u64(group);
     }
@@ -157,20 +172,28 @@ template <typename TableT>
 bool WindowedCuckooGroupStore<TableT>::deserialize(util::ByteReader& in) {
   const std::uint32_t tables = in.u32();
   if (!in.ok() || tables != tables_.size()) return false;
+  std::vector<Placement> history;
   for (Table& table : tables_) {
     table.seed = in.u64();
     const std::uint64_t entries = in.u64();
     if (!in.ok() || entries > in.remaining() / 16) return false;
-    table.entries.clear();
-    table.entries.reserve(entries);
+    history.clear();
+    history.reserve(entries);
     for (std::uint64_t i = 0; i < entries; ++i) {
       const std::uint64_t key = in.u64();
       const std::uint64_t group = in.u64();
-      table.entries.emplace_back(key, group);
+      history.emplace_back(key, group);
     }
     auto cuckoo = TableT::deserialize(in);
     if (!cuckoo.has_value()) return false;
     table.cuckoo = std::move(*cuckoo);
+    // Every live pair came from its own history entry, so a history as
+    // long as the table holds no erased placement.
+    table.erased.clear();
+    if (history.size() == table.cuckoo.size()) continue;
+    for (const Placement& p : history) {
+      if (table.cuckoo.find(p.first) != p.second) table.erased.push_back(p);
+    }
   }
   return in.ok();
 }

@@ -26,11 +26,16 @@
 
 namespace fast::hash {
 
-/// Shared windowed-cuckoo GroupStore machinery: per-table salted seeds, the
-/// append-only rebuild log, proactive growth, and the rehash loop are
-/// identical across the full-key and fingerprint-compressed tables; only
-/// the slot layout (TableT) differs. The flat instantiation's serialized
-/// bytes are unchanged from the pre-template FlatCuckooGroupStore.
+/// Shared windowed-cuckoo GroupStore machinery: per-table salted seeds,
+/// proactive growth, and the rehash loop are identical across the full-key
+/// and fingerprint-compressed tables; only the slot layout (TableT)
+/// differs. A rebuild re-inserts the table's live pairs in slot order, so
+/// an erased key stays gone (DESIGN.md §3t).
+///
+/// A table's snapshot section lists every placement ever made, live or
+/// not, in group order (golden_v1 pins that format). Group ids only
+/// increase within a table, so that list is the live pairs plus the erased
+/// ones sorted by group, and only the erased ones are kept aside.
 template <typename TableT>
 class WindowedCuckooGroupStore : public core::pipeline::GroupStore {
  public:
@@ -46,6 +51,7 @@ class WindowedCuckooGroupStore : public core::pipeline::GroupStore {
   std::size_t place(std::size_t t, std::uint64_t key,
                     std::uint64_t group) override;
   void erase_key(std::size_t t, std::uint64_t key) override;
+  void shrink_to_fit(std::size_t min_capacity) override;
   std::size_t lookup_cost_probes(std::size_t t) const noexcept override;
   std::size_t store_bytes() const noexcept override;
   CuckooStats stats() const noexcept override;
@@ -53,16 +59,25 @@ class WindowedCuckooGroupStore : public core::pipeline::GroupStore {
   bool deserialize(util::ByteReader& in) override;
 
  private:
+  using Placement = std::pair<std::uint64_t, std::uint64_t>;  // key, group
+
   struct Table {
     TableT cuckoo;
-    /// Append-only (key -> group) log enabling rebuild on rehash.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
+    /// Placements no longer live (erased or overwritten), in the order
+    /// they left; only the snapshot's history section reads them.
+    std::vector<Placement> erased;
     std::uint64_t seed;
   };
 
   /// Doubles a table's capacity when its load factor crosses the growth
   /// threshold (amortized O(1) insert despite fixed-size tables).
-  void maybe_grow(std::size_t t);
+  void maybe_grow(Table& table);
+
+  /// Replaces `table.cuckoo` with one under a fresh seed holding its live
+  /// pairs, then `extra` when given. Starts at `capacity` slots and doubles
+  /// after each failed attempt; returns the attempts made.
+  std::size_t rebuild(Table& table, std::size_t capacity,
+                      const Placement* extra);
 
   FlatCuckooConfig base_;
   std::vector<Table> tables_;
@@ -102,6 +117,7 @@ class ChainedGroupStore final : public core::pipeline::GroupStore {
   std::size_t place(std::size_t t, std::uint64_t key,
                     std::uint64_t group) override;
   void erase_key(std::size_t t, std::uint64_t key) override;
+  void shrink_to_fit(std::size_t /*min_capacity*/) override {}
   std::size_t lookup_cost_probes(std::size_t t) const noexcept override;
   std::size_t store_bytes() const noexcept override;
   CuckooStats stats() const noexcept override;

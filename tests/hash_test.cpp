@@ -10,6 +10,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "hash/counting_bloom.hpp"
 #include "hash/cuckoo_table.hpp"
 #include "hash/flat_cuckoo_table.hpp"
+#include "hash/group_stores.hpp"
 #include "hash/hashes.hpp"
 #include "hash/lsh_table_chained.hpp"
 #include "hash/minhash.hpp"
@@ -939,6 +941,165 @@ TEST(CompactFlatCuckoo, LockstepParityWithFlatUnderRandomHistory) {
       ASSERT_EQ(flat.find(mix64(u)), compact.find(mix64(u))) << u;
     }
   }
+}
+
+// ---------- Windowed-cuckoo group store history ----------
+
+using Placement = std::pair<std::uint64_t, std::uint64_t>;  // key, group
+
+/// One table's section of a WindowedCuckooGroupStore snapshot: the history
+/// it lists and the table it restores.
+template <typename TableT>
+struct StoreSection {
+  std::vector<Placement> history;
+  TableT table;
+};
+
+template <typename TableT>
+std::vector<StoreSection<TableT>> read_store_sections(
+    std::span<const std::uint8_t> bytes) {
+  util::ByteReader in(bytes);
+  std::vector<StoreSection<TableT>> sections;
+  const std::uint32_t tables = in.u32();
+  for (std::uint32_t t = 0; t < tables; ++t) {
+    in.u64();  // seed
+    std::vector<Placement> history(in.u64());
+    for (Placement& p : history) {
+      p.first = in.u64();
+      p.second = in.u64();
+    }
+    auto table = TableT::deserialize(in);
+    EXPECT_TRUE(table.has_value()) << "table " << t;
+    if (!table.has_value()) return {};
+    sections.push_back({std::move(history), std::move(*table)});
+  }
+  EXPECT_TRUE(in.ok());
+  EXPECT_EQ(in.remaining(), 0u);
+  return sections;
+}
+
+template <typename TableT>
+std::vector<Placement> live_pairs(const TableT& table) {
+  std::vector<Placement> out;
+  table.for_each([&](std::uint64_t key, std::uint64_t group) {
+    out.emplace_back(key, group);
+  });
+  return out;
+}
+
+// Both windowed-cuckoo flavors through a random insert / overwrite /
+// erase / re-insert history that grows each table several times over and,
+// at W = 1 with a short kick budget, fails inserts often enough to force
+// same-size rebuilds. A rebuild re-inserts only the live slots, so every
+// find must match a plain map, and the snapshot's history section must
+// still list every place() call in group order.
+TEST(GroupStoreHistory, ParityWithModelAcrossRebuilds) {
+  FlatCuckooConfig cfg;
+  cfg.capacity = 16;
+  cfg.window = 1;
+  cfg.max_kicks = 8;
+  cfg.seed = 0x4157;
+  constexpr std::size_t kTables = 3;
+  constexpr std::uint64_t kUniverse = 1500;
+  // Through the interface, where find()'s optional arguments live.
+  FlatCuckooGroupStore flat_store(cfg, kTables);
+  CompactFlatCuckooGroupStore compact_store(cfg, kTables);
+  core::pipeline::GroupStore& flat = flat_store;
+  core::pipeline::GroupStore& compact = compact_store;
+
+  std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> model(
+      kTables);
+  std::vector<std::vector<Placement>> placed(kTables);
+  std::uint64_t next_group = 0;
+  std::size_t rehashes = 0;
+  std::size_t erases = 0;
+  std::size_t overwrites = 0;
+  util::Rng rng(0x4157);
+  for (std::size_t op = 0; op < 12000; ++op) {
+    const std::size_t t = rng.uniform_u64(kTables);
+    const std::uint64_t key = mix64(rng.uniform_u64(kUniverse));
+    const bool live = model[t].contains(key);
+    const std::uint64_t draw = rng.uniform_u64(20);
+    if (draw < 11 && (!live || draw == 0)) {  // insert, re-insert, overwrite
+      const std::uint64_t group = next_group++;
+      const std::size_t f = flat.place(t, key, group);
+      ASSERT_EQ(f, compact.place(t, key, group)) << "op " << op;
+      rehashes += f;
+      overwrites += live ? 1 : 0;
+      model[t][key] = group;
+      placed[t].emplace_back(key, group);
+    } else if (draw < 17) {
+      flat.erase_key(t, key);
+      compact.erase_key(t, key);
+      erases += model[t].erase(key);
+    }
+    const auto it = model[t].find(key);
+    const auto expect = it == model[t].end()
+                            ? std::nullopt
+                            : std::optional<std::uint64_t>(it->second);
+    ASSERT_EQ(flat.find(t, key), expect) << "op " << op;
+    ASSERT_EQ(compact.find(t, key), expect) << "op " << op;
+  }
+  EXPECT_GT(rehashes, 0u) << "no failed insert forced a rebuild";
+  EXPECT_GT(erases, 100u);
+  EXPECT_GT(overwrites, 0u);
+  // Every table grew from 16 slots past several doublings.
+  EXPECT_GE(flat.stats().capacity_slots, kTables * 16 * 16);
+  EXPECT_EQ(flat.stats().occupied_slots, compact.stats().occupied_slots);
+
+  for (std::size_t t = 0; t < kTables; ++t) {
+    for (std::uint64_t u = 0; u < kUniverse; ++u) {
+      const std::uint64_t key = mix64(u);
+      const auto it = model[t].find(key);
+      const auto expect = it == model[t].end()
+                              ? std::nullopt
+                              : std::optional<std::uint64_t>(it->second);
+      ASSERT_EQ(flat.find(t, key), expect) << "table " << t << " key " << u;
+      ASSERT_EQ(compact.find(t, key), expect) << "table " << t << " key " << u;
+    }
+  }
+
+  util::ByteWriter flat_bytes;
+  flat.serialize(flat_bytes);
+  util::ByteWriter compact_bytes;
+  compact.serialize(compact_bytes);
+  const auto flat_sections =
+      read_store_sections<FlatCuckooTable>(flat_bytes.data());
+  const auto compact_sections =
+      read_store_sections<CompactFlatCuckooTable>(compact_bytes.data());
+  ASSERT_EQ(flat_sections.size(), kTables);
+  ASSERT_EQ(compact_sections.size(), kTables);
+  for (std::size_t t = 0; t < kTables; ++t) {
+    // Group ids were handed out in increasing order, so the place() log
+    // is already in group order.
+    ASSERT_TRUE(std::is_sorted(
+        placed[t].begin(), placed[t].end(),
+        [](const Placement& a, const Placement& b) {
+          return a.second < b.second;
+        }));
+    EXPECT_EQ(flat_sections[t].history, placed[t]) << "table " << t;
+    EXPECT_EQ(compact_sections[t].history, placed[t]) << "table " << t;
+    const std::vector<Placement> flat_live =
+        live_pairs(flat_sections[t].table);
+    EXPECT_EQ(flat_live.size(), model[t].size());
+    EXPECT_EQ(flat_live, live_pairs(compact_sections[t].table))
+        << "table " << t;
+  }
+
+  // serialize -> deserialize -> serialize reproduces the bytes, the
+  // erased placements included.
+  FlatCuckooGroupStore flat_back(cfg, kTables);
+  util::ByteReader flat_in(flat_bytes.data());
+  ASSERT_TRUE(flat_back.deserialize(flat_in));
+  util::ByteWriter flat_again;
+  flat_back.serialize(flat_again);
+  EXPECT_EQ(flat_again.data(), flat_bytes.data());
+  CompactFlatCuckooGroupStore compact_back(cfg, kTables);
+  util::ByteReader compact_in(compact_bytes.data());
+  ASSERT_TRUE(compact_back.deserialize(compact_in));
+  util::ByteWriter compact_again;
+  compact_back.serialize(compact_again);
+  EXPECT_EQ(compact_again.data(), compact_bytes.data());
 }
 
 // ---------- MinHash ----------

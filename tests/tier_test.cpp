@@ -390,6 +390,60 @@ TEST_F(TierTest, QueryEngineServesTieredBackend) {
   EXPECT_GE(tiered.metrics().snapshot().counters.at("engine.batches"), 1u);
 }
 
+// Bursts of eight identical summaries share every bucket key, so a sealed
+// memtable holds an eighth as many keys per table as entries, far fewer
+// than the seal-interval arena it was pre-sized with. Seals and merges
+// rebuild the store at the size its keys need, which keeps the tiered
+// index within twice the flat index's bytes for the same live set (a
+// store frozen at the arena's size reads over three times). Case one
+// seals without merging; case two merges every segment into one.
+TEST_F(TierTest, SealedAndMergedStoresAreRightSized) {
+  auto burst_signature = [](std::uint64_t burst, std::uint32_t bits) {
+    util::Rng rng(burst * 0x9e3779b97f4a7c15ULL + 0xc4u);
+    std::vector<std::uint32_t> set;
+    std::uint32_t cur = 0;
+    for (std::size_t i = 0; i < 100; ++i) {
+      cur += 1 + static_cast<std::uint32_t>(rng.uniform_u64(bits / 101));
+      if (cur >= bits) break;
+      set.push_back(cur);
+    }
+    return hash::SparseSignature(set, bits);
+  };
+  struct Case {
+    std::size_t inserts;
+    std::size_t fanin;
+  };
+  for (const Case c : {Case{4096, 64}, Case{1536, 2}}) {
+    FastConfig cfg = tiered_config();
+    cfg.tier.seal_threshold = 512;  // memtable arena: 1,024 slots a table
+    cfg.tier.lanes = 1;
+    cfg.tier.compact_fanin = c.fanin;
+    cfg.tier.compact_trigger = c.fanin;
+    TieredIndex tiered(cfg, *pca_);
+    FastIndex flat(flat_config(), *pca_);
+    const auto bits = static_cast<std::uint32_t>(cfg.bloom_bits);
+    for (std::size_t i = 0; i < c.inserts; ++i) {
+      const hash::SparseSignature sig = burst_signature(i / 8, bits);
+      tiered.insert_signature(i, sig);
+      flat.insert_signature(i, sig);
+    }
+    tiered.seal_active();
+    while (tiered.compact_once()) {
+    }
+    ASSERT_EQ(tiered.size(), flat.size());
+    EXPECT_GE(tiered.segment_count(), 1u);
+    const double ratio = static_cast<double>(tiered.index_bytes()) /
+                         static_cast<double>(flat.index_bytes());
+    EXPECT_LE(ratio, 2.0) << c.inserts << " inserts, fan-in " << c.fanin
+                          << ", " << tiered.segment_count() << " segments";
+    for (std::size_t q = 0; q < c.inserts; q += 97) {
+      const hash::SparseSignature sig = burst_signature(q / 8, bits);
+      expect_same_hits(tiered.query_signature(sig, 10),
+                       flat.query_signature(sig, 10));
+    }
+  }
+}
+
 // Matches the TSan CI regex: readers and writers race real background
 // seals and compactions.
 class TierStressTest : public TierTest {};
